@@ -26,9 +26,9 @@ from .cones import (
     ContractionData,
     _fiber_set,
     _line_set,
+    _section_curve,
     reconstruct,
 )
-from .curves import minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -161,15 +161,6 @@ def _plane_pullback(s: SurfaceModel, points) -> DivClass:
     return ell
 
 
-def _section_curve(s: SurfaceModel, cd: ContractionData) -> DivClass:
-    for v in minus_one_curves(s):
-        if intersect(v, cd.curveC, s) == 1 and all(
-            intersect(v, c, s) == 0 for c in cd.curveE
-        ):
-            return v
-    raise InvariantError("no section curve found for a fiber-with-section kind")
-
-
 def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
     """Shared degree-4 pattern over a plane model with five base points.
 
@@ -235,7 +226,9 @@ def _f1_parts(s, cd):
     es = cd.curveE
     a = cd.a
     delta = cd.delta
-    v = _section_curve(s, cd)
+    v = _section_curve(cd.curveE, cd.curveC, s)
+    if v is None:
+        raise InvariantError("no section curve found for a fiber-with-section kind")
     ell = _plane_pullback(s, es + (v,))
     if cd.curveC != ell - v:
         raise InvariantError("fiber class does not match the section model")

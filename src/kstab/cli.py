@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .alphabound import Certificate, certificate, compare_with_slope
@@ -103,7 +104,7 @@ def parse_input(document) -> tuple[SurfaceModel, DivClass]:
     if "degree" not in document:
         raise DomainError('input needs a "degree"')
     degree = document["degree"]
-    if not isinstance(degree, int) or not 1 <= degree <= 8:
+    if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= 8:
         raise DomainError(f"degree must be an integer in 1..8, got {degree!r}")
     s = SurfaceModel(degree)
     if "family" in document:
@@ -396,6 +397,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         print(args.run(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; as the Python docs advise, silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
-from .curves import disjoint_sets, fiber_classes, minus_one_curves
+from .curves import disjoint_sets, fiber_classes, minus_one_curves, negative_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -120,8 +121,10 @@ def mu(l: DivClass, s: SurfaceModel) -> Rational:
     if not isinstance(res, Optimal):
         raise InvariantError("the normalization program must have a finite optimum")
     value = res.value
-    # independent recheck through the membership formulation
-    if cone_member(canonical(s) + value * l, list(gens)) is None:
+    # the optimal point certifies membership: K + value*l = sum(t_i G_i)
+    terms = [(t, g) for t, g in zip(res.point[1:], gens) if t]
+    combo = sum((t * g for t, g in terms), zero_class(s))
+    if any(t < 0 for t, _ in terms) or combo != canonical(s) + value * l:
         raise InvariantError("normalization value failed the membership recheck")
     return value
 
@@ -161,12 +164,6 @@ def mu_bisect(
         else:
             lo = mid
     return lo, hi
-
-
-def _dot(a: DivClass, b: DivClass) -> Rational:
-    if len(a.e) != len(b.e):
-        raise DomainError("mixed ranks in contraction data")
-    return a.h * b.h - sum(x * y for x, y in zip(a.e, b.e))
 
 
 @dataclass(frozen=True)
@@ -217,9 +214,10 @@ class ContractionData:
                 raise DomainError(f"{c} is not an exceptional curve class")
         if self.curveC is not None and self.curveC not in _fiber_set(degree):
             raise DomainError(f"{self.curveC} is not a fiber class")
+        s = SurfaceModel(degree)
         for i, c1 in enumerate(classes):
             for c2 in classes[i + 1 :]:
-                if _dot(c1, c2) != 0:
+                if intersect(c1, c2, s) != 0:
                     raise DomainError("contracted curves must be pairwise disjoint")
 
 
@@ -234,27 +232,14 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
 
 
 def _sorted_face(coeffs, subset):
-    order = sorted(zip(coeffs, subset), key=lambda p: (-p[0], p[1].sort_key()))
+    # curves past the end of coeffs carry coefficient zero
+    pairs = zip_longest(coeffs, subset, fillvalue=Fraction(0))
+    order = sorted(pairs, key=lambda p: (-p[0], p[1].sort_key()))
     return tuple(p[0] for p in order), tuple(p[1] for p in order)
 
 
-def _plane_decomposition(w, s, lines):
-    for subset in disjoint_sets(lines, s.r, s):
-        coeffs = tuple(-intersect(w, c, s) for c in subset)
-        if any(x < 0 for x in coeffs):
-            continue
-        acc = zero_class(s)
-        for x, c in zip(coeffs, subset):
-            acc = acc + x * c
-        if acc != w:
-            continue
-        a, curve = _sorted_face(coeffs, subset)
-        return ContractionData(KIND_TO_P2, Fraction(0), a, curve, None)
-    return None
-
-
-def _section_curve(subset, fib, s, lines):
-    for v in lines:
+def _section_curve(subset, fib, s):
+    for v in minus_one_curves(s):
         if intersect(v, fib, s) == 1 and all(
             intersect(v, c, s) == 0 for c in subset
         ):
@@ -262,26 +247,41 @@ def _section_curve(subset, fib, s, lines):
     return None
 
 
-def _conic_decomposition(w, s, lines):
-    fibers = fiber_classes(s)
-    for subset in disjoint_sets(lines, s.r - 1, s):
-        for fib in fibers:
+def _face_data(w, s):
+    """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
+    contraction), else the first disjoint (r-1)-set with a fiber class
+    (conic bundle), or None.  By negative_curves, each set is the curves
+    with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0;
+    disjoint_sets lists these completions in the order of the full sets.
+    """
+    if square(w, s) > 0:
+        return None  # a face has w^2 = -sum(a_i^2) <= 0
+    support = tuple(negative_curves(w, s))
+    if len(support) > s.r:
+        return None  # at most r (-1)-curves are pairwise disjoint
+    coeffs = tuple(-intersect(w, c, s) for c in support)
+    resid = w - sum((x * c for x, c in zip(coeffs, support)), zero_class(s))
+    zero_curves = [
+        c
+        for c in minus_one_curves(s)
+        if intersect(w, c, s) == 0 and all(intersect(c, e, s) == 0 for e in support)
+    ]
+    plane = disjoint_sets(zero_curves, s.r - len(support), s) if resid.is_zero() else []
+    if plane:
+        a, curve = _sorted_face(coeffs, support + plane[0])
+        return ContractionData(KIND_TO_P2, Fraction(0), a, curve, None)
+    if len(support) == s.r:
+        return None  # no disjoint (r-1)-set contains them all
+    for completion in disjoint_sets(zero_curves, s.r - 1 - len(support), s):
+        subset = support + completion
+        for fib in fiber_classes(s):
             if any(intersect(fib, c, s) != 0 for c in subset):
                 continue
-            coeffs = tuple(-intersect(w, c, s) for c in subset)
-            if any(x < 0 for x in coeffs):
-                continue
-            resid = w
-            for x, c in zip(coeffs, subset):
-                resid = resid - x * c
             delta = Fraction(resid.h, 1) / fib.h
             if delta < 0 or resid != delta * fib:
                 continue
-            kind = (
-                KIND_CONIC_F1
-                if _section_curve(subset, fib, s, lines) is not None
-                else KIND_CONIC_P1P1
-            )
+            section = _section_curve(subset, fib, s)
+            kind = KIND_CONIC_P1P1 if section is None else KIND_CONIC_F1
             a, curve = _sorted_face(coeffs, subset)
             return ContractionData(kind, delta, a, curve, fib)
     return None
@@ -293,7 +293,8 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     Requires degree <= 7, l ample, and mu(l) = 1 (rescale first).  Tries
     a full-rank disjoint set of exceptional curves (plane contraction),
     then a corank-one set together with a fiber class (conic bundle),
-    taking the lexicographically first valid choice in each pass.
+    taking the lexicographically first valid choice in each pass.  A face
+    found proves mu(l) = 1; mu is solved only when there is none.
     """
     if s.degree > 7:
         raise DomainError("face decomposition is defined for degree at most 7")
@@ -301,8 +302,6 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise DomainError(
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
-    if mu(l, s) != 1:
-        raise DomainError("face decomposition needs a normalized class (mu = 1)")
     w = l + canonical(s)
     if w.is_zero():
         base = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
@@ -310,12 +309,17 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
             KIND_TO_P2, Fraction(0), (Fraction(0),) * s.r, base, None
         )
     else:
-        lines = minus_one_curves(s)
-        data = _plane_decomposition(w, s, lines)
-        if data is None:
-            data = _conic_decomposition(w, s, lines)
-        if data is None:
-            raise InvariantError(f"no boundary-face decomposition found for {l}")
+        data = _face_data(w, s)
+    if data is None:
+        if mu(l, s) != 1:
+            raise DomainError("face decomposition needs a normalized class (mu = 1)")
+        raise InvariantError(f"no boundary-face decomposition found for {l}")
+    # K + l is effective by the decomposition, so mu(l) <= 1; a nef class D
+    # with D.(K + l) = 0 and D.l > 0 is negative on K + x*l for x < 1, so
+    # mu(l) = 1.  D is the fiber, or -K + sum(E_i) = 3 * (line) for a plane.
+    dual = data.curveC if data.curveC is not None else sum(data.curveE, anticanonical(s))
+    if not is_nef(dual, s) or intersect(dual, w, s) != 0 or intersect(dual, l, s) <= 0:
+        raise InvariantError("face decomposition has no nef class dual to its face")
     if reconstruct(data, s) != l:
         raise InvariantError("face decomposition failed the reconstruction check")
     return data

@@ -10,10 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .lattice import DivClass, SurfaceModel, canonical, intersect
-
-_ZERO = Fraction(0)
 
 
 def _nonincreasing_tuples(length, lo, hi, total, sq_total):
@@ -88,7 +86,8 @@ def _minus_one_curves(degree: int) -> tuple[DivClass, ...]:
     found.sort(key=DivClass.sort_key)
     mk = canonical(s)
     for c in found:
-        assert intersect(c, c, s) == -1 and intersect(mk, c, s) == -1, c
+        if intersect(c, c, s) != -1 or intersect(mk, c, s) != -1:
+            raise InvariantError(f"{c} is not a (-1)-curve class")
     return tuple(found)
 
 
@@ -115,7 +114,8 @@ def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
                     found.append(cand)
     found.sort(key=DivClass.sort_key)
     for c in found:
-        assert intersect(c, c, s) == 0 and intersect(mk, c, s) == -2, c
+        if intersect(c, c, s) != 0 or intersect(mk, c, s) != -2:
+            raise InvariantError(f"{c} is not a fiber class")
     return tuple(found)
 
 
@@ -128,6 +128,21 @@ def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = 0, -K.C = 2, nonnegative against
     every curve from minus_one_curves."""
     return list(_fiber_classes(s.degree))
+
+
+def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
+    """The curves c from minus_one_curves with w.c < 0, in sorted order.
+
+    Let w = sum(a_i E_i) + delta*C, all a_i, delta >= 0, over disjoint
+    (-1)-curves E_i and a fiber class C missing them.  Then w.E_j = -a_j,
+    and w.c >= 0 for any other (-1)-curve c, as distinct (-1)-curves pair
+    nonnegatively and fibers are nef.  So these curves are exactly the E_i
+    with a_i > 0, weighted a_i = -w.E_i; the other E_i pair to 0 with w.
+    Conversely, if w = sum(-w.E_j * E_j) + delta*C over these curves E_j,
+    pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
+    sum of nonnegative terms, so the E_j are pairwise disjoint.
+    """
+    return [c for c in _minus_one_curves(s.degree) if intersect(w, c, s) < 0]
 
 
 def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]:

@@ -20,7 +20,7 @@ def rational(value) -> Fraction:
     """Parse a rational from "p/q", "n", int or Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -191,7 +191,8 @@ def solve(prog: LinearProgram):
     for i, row in enumerate(rows):
         cost = [a - b for a, b in zip(cost, row)]
     status, _ = _run_simplex(rows, cost, basis, ncols + nrows)
-    assert status == "optimal"  # phase 1 is bounded below by 0
+    if status != "optimal":
+        raise InvariantError("phase 1 is bounded below by 0 yet came back unbounded")
     if -cost[-1] != 0:
         return Infeasible()
 
@@ -300,7 +301,8 @@ def cone_member(target: DivClass, generators) -> tuple[Fraction, ...] | None:
     res = solve(prog)
     if isinstance(res, Infeasible):
         return None
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise InvariantError("a zero objective cannot be unbounded")
     acc_h = sum((t * g.h for t, g in zip(res.point, generators)), _ZERO)
     acc_e = [
         sum((t * g.e[i] for t, g in zip(res.point, generators)), _ZERO)

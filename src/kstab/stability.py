@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .alphabound import Certificate, certificate, compare_with_slope
 from .cones import ample_violation, face_decompose, is_nef, mu
-from .curves import disjoint_sets, minus_one_curves
+from .curves import minus_one_curves  # noqa: F401  re-exported
+from .curves import negative_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -109,18 +111,18 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
 
 
 def _six_line_parameter(l: DivClass, s: SurfaceModel):
-    """Match l + K against x times a disjoint six-line sum, first match wins."""
+    """Match l + K against x times a disjoint six-line sum.
+
+    By negative_curves, the only possible sextet is the curves pairing
+    negatively with l + K, and matching it forces them disjoint.
+    """
     w = l - anticanonical(s)
     if w == zero_class(s):
         return Fraction(0)
-    lines = minus_one_curves(s)
-    for sextet in disjoint_sets(lines, 6, s):
-        total = zero_class(s)
-        for c in sextet:
-            total = total + c
-        x = intersect(anticanonical(s), w, s) / 6
-        if x > 0 and w == x * total:
-            return x
+    sextet = negative_curves(w, s)
+    x = intersect(anticanonical(s), w, s) / 6
+    if len(sextet) == 6 and x > 0 and w == x * sum(sextet[1:], sextet[0]):
+        return x
     return None
 
 
@@ -131,77 +133,54 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
         raise DomainError(f"verdict needs an ample class: {violation}")
     slope = nu(l, s)
     cond = condition_a(l, s)
+    reply = partial(
+        Verdict, condition_a=cond, nu=slope, alpha_lower=None, certificate=None
+    )
     if s.degree == 8:
-        return Verdict(
+        return reply(
             status=STATUS_UNSUPPORTED,
-            condition_a=cond,
-            nu=slope,
-            alpha_lower=None,
-            certificate=None,
             notes="one-point blow-up models are settled by classical means "
             "and are outside the scope of this tool",
         )
     if s.degree <= 2:
         if not cond:
-            return Verdict(
+            return reply(
                 status=STATUS_UNKNOWN,
-                condition_a=cond,
-                nu=slope,
-                alpha_lower=None,
-                certificate=None,
                 notes="the nef residual condition fails, so the low-degree "
                 "criterion does not apply",
             )
         gamma = gamma_lower_bound(s, l)
         rescaled = gamma * Fraction(2, 3) * slope
-        return Verdict(
+        return reply(
             status=STATUS_MAIN,
-            condition_a=cond,
-            nu=slope,
             alpha_lower=gamma,
-            certificate=None,
             notes="alpha lower bound for the slope-normalized class; for the "
             f"input class it rescales to {rational_str(rescaled)}",
         )
     if s.degree == 3:
         x = _six_line_parameter(l, s)
         if x == 0:
-            return Verdict(
+            return reply(
                 status=STATUS_UNKNOWN,
-                condition_a=cond,
-                nu=slope,
-                alpha_lower=None,
-                certificate=None,
                 notes="the anticanonical cubic surface is settled by "
                 "classical means and is outside the scope of this tool",
             )
         if x is not None and x <= Fraction(1, 10):
-            return Verdict(
+            return reply(
                 status=STATUS_SIX_LINE,
-                condition_a=cond,
-                nu=slope,
                 alpha_lower=2 / (3 + 3 * x),
-                certificate=None,
                 notes="six-line family parameter "
                 f"{rational_str(x)} lies in the proven window",
             )
         if x is not None:
-            return Verdict(
+            return reply(
                 status=STATUS_UNKNOWN,
-                condition_a=cond,
-                nu=slope,
-                alpha_lower=None,
-                certificate=None,
                 notes="six-line family parameter "
                 f"{rational_str(x)} is outside the proven window; stability "
                 "there is only conjectured",
             )
-        return Verdict(
+        return reply(
             status=STATUS_UNKNOWN,
-            condition_a=cond,
-            nu=slope,
-            alpha_lower=None,
-            certificate=None,
             notes="no result covers this cubic-surface polarization",
         )
     # degree 4 to 7: produce the upper-bound certificate on the normalized
@@ -218,14 +197,7 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
     )
     if comparison["equality"]:
         notes += "; the two sides agree exactly here"
-    return Verdict(
-        status=STATUS_INAPPLICABLE,
-        condition_a=cond,
-        nu=slope,
-        alpha_lower=None,
-        certificate=cert,
-        notes=notes,
-    )
+    return reply(status=STATUS_INAPPLICABLE, certificate=cert, notes=notes)
 
 
 def cubic_line_family_report(x) -> dict:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +247,41 @@ def test_main_verify_appendix(capsys):
     assert payload["total"] == 63
     assert payload["failures"] == []
     assert payload["equality_points"] == [{"a": ["0"] * 5, "delta": "0"}]
+
+
+def test_json_booleans_are_rejected(capsys):
+    cases = [
+        '{"degree": true, "L": {"h": "3", "e": ["1", "1", "1", "1", "1", "1", "1", "1"]}}',
+        '{"degree": 7, "L": {"h": "3", "e": [true, "1"]}}',
+        '{"degree": 7, "L": {"h": true, "e": ["0", "0"]}}',
+        '{"degree": 3, "family": "six-line", "x": false}',
+    ]
+    for case in cases:
+        with pytest.raises(DomainError):
+            cli.parse_input(case)
+        assert cli.main(["check", "--json", "--L", case]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    # integers stay accepted
+    s, l = cli.parse_input('{"degree": 7, "L": {"h": 3, "e": [1, 1]}}')
+    assert (s, l) == (SurfaceModel(7), anticanonical(SurfaceModel(7)))
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before any output arrives, as with `| head -c 0`;
+    # the appendix grid takes long enough that the close always comes first
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "kstab.cli", "verify-appendix", "--max-denominator", "6", "--json"]
+    proc = subprocess.Popen(
+        argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,15 +22,26 @@ from kstab.cones import (
     mu_bisect,
     reconstruct,
 )
+from kstab.curves import disjoint_sets, fiber_classes, minus_one_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
     basis_exceptional,
     basis_line,
+    canonical,
     div,
     intersect,
     square,
+    zero_class,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_acceptance import (  # noqa: E402
+    _FAREY6,
+    _P1P1_CURVES,
+    _conic_section,
+    _nonincreasing_tuples,
 )
 
 
@@ -197,6 +210,9 @@ def test_face_conic_zero_delta_degree7():
     assert data.curveC == basis_line(s) - basis_exceptional(s, 1)
 
 
+_NOT_NORMALIZED = "face decomposition needs a normalized class"
+
+
 def test_face_requires_normalized_input():
     s = SurfaceModel(7)
     l = (
@@ -204,12 +220,22 @@ def test_face_requires_normalized_input():
         + Fraction(1, 2) * (basis_line(s) - basis_exceptional(s, 1))
         + Fraction(1, 3) * basis_exceptional(s, 1)
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=_NOT_NORMALIZED):
         face_decompose(l, s)
     data = face_decompose(mu(l, s) * l, s)
     assert data.kind == KIND_TO_P2
     assert data.a == (Fraction(1, 7), 0)
     assert data.curveE == (basis_exceptional(s, 2), basis_exceptional(s, 1))
+    for d in range(1, 8):
+        s = SurfaceModel(d)
+        mk = anticanonical(s)
+        e1, er = basis_exceptional(s, 1), basis_exceptional(s, s.r)
+        fiber = basis_line(s) - er
+        for l in (mk, mk + Fraction(1, 3) * e1, mk + Fraction(1, 2) * fiber):
+            assert mu(l, s) == 1
+            for scale in (Fraction(1, 2), Fraction(3, 2)):
+                with pytest.raises(DomainError, match=_NOT_NORMALIZED):
+                    face_decompose(scale * l, s)
 
 
 def test_face_rejects_degree8():
@@ -275,3 +301,135 @@ def test_face_roundtrip_degree6(x, y):
     assert data.kind == KIND_TO_P2
     assert reconstruct(data, s) == l
     assert data.a == tuple(sorted((x, y, Fraction(0)), reverse=True))
+
+
+def _sorted_data(kind, delta, coeffs, subset, fib):
+    order = sorted(zip(coeffs, subset), key=lambda p: (-p[0], p[1].sort_key()))
+    return ContractionData(
+        kind, delta, tuple(p[0] for p in order), tuple(p[1] for p in order), fib
+    )
+
+
+def _face_scan(l, s):
+    """The exhaustive search face_decompose replaced, kept as its oracle:
+    mu(l) must be 1; then the first disjoint r-set of (-1)-curves carrying
+    K + l, else the first disjoint (r-1)-set and fiber class.  Curves with
+    w.c > 0 would get a negative coefficient, so the sets are drawn from
+    the rest, which keeps their relative order."""
+    if mu(l, s) != 1:
+        raise DomainError(_NOT_NORMALIZED)
+    w = l + canonical(s)
+    if w.is_zero():
+        base = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
+        return ContractionData(KIND_TO_P2, Fraction(0), (Fraction(0),) * s.r, base, None)
+    lines = [c for c in minus_one_curves(s) if intersect(w, c, s) <= 0]
+    for subset in disjoint_sets(lines, s.r, s):
+        coeffs = [-intersect(w, c, s) for c in subset]
+        if sum((x * c for x, c in zip(coeffs, subset)), zero_class(s)) == w:
+            return _sorted_data(KIND_TO_P2, Fraction(0), coeffs, subset, None)
+    for subset in disjoint_sets(lines, s.r - 1, s):
+        coeffs = [-intersect(w, c, s) for c in subset]
+        resid = w - sum((x * c for x, c in zip(coeffs, subset)), zero_class(s))
+        for fib in fiber_classes(s):
+            if any(intersect(fib, c, s) != 0 for c in subset):
+                continue
+            delta = resid.h / fib.h
+            if delta < 0 or resid != delta * fib:
+                continue
+            section = any(
+                intersect(v, fib, s) == 1 and all(intersect(v, c, s) == 0 for c in subset)
+                for v in minus_one_curves(s)
+            )
+            kind = KIND_CONIC_F1 if section else KIND_CONIC_P1P1
+            return _sorted_data(kind, delta, coeffs, subset, fib)
+    return None
+
+
+def _agrees_with_scan(l, s):
+    """face_decompose(l, s) checked against the scan; None when both
+    reject l as not normalized."""
+    try:
+        expect = _face_scan(l, s)
+    except DomainError:
+        with pytest.raises(DomainError, match=_NOT_NORMALIZED):
+            face_decompose(l, s)
+        return None
+    assert face_decompose(l, s) == expect
+    return expect
+
+
+def _grid_sample(degree, stride):
+    """Every stride-th class of the acceptance-5 certificate grid."""
+    s = SurfaceModel(degree)
+    basis = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
+    faces = [
+        (basis, None, (Fraction(0),)),
+        (basis[:-1], _conic_section(s), _FAREY6),
+        _P1P1_CURVES[degree] + (_FAREY6,),
+    ]
+    index = 0
+    for curves, fib, deltas in faces:
+        for delta in deltas:
+            for a in _nonincreasing_tuples(len(curves)):
+                if index % stride == 0:
+                    l = anticanonical(s) + sum((x * c for x, c in zip(a, curves)), zero_class(s))
+                    yield s, l if fib is None else l + delta * fib
+                index += 1
+
+
+def test_face_matches_scan_on_certificate_grid_classes():
+    # subsampled, with rescaled copies of every fifth class
+    kinds = []
+    for degree in (4, 5, 6, 7):
+        for index, (s, l) in enumerate(_grid_sample(degree, 97)):
+            kinds.append(_agrees_with_scan(l, s).kind)
+            if index % 5 == 0:
+                assert _agrees_with_scan(Fraction(3, 2) * l, s) is None
+    assert len(kinds) > 500
+    assert set(kinds) == {KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1}
+
+
+def _random_disjoint(rng, s, k):
+    lines = minus_one_curves(s)
+    while True:
+        chosen = []
+        for c in rng.sample(lines, len(lines)):
+            if all(intersect(c, e, s) == 0 for e in chosen):
+                chosen.append(c)
+        if len(chosen) >= k:
+            return chosen[:k]
+
+
+def _random_face_class(rng, s):
+    """-K + delta*C + sum(a_i E_i) over a random disjoint set and fiber."""
+    if rng.random() < 0.5:
+        subset, fib = _random_disjoint(rng, s, s.r), None
+    else:
+        while True:
+            subset = _random_disjoint(rng, s, s.r - 1)
+            fibers = [
+                f for f in fiber_classes(s) if all(intersect(f, c, s) == 0 for c in subset)
+            ]
+            if fibers:
+                break
+        fib = rng.choice(fibers)
+    l = anticanonical(s)
+    for c in subset:
+        l = l + Fraction(rng.randrange(0, 6), 6) * c
+    if fib is not None:
+        l = l + Fraction(rng.randrange(0, 4), 3) * fib
+    return l
+
+
+def test_face_matches_scan_in_low_degrees():
+    rng = random.Random(23)
+    for d in (2, 3):
+        s = SurfaceModel(d)
+        kinds = []
+        for _ in range(30):
+            l = _random_face_class(rng, s)
+            if is_ample(l, s):
+                kinds.append(_agrees_with_scan(l, s).kind)
+        assert len(kinds) >= 20
+        assert set(kinds) == {KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1}
+        assert _agrees_with_scan(Fraction(1, 2) * anticanonical(s), s) is None

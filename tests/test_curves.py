@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kstab.curves import disjoint_sets, fiber_classes, minus_one_curves
+from kstab.curves import disjoint_sets, fiber_classes, minus_one_curves, negative_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
@@ -131,3 +131,29 @@ def test_full_enumeration_under_five_seconds():
     for d in range(1, 9):
         minus_one_curves(SurfaceModel(d))
     assert time.perf_counter() - start < 5.0
+
+
+def test_negative_curves_premises():
+    # the support argument in negative_curves rests on these two facts
+    for d in range(1, 8):
+        s = SurfaceModel(d)
+        lines = minus_one_curves(s)
+        for i, c in enumerate(lines):
+            assert all(intersect(c, e, s) >= 0 for e in lines[i + 1 :])
+        if d >= 2:
+            for fib in fiber_classes(s):
+                assert all(intersect(fib, c, s) >= 0 for c in lines)
+
+
+def test_negative_curves_are_the_positive_support():
+    s = SurfaceModel(4)
+    e1, e2, e3, e5 = (basis_exceptional(s, i) for i in (1, 2, 3, 5))
+    w = Fraction(1, 3) * e1 + Fraction(1, 4) * e2 + 0 * e3
+    assert negative_curves(w, s) == [e1, e2]
+    fiber = div(1, [0, 0, 0, 0, -1])
+    w = Fraction(1, 2) * fiber + Fraction(1, 5) * e1
+    assert negative_curves(w, s) == [e1]
+    assert negative_curves(w - w, s) == []
+    # a curve carried with coefficient zero pairs to zero with w
+    assert intersect(w, e3, s) == 0
+    assert intersect(w, e5, s) > 0

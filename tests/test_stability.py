@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from kstab.alphabound import verify_certificate
 from kstab.cones import ContractionData, KIND_TO_P2, is_ample, reconstruct
+from kstab.curves import disjoint_sets, minus_one_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
     basis_exceptional,
+    basis_line,
     div,
     intersect,
     square,
@@ -23,6 +25,7 @@ from kstab.stability import (
     STATUS_SIX_LINE,
     STATUS_UNKNOWN,
     STATUS_UNSUPPORTED,
+    _six_line_parameter,
     condition_a,
     cubic_line_family_report,
     gamma_lower_bound,
@@ -267,3 +270,59 @@ def test_condition_a_scale_invariant_everywhere(c, d):
     l = anticanonical(s) + F(1, 8) * basis_exceptional(s, 1)
     assert condition_a(c * l, s) == condition_a(l, s)
     assert nu(c * l, s) * c == nu(l, s)
+
+
+@pytest.fixture(scope="module")
+def cubic_sextets():
+    s = SurfaceModel(3)
+    return disjoint_sets(minus_one_curves(s), 6, s)
+
+
+def _six_line_scan(l, s, sextets):
+    """The scan over every disjoint sextet that _six_line_parameter
+    replaced, kept as its oracle."""
+    w = l - anticanonical(s)
+    if w == zero_class(s):
+        return F(0)
+    x = intersect(anticanonical(s), w, s) / 6
+    for sextet in sextets:
+        if x > 0 and w == x * sum(sextet[1:], sextet[0]):
+            return x
+    return None
+
+
+def test_six_line_parameter_matches_scan_on_every_sextet(cubic_sextets):
+    s = SurfaceModel(3)
+    assert len(cubic_sextets) == 72
+    for sextet in cubic_sextets:
+        for x in (F(1, 60), F(1, 10), F(1, 3), F(9, 10)):
+            l = anticanonical(s) + x * sum(sextet[1:], sextet[0])
+            assert _six_line_parameter(l, s) == x
+            assert _six_line_scan(l, s, cubic_sextets) == x
+
+
+def test_six_line_parameter_matches_scan_off_the_family(cubic_sextets):
+    s = SurfaceModel(3)
+    mk = anticanonical(s)
+    e = [basis_exceptional(s, i) for i in range(1, 7)]
+    five = sum(e[1:5], e[0])
+    cases = [
+        mk,
+        mk + F(1, 4) * five,
+        # six lines, two of which meet
+        mk + F(1, 4) * (five + basis_line(s) - e[0] - e[1]),
+        mk - F(1, 4) * (five + e[5]),
+        F(3, 2) * (mk + F(1, 10) * (five + e[5])),
+        mk + F(1, 3) * (basis_line(s) - e[0]),
+    ]
+    for sextet in cubic_sextets[::5]:
+        cases.append(mk + F(1, 5) * sum(sextet[1:], sextet[0]) + F(1, 7) * sextet[0])
+    rng = random.Random(36)
+    for _ in range(60):
+        cases.append(mk + sum((F(rng.randrange(0, 4), 4) * c for c in e), zero_class(s)))
+    misses = 0
+    for l in cases:
+        x = _six_line_parameter(l, s)
+        assert x == _six_line_scan(l, s, cubic_sextets)
+        misses += x is None
+    assert misses > len(cases) // 2
