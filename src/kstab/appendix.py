@@ -126,6 +126,16 @@ def _scan_column(args):
     return failures, equalities
 
 
+def _pool_size() -> int:
+    """KSTAB_THREADS as an integer clamped to [1, os.cpu_count()]."""
+    raw = os.environ.get("KSTAB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"KSTAB_THREADS must be an integer, got {raw!r}") from exc
+    return max(1, min(threads, os.cpu_count() or 1))
+
+
 def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> GridReport:
     """Check prop_a1 on every grid input with coordinates in (1/q)Z.
 
@@ -143,7 +153,7 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
         for idx in combinations_with_replacement(range(q + 1), 5)
     ]
     total = len(columns) * (dsteps + 1)
-    threads = int(os.environ.get("KSTAB_THREADS", "0"))
+    threads = _pool_size()
     if threads > 1 and total > _POOL_THRESHOLD:
         with Pool(threads) as pool:
             results = pool.map(_scan_column, columns, chunksize=64)

@@ -17,7 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-from .curves import disjoint_sets, fiber_classes, minus_one_curves, negative_curves
+from .curves import (
+    _curve_table,
+    disjoint_sets,
+    fiber_classes,
+    minus_one_curves,
+    negative_curves,
+    pairing_table,
+    pairings,
+)
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -55,6 +63,13 @@ def mori_generators(s: SurfaceModel) -> list[DivClass]:
 
 
 @lru_cache(maxsize=None)
+def _mori_table(degree: int) -> tuple[tuple[int, ...], ...]:
+    # the (-1)-curve rows, then the ruling's row in degree 8
+    table = _curve_table(degree)
+    return table + pairing_table(_mori_generators(degree)[len(table) :])
+
+
+@lru_cache(maxsize=None)
 def _line_set(degree: int) -> frozenset:
     return frozenset(minus_one_curves(SurfaceModel(degree)))
 
@@ -66,7 +81,7 @@ def _fiber_set(degree: int) -> frozenset:
 
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
     """True when dv pairs nonnegatively with every curve-cone generator."""
-    return all(intersect(dv, g, s) >= 0 for g in _mori_generators(s.degree))
+    return min(pairings(dv, _mori_table(s.degree), s)) >= 0
 
 
 def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
@@ -93,8 +108,9 @@ def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     """Reason dv fails the ampleness test, or None when ample."""
     if square(dv, s) <= 0:
         return f"self-intersection of {dv} is not positive"
-    for g in _mori_generators(s.degree):
-        if intersect(dv, g, s) <= 0:
+    signs = pairings(dv, _mori_table(s.degree), s)
+    for g, p in zip(_mori_generators(s.degree), signs):
+        if p <= 0:
             return f"pairing of {dv} with the curve class {g} is not positive"
     return None
 
@@ -239,10 +255,12 @@ def _sorted_face(coeffs, subset):
 
 
 def _section_curve(subset, fib, s):
-    for v in minus_one_curves(s):
-        if intersect(v, fib, s) == 1 and all(
-            intersect(v, c, s) == 0 for c in subset
-        ):
+    """The first (-1)-curve v with v.fib = 1 missing every curve in subset;
+    fib is integral, so its pairings are the exact integers."""
+    table = _curve_table(s.degree)
+    rows = [pairings(x, table, s) for x in (fib, *subset)]
+    for v, p, *ps in zip(minus_one_curves(s), *rows):
+        if p == 1 and not any(ps):
             return v
     return None
 
@@ -261,11 +279,9 @@ def _face_data(w, s):
         return None  # at most r (-1)-curves are pairwise disjoint
     coeffs = tuple(-intersect(w, c, s) for c in support)
     resid = w - sum((x * c for x, c in zip(coeffs, support)), zero_class(s))
-    zero_curves = [
-        c
-        for c in minus_one_curves(s)
-        if intersect(w, c, s) == 0 and all(intersect(c, e, s) == 0 for e in support)
-    ]
+    table = _curve_table(s.degree)
+    rows = [pairings(x, table, s) for x in (w, *support)]
+    zero_curves = [c for c, *ps in zip(minus_one_curves(s), *rows) if not any(ps)]
     plane = disjoint_sets(zero_curves, s.r - len(support), s) if resid.is_zero() else []
     if plane:
         a, curve = _sorted_face(coeffs, support + plane[0])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import DomainError, InvariantError
 from .lattice import DivClass, SurfaceModel, canonical, intersect
@@ -95,7 +97,7 @@ def _minus_one_curves(degree: int) -> tuple[DivClass, ...]:
 def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
     s = SurfaceModel(degree)
     r = s.r
-    lines = _minus_one_curves(degree)
+    table = _curve_table(degree)
     mk = canonical(s)
     found = []
     # candidates h*H - sum(b_i E_i) with h^2 = sum b_i^2 and 3h - sum b_i = 2.
@@ -110,7 +112,7 @@ def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
         for multiset in _nonincreasing_tuples(r, 0, h, total, sq):
             for perm in _distinct_permutations(multiset):
                 cand = DivClass(Fraction(h), tuple(Fraction(-b) for b in perm))
-                if all(intersect(cand, line, s) >= 0 for line in lines):
+                if min(pairings(cand, table, s)) >= 0:
                     found.append(cand)
     found.sort(key=DivClass.sort_key)
     for c in found:
@@ -130,6 +132,41 @@ def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     return list(_fiber_classes(s.degree))
 
 
+def integer_row(w: DivClass) -> tuple[int, ...]:
+    """Numerators (h, e_1, ..., e_r) of w over its least positive common
+    denominator D; the coordinates themselves when w is integral."""
+    den = lcm(w.h.denominator, *(a.denominator for a in w.e))
+    return tuple(x.numerator * (den // x.denominator) for x in (w.h, *w.e))
+
+
+def pairing_table(classes) -> tuple[tuple[int, ...], ...]:
+    """One row (h, -e_1, ..., -e_r) per class, scaled by a positive integer
+    to clear denominators, so that a row's dot product with integer_row(w)
+    is a positive multiple of the pairing of w with that class."""
+    return tuple(
+        (row[0],) + tuple(-x for x in row[1:])
+        for row in map(integer_row, classes)
+    )
+
+
+@lru_cache(maxsize=None)
+def _curve_table(degree: int) -> tuple[tuple[int, ...], ...]:
+    return pairing_table(_minus_one_curves(degree))
+
+
+def pairings(w: DivClass, table, s: SurfaceModel) -> list[int]:
+    """The integers D * m_c * (w.c), one per row of table, in order.
+
+    D > 0 clears the denominators of w and m_c > 0 those of the class c
+    behind the row (m_c = 1 for integral classes, as in the curve tables),
+    so each sign and each zero is exactly that of the rational w.c.
+    """
+    if len(w.e) != s.r:
+        raise DomainError(f"class rank does not match surface: {len(w.e)} vs r={s.r}")
+    row = integer_row(w)
+    return [sum(map(mul, row, t)) for t in table]
+
+
 def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     """The curves c from minus_one_curves with w.c < 0, in sorted order.
 
@@ -142,26 +179,39 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
     sum of nonnegative terms, so the E_j are pairwise disjoint.
     """
-    return [c for c in _minus_one_curves(s.degree) if intersect(w, c, s) < 0]
+    curves = _minus_one_curves(s.degree)
+    signs = pairings(w, _curve_table(s.degree), s)
+    return [c for c, p in zip(curves, signs) if p < 0]
 
 
 def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]:
-    """All k-subsets of curves with pairwise product 0, in index-lex order."""
+    """All k-subsets of curves with pairwise product 0, in index-lex order.
+
+    The curves may be any rational classes of the surface's rank.
+    """
     curves = list(curves)
     if len(set(curves)) != len(curves):
         raise DomainError("curves must be pairwise distinct")
     if k < 0:
         raise DomainError("k must be >= 0")
+    table = pairing_table(curves)
+    # bit j of disjoint[i] is set when curves i and j pair to zero
+    disjoint = [
+        sum(1 << j for j, p in enumerate(pairings(c, table, s)) if p == 0)
+        for c in curves
+    ]
     out = []
 
-    def rec(start, chosen):
+    def rec(allowed, chosen):
+        # allowed holds the indices past the last chosen one that miss them all
         if len(chosen) == k:
-            out.append(tuple(chosen))
+            out.append(tuple(curves[i] for i in chosen))
             return
-        for i in range(start, len(curves)):
-            c = curves[i]
-            if all(intersect(c, d, s) == 0 for d in chosen):
-                rec(i + 1, chosen + [c])
+        while allowed.bit_count() >= k - len(chosen):
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            rec(allowed & disjoint[i], chosen + [i])
 
-    rec(0, [])
+    rec((1 << len(curves)) - 1, [])
     return out

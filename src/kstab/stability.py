@@ -100,6 +100,11 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
         raise DomainError(f"gamma bound needs an ample class: {violation}")
     if not condition_a(l, s):
         raise DomainError("gamma bound needs the nef residual condition")
+    return _gamma(s, l)
+
+
+def _gamma(s: SurfaceModel, l: DivClass) -> Fraction:
+    """The gamma bound for an ample l in degree 1 or 2 satisfying condition A."""
     eps = _epsilon(s, normalize(l, s)).epsilon
     if s.degree == 1:
         gamma = Fraction(6, 5) if eps >= Fraction(1, 2) else 3 / (3 - eps)
@@ -149,7 +154,7 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
                 notes="the nef residual condition fails, so the low-degree "
                 "criterion does not apply",
             )
-        gamma = gamma_lower_bound(s, l)
+        gamma = _gamma(s, l)
         rescaled = gamma * Fraction(2, 3) * slope
         return reply(
             status=STATUS_MAIN,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import appendix, cli
 from kstab.appendix import AppendixInput, alpha_piecewise, grid_oracle, prop_a1
 from kstab.errors import DomainError
 
@@ -121,6 +122,51 @@ def test_grid_pooled_matches_serial(monkeypatch):
     assert rep.total == 6336
     assert rep.failures == ()
     assert rep.equality_points == (_inp(0, 0, 0, 0, 0),)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return list(map(fn, items))
+
+
+def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(appendix, "Pool", _RecordingPool)
+    monkeypatch.setattr(appendix, "_POOL_THRESHOLD", 0)
+    monkeypatch.setattr(appendix.os, "cpu_count", lambda: 4)
+    serial = grid_oracle(2)
+    _RecordingPool.sizes.clear()
+    for raw in ("9", "4", "3", "1", "0", "-5"):
+        monkeypatch.setenv("KSTAB_THREADS", raw)
+        assert grid_oracle(2) == serial
+    # a size of one or less runs serially and starts no pool
+    assert _RecordingPool.sizes == [4, 4, 3]
+
+
+def test_non_integer_thread_count_is_a_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(appendix, "Pool", _RecordingPool)
+    for raw in ("abc", "2.5", ""):
+        monkeypatch.setenv("KSTAB_THREADS", raw)
+        with pytest.raises(DomainError, match="KSTAB_THREADS"):
+            grid_oracle(1)
+    monkeypatch.setenv("KSTAB_THREADS", "abc")
+    assert cli.main(["verify-appendix", "--max-denominator", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: KSTAB_THREADS must be an integer")
+    assert "Traceback" not in captured.err
 
 
 _coeff = st.fractions(

@@ -1,0 +1,246 @@
+"""The integer pairing kernel against the Fraction loops it replaced.
+
+Every sign test against the curve lists runs over integers after clearing
+denominators.  The oracles below are the per-curve ``Fraction`` loops the
+library used before; each kernel caller must agree with its oracle on
+random rational classes in every degree, including classes with large and
+mixed denominators and classes on which some pairings are exactly zero.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from kstab.cones import _section_curve, ample_violation, is_nef, mori_generators
+from kstab.curves import (
+    _distinct_permutations,
+    _nonincreasing_tuples,
+    disjoint_sets,
+    fiber_classes,
+    integer_row,
+    minus_one_curves,
+    negative_curves,
+    pairing_table,
+    pairings,
+)
+from kstab.errors import DomainError
+from kstab.lattice import (
+    DivClass,
+    SurfaceModel,
+    anticanonical,
+    div,
+    intersect,
+    zero_class,
+)
+
+F = Fraction
+
+
+def _is_nef_oracle(dv, s):
+    return all(intersect(dv, g, s) >= 0 for g in mori_generators(s))
+
+
+def _ample_violation_oracle(dv, s):
+    if intersect(dv, dv, s) <= 0:
+        return f"self-intersection of {dv} is not positive"
+    for g in mori_generators(s):
+        if intersect(dv, g, s) <= 0:
+            return f"pairing of {dv} with the curve class {g} is not positive"
+    return None
+
+
+def _negative_curves_oracle(w, s):
+    return [c for c in minus_one_curves(s) if intersect(w, c, s) < 0]
+
+
+def _disjoint_sets_oracle(curves, k, s):
+    curves = list(curves)
+    out = []
+
+    def rec(start, chosen):
+        if len(chosen) == k:
+            out.append(tuple(chosen))
+            return
+        for i in range(start, len(curves)):
+            c = curves[i]
+            if all(intersect(c, d, s) == 0 for d in chosen):
+                rec(i + 1, chosen + [c])
+
+    rec(0, [])
+    return out
+
+
+def _section_curve_oracle(subset, fib, s):
+    for v in minus_one_curves(s):
+        if intersect(v, fib, s) == 1 and all(intersect(v, c, s) == 0 for c in subset):
+            return v
+    return None
+
+
+def _fiber_classes_oracle(degree):
+    s = SurfaceModel(degree)
+    lines = minus_one_curves(s)
+    found = []
+    for h in range(1, (11 if s.r == 8 else 5) + 1):
+        total, sq = 3 * h - 2, h * h
+        if total * total > s.r * sq:
+            continue
+        for multiset in _nonincreasing_tuples(s.r, 0, h, total, sq):
+            for perm in _distinct_permutations(multiset):
+                cand = div(h, [-b for b in perm])
+                if all(intersect(cand, line, s) >= 0 for line in lines):
+                    found.append(cand)
+    return sorted(found, key=DivClass.sort_key)
+
+
+_DENOMINATORS = (1, 2, 3, 6, 7, 12, 97, 10**9 + 7, 2**61 - 1, 3**40)
+
+
+def _coordinate(rng):
+    return F(rng.randint(-40, 40), rng.choice(_DENOMINATORS))
+
+
+def _random_classes(rng, s, count):
+    """Rational classes of four shapes: free coordinates with mixed
+    denominators, small perturbations of -K (mostly ample), the same made
+    orthogonal to one or two (-1)-curves (pairings exactly 0 there), and
+    curve-list members and fibers at rational scales."""
+    lines = minus_one_curves(s)
+    fibers = fiber_classes(s) if s.degree >= 2 else []
+    out = [zero_class(s), anticanonical(s)]
+    for n in range(count):
+        shape = n % 4
+        if shape == 0:
+            w = div(_coordinate(rng), [_coordinate(rng) for _ in range(s.r)])
+        else:
+            w = anticanonical(s) + div(
+                0, [F(rng.randint(-3, 3), 16 * rng.choice(_DENOMINATORS)) for _ in range(s.r)]
+            )
+        if shape == 2:
+            for c in rng.sample(lines, min(2, len(lines))):
+                # c.c = -1, so adding (w.c) c makes w orthogonal to c
+                w = w + intersect(w, c, s) * c
+        if shape == 3:
+            w = rng.choice(lines + fibers + [anticanonical(s)])
+        out.append(F(rng.randint(1, 10**6), rng.choice(_DENOMINATORS)) * w)
+    return out
+
+
+def test_pairings_are_scaled_fraction_pairings():
+    # over integral rows the kernel returns D * (w.c) with D the least
+    # common denominator of w
+    rng = random.Random(1)
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        lines = minus_one_curves(s)
+        table = pairing_table(lines)
+        for w in _random_classes(rng, s, 12):
+            den = lcm(*(x.denominator for x in (w.h, *w.e)))
+            assert integer_row(w) == tuple(x * den for x in (w.h, *w.e))
+            assert pairings(w, table, s) == [intersect(w, c, s) * den for c in lines]
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_sign_tests_match_fraction_oracles(degree):
+    s = SurfaceModel(degree)
+    rng = random.Random(100 + degree)
+    seen = {"nef": 0, "not nef": 0, "ample": 0, "zero pairing": 0, "negative": 0}
+    for w in _random_classes(rng, s, 160):
+        nef = is_nef(w, s)
+        assert nef == _is_nef_oracle(w, s)
+        violation = ample_violation(w, s)
+        assert violation == _ample_violation_oracle(w, s)
+        negatives = negative_curves(w, s)
+        assert negatives == _negative_curves_oracle(w, s)
+        seen["nef" if nef else "not nef"] += 1
+        seen["ample"] += violation is None
+        seen["zero pairing"] += any(intersect(w, g, s) == 0 for g in mori_generators(s))
+        seen["negative"] += bool(negatives)
+    # every branch of every test is exercised, on and off the boundary
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_sign_tests_reject_rank_mismatch():
+    s = SurfaceModel(4)
+    wrong = anticanonical(SurfaceModel(5))
+    with pytest.raises(DomainError):
+        is_nef(wrong, s)
+    with pytest.raises(DomainError):
+        ample_violation(wrong, s)
+    with pytest.raises(DomainError):
+        negative_curves(wrong, s)
+    with pytest.raises(DomainError):
+        disjoint_sets(minus_one_curves(s)[:3] + [wrong], 2, s)
+    with pytest.raises(DomainError):
+        pairings(wrong, pairing_table(minus_one_curves(s)), s)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_disjoint_sets_match_fraction_oracle(degree):
+    s = SurfaceModel(degree)
+    rng = random.Random(200 + degree)
+    lines = minus_one_curves(s)
+    fibers = fiber_classes(s) if degree >= 2 else []
+    lists = [lines if len(lines) <= 27 else rng.sample(lines, 24)]
+    for _ in range(4):
+        # shuffled, rescaled and mixed lists, including classes that are not
+        # (-1)-curves: fibers, -K and free rational classes
+        pool = rng.sample(lines, min(len(lines), 14))
+        pool += rng.sample(fibers, min(len(fibers), 5))
+        pool += [anticanonical(s)] + _random_classes(rng, s, 4)[2:]
+        # a free class made orthogonal to a line in the list
+        x, c = _random_classes(rng, s, 1)[-1], pool[0]
+        pool.append(x + intersect(x, c, s) * c)
+        scaled = [F(rng.randint(1, 99), rng.choice(_DENOMINATORS)) * c for c in pool]
+        lists.append(list(dict.fromkeys(scaled)))
+    found = 0
+    for curves in lists:
+        for k in range(5):
+            got = disjoint_sets(curves, k, s)
+            assert got == _disjoint_sets_oracle(curves, k, s)
+            found += len(got) if k >= 2 else 0
+    assert found > 0
+
+
+def test_disjoint_sets_on_full_cubic_list_keep_oracle_order():
+    s = SurfaceModel(3)
+    lines = minus_one_curves(s)
+    shuffled = random.Random(3).sample(lines, len(lines))
+    for curves in (lines, shuffled):
+        assert disjoint_sets(curves, 6, s) == _disjoint_sets_oracle(curves, 6, s)
+
+
+@pytest.mark.parametrize("degree", range(2, 8))
+def test_section_curve_matches_fraction_oracle(degree):
+    s = SurfaceModel(degree)
+    rng = random.Random(300 + degree)
+    lines = minus_one_curves(s)
+    fibers = fiber_classes(s)
+    outcomes = set()
+    for fib in rng.sample(fibers, min(len(fibers), 12)):
+        missing = [c for c in lines if intersect(c, fib, s) == 0]
+        for k in range(0, s.r):
+            subsets = disjoint_sets(missing, k, s)
+            for subset in rng.sample(subsets, min(len(subsets), 6)):
+                got = _section_curve(subset, fib, s)
+                assert got == _section_curve_oracle(subset, fib, s)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_fiber_classes_match_fraction_oracle(degree):
+    assert fiber_classes(SurfaceModel(degree)) == _fiber_classes_oracle(degree)
+
+
+def test_degree1_fiber_classes():
+    s = SurfaceModel(1)
+    fibers = fiber_classes(s)
+    assert len(fibers) == 2160
+    lines = [(int(c.h), *map(int, c.e)) for c in minus_one_curves(s)]
+    for fib in fibers:
+        h, *e = (int(x) for x in (fib.h, *fib.e))
+        for lh, *le in lines:
+            assert h * lh - sum(x * y for x, y in zip(e, le)) >= 0

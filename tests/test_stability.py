@@ -161,6 +161,36 @@ def test_verdict_main_theorem():
     assert "12/17" in v.notes  # rescaled bound (18/17)(2/3)
 
 
+def test_low_degree_verdict_tests_ampleness_and_residual_once(monkeypatch):
+    from kstab import stability
+
+    calls = {"ample_violation": 0, "is_nef": 0}
+
+    def counted(name):
+        original = getattr(stability, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name))
+    rng = random.Random(13)
+    for d in (1, 2):
+        s = SurfaceModel(d)
+        l = anticanonical(s)
+        for i in range(1, s.r + 1):
+            l = l + F(rng.randrange(0, 4), 32) * basis_exceptional(s, i)
+        for name in calls:
+            calls[name] = 0
+        v = verdict(s, l)
+        assert calls == {"ample_violation": 1, "is_nef": 1}
+        if v.condition_a:
+            assert v.alpha_lower == gamma_lower_bound(s, l)
+
+
 def test_verdict_low_degree_unknown_when_residual_fails():
     s = SurfaceModel(1)
     l = anticanonical(s) + F(1, 2) * basis_exceptional(s, 1)
