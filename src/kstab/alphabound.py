@@ -9,8 +9,10 @@ and the bound are all re-verified exactly before it is returned.
 
 Every named auxiliary curve (lines through two of the blown-down points,
 the conic through five of them, fiber and section classes, the diagonal
-type curves) is realized as an explicit lattice element and checked against
-the enumerated curve lists before use.
+type curves) is realized as an explicit integer row (h, e_1, ..., e_r) and
+looked up among the enumerated curves before use; the lookup hands back
+the curve's class for the output.  Only the coefficients, computed from
+the contraction data, are rational.
 """
 
 from __future__ import annotations
@@ -24,21 +26,24 @@ from .cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
-    _fiber_set,
-    _line_set,
+    _reconstruct_row,
     _section_curve,
-    reconstruct,
+)
+from .curves import (
+    _anticanonical_row,
+    _combine_rows,
+    _denominator,
+    _fiber_index,
+    _integral_row,
+    _line_index,
+    _row_dot,
+    _row_less,
+    _row_sum,
+    _same_class,
+    integer_row,
 )
 from .errors import DomainError, InvariantError
-from .lattice import (
-    DivClass,
-    Rational,
-    SurfaceModel,
-    anticanonical,
-    intersect,
-    square,
-    zero_class,
-)
+from .lattice import DivClass, Rational, SurfaceModel, div
 
 # subset families for the improvement step, as index tuples into
 # (a2, a3, a4[, a5]); order matters: ties resolve to the earliest entry
@@ -106,57 +111,75 @@ class Certificate:
 
 def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     """Exact recheck of the class identity; raises on failure."""
-    acc = zero_class(s)
+    terms = []
     for cls, coeff in cert.divisor:
-        acc = acc + coeff * cls
-    if acc != l:
+        if cls.rank != s.r:
+            raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
+        terms.append((integer_row(cls), Fraction(coeff, _denominator(cls))))
+    _check_identity(terms, (_denominator(l), integer_row(l)))
+
+
+def _check_identity(terms, l) -> None:
+    """sum(coeff * row) over (integer row, coeff) terms must equal the class
+    l = (D, D * l), compared as integers over a common denominator."""
+    if not _same_class(_combine_rows(terms), l):
         raise InvariantError("certificate divisor does not reconstruct the class")
 
 
 def _finish(parts, l, s) -> Certificate:
+    """The certificate of (integer row, coefficient) parts, each row a
+    (-1)-curve; l is the (D, D * l) row of the class they must sum to."""
+    lines = _line_index(s.degree)
     kept = []
-    for cls, coeff in parts:
+    for row, coeff in parts:
         if coeff < 0:
             raise InvariantError(
-                f"negative coefficient {coeff} generated for {cls}; case selection bug"
+                f"negative coefficient {coeff} generated for {lines[row]}; case selection bug"
             )
         if coeff != 0:
-            kept.append((cls, Fraction(coeff)))
+            kept.append((row, Fraction(coeff)))
     top = max(c for _, c in kept)
     witness = next(i for i, (_, c) in enumerate(kept) if c == top)
-    cert = Certificate(tuple(kept), witness, Fraction(1) / top)
-    verify_certificate(cert, l, s)
+    cert = Certificate(
+        tuple((lines[row], c) for row, c in kept), witness, Fraction(1) / top
+    )
+    _check_identity(kept, l)
     return cert
 
 
-def _as_line(cls: DivClass, s: SurfaceModel, label: str) -> DivClass:
-    if cls not in _line_set(s.degree):
-        raise InvariantError(f"{label} realized as {cls} is not an exceptional curve")
-    return cls
+def _class_str(row) -> str:
+    return str(div(row[0], row[1:]))
 
 
-def _as_fiber(cls: DivClass, s: SurfaceModel, label: str) -> DivClass:
-    if cls not in _fiber_set(s.degree):
-        raise InvariantError(f"{label} realized as {cls} is not a fiber class")
-    return cls
+def _as_line(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
+    if row not in _line_index(s.degree):
+        raise InvariantError(
+            f"{label} realized as {_class_str(row)} is not an exceptional curve"
+        )
+    return row
 
 
-def _plane_pullback(s: SurfaceModel, points) -> DivClass:
+def _as_fiber(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
+    if row not in _fiber_index(s.degree):
+        raise InvariantError(f"{label} realized as {_class_str(row)} is not a fiber class")
+    return row
+
+
+def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     """The hyperplane class of the plane model contracting the given curves.
 
     Solved from -K = 3*ell - sum(points); verified to behave like a line:
     square 1, degree 3 against -K, disjoint from every contracted curve.
     """
-    acc = anticanonical(s)
-    for c in points:
-        acc = acc + c
-    ell = Fraction(1, 3) * acc
-    if not ell.is_integral():
+    anti = _anticanonical_row(s)
+    acc = _row_sum(anti, *points)
+    if any(x % 3 for x in acc):
         raise InvariantError("plane hyperplane class is not integral")
-    if square(ell, s) != 1 or intersect(anticanonical(s), ell, s) != 3:
+    ell = tuple(x // 3 for x in acc)
+    if _row_dot(ell, ell) != 1 or _row_dot(anti, ell) != 3:
         raise InvariantError("plane hyperplane class has wrong invariants")
     for c in points:
-        if intersect(ell, c, s) != 0:
+        if _row_dot(ell, c) != 0:
             raise InvariantError("plane hyperplane class meets a contracted curve")
     return ell
 
@@ -164,14 +187,15 @@ def _plane_pullback(s: SurfaceModel, points) -> DivClass:
 def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
     """Shared degree-4 pattern over a plane model with five base points.
 
-    es5/a5 hold the five contracted curves and their coefficients (the
-    fifth may be a section curve with coefficient zero).  subset indexes
-    (a2..a5) entries whose sum is n_value.  delta > 0 shifts the E1 and
-    L15 coefficients, absorbing delta copies of the fiber C = E1 + L15.
+    es5/a5 hold the rows of the five contracted curves and their
+    coefficients (the fifth may be a section curve with coefficient zero).
+    subset indexes (a2..a5) entries whose sum is n_value.  delta > 0 shifts
+    the E1 and L15 coefficients, absorbing delta copies of the fiber
+    C = E1 + L15.
     """
-    z = _as_line(2 * ell - sum(es5[1:], es5[0]), s, "the five-point conic")
+    z = _as_line(_row_less(tuple(2 * x for x in ell), *es5), s, "the five-point conic")
     lines = [
-        _as_line(ell - es5[0] - es5[j], s, f"the line through points 1,{j + 1}")
+        _as_line(_row_less(ell, es5[0], es5[j]), s, f"the line through points 1,{j + 1}")
         for j in range(1, 5)
     ]
     parts = [
@@ -190,14 +214,14 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
 
 
 def _plane_parts(s, cd):
-    es = cd.curveE
+    es = cd.rowsE
     a = cd.a
     ell = _plane_pullback(s, es)
     if s.degree == 4:
         n_value, subset = _largest_with_subset(a[1:], TWELVE_SUM_FAMILY)
         return _five_point_parts(s, ell, es, a, n_value, subset, Fraction(0))
     lines = [
-        _as_line(ell - es[0] - es[j], s, f"the line through points 1,{j + 1}")
+        _as_line(_row_less(ell, es[0], es[j]), s, f"the line through points 1,{j + 1}")
         for j in range(1, s.r)
     ]
     if s.degree == 7:
@@ -223,24 +247,26 @@ def _plane_parts(s, cd):
 
 
 def _f1_parts(s, cd):
-    es = cd.curveE
+    es = cd.rowsE
+    c = cd.rowC
     a = cd.a
     delta = cd.delta
-    v = _section_curve(cd.curveE, cd.curveC, s)
-    if v is None:
+    section = _section_curve(cd.curveE, cd.curveC, s)
+    if section is None:
         raise InvariantError("no section curve found for a fiber-with-section kind")
+    v = _integral_row(section)
     ell = _plane_pullback(s, es + (v,))
-    if cd.curveC != ell - v:
+    if c != _row_less(ell, v):
         raise InvariantError("fiber class does not match the section model")
     if s.degree == 4:
         n_value, subset = _largest_with_subset(a[1:], FIVE_SUM_FAMILY)
         return _five_point_parts(
             s, ell, es + (v,), a + (Fraction(0),), n_value, subset, delta
         )
-    l1v = _as_line(ell - es[0] - v, s, "the line through point 1 and the section")
+    l1v = _as_line(_row_less(ell, es[0], v), s, "the line through point 1 and the section")
     if s.degree == 7:
         return [(l1v, 3 + delta), (es[0], 2 + delta + a[0]), (v, Fraction(2))]
-    l12 = _as_line(ell - es[0] - es[1], s, "the line through points 1,2")
+    l12 = _as_line(_row_less(ell, es[0], es[1]), s, "the line through points 1,2")
     if s.degree == 6:
         return [
             (l12, Fraction(2)),
@@ -249,7 +275,7 @@ def _f1_parts(s, cd):
             (es[1], 1 + a[1]),
         ]
     # degree 5
-    l13 = _as_line(ell - es[0] - es[2], s, "the line through points 1,3")
+    l13 = _as_line(_row_less(ell, es[0], es[2]), s, "the line through points 1,3")
     return [
         (l12, Fraction(1)),
         (l13, Fraction(1)),
@@ -260,35 +286,33 @@ def _f1_parts(s, cd):
     ]
 
 
-def _other_ruling(s: SurfaceModel, cd: ContractionData) -> DivClass:
+def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
     """The second ruling class G, from -K = 2C + 2G - sum(E)."""
-    acc = anticanonical(s) - 2 * cd.curveC
-    for c in cd.curveE:
-        acc = acc + c
-    g = Fraction(1, 2) * acc
-    if not g.is_integral():
+    acc = _row_less(_row_sum(_anticanonical_row(s), *es), c, c)
+    if any(x % 2 for x in acc):
         raise InvariantError("second ruling class is not integral")
-    if square(g, s) != 0 or intersect(g, cd.curveC, s) != 1:
+    g = tuple(x // 2 for x in acc)
+    if _row_dot(g, g) != 0 or _row_dot(g, c) != 1:
         raise InvariantError("second ruling class has wrong invariants")
-    for c in cd.curveE:
-        if intersect(g, c, s) != 0:
+    for e in es:
+        if _row_dot(g, e) != 0:
             raise InvariantError("second ruling class meets a contracted curve")
     return _as_fiber(g, s, "the second ruling")
 
 
 def _p1p1_parts(s, cd):
-    es = cd.curveE
+    es = cd.rowsE
+    c = cd.rowC
     a = cd.a
     delta = cd.delta
-    c = cd.curveC
-    g = _other_ruling(s, cd)
-    f1 = _as_line(c - es[0], s, "the first-ruling fiber through point 1")
-    f1p = _as_line(g - es[0], s, "the second-ruling fiber through point 1")
+    g = _other_ruling(s, es, c)
+    f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
+    f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
     if s.degree == 7:
         return [(es[0], 3 + a[0] + delta), (f1, 2 + delta), (f1p, Fraction(2))]
     if s.degree == 6:
-        f2 = _as_line(c - es[1], s, "the first-ruling fiber through point 2")
-        f2p = _as_line(g - es[1], s, "the second-ruling fiber through point 2")
+        f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
+        f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
         return [
             (es[0], 2 + delta + a[0]),
             (es[1], a[1]),
@@ -297,8 +321,11 @@ def _p1p1_parts(s, cd):
             (f2, Fraction(1, 2)),
             (f2p, Fraction(1, 2)),
         ]
+    c_plus_g = _row_sum(c, g)
     if s.degree == 5:
-        t = _as_line(c + g - es[0] - es[1] - es[2], s, "the diagonal through points 1,2,3")
+        t = _as_line(
+            _row_less(c_plus_g, es[0], es[1], es[2]), s, "the diagonal through points 1,2,3"
+        )
         return [
             (es[0], 2 + delta + a[0]),
             (es[1], a[1]),
@@ -321,12 +348,12 @@ def _p1p1_parts(s, cd):
     s_value = sum((a[i] for i in chosen), Fraction(0))
     parts = [
         (es[0], (3 + 2 * a[0] + 2 * delta + s_value) / 2),
-        (_as_line(c - es[0], s, "the first-ruling fiber through point 1"), (1 + 2 * delta + s_value) / 2),
-        (_as_line(g - es[0], s, "the second-ruling fiber through point 1"), (1 + s_value) / 2),
+        (f1, (1 + 2 * delta + s_value) / 2),
+        (f1p, (1 + s_value) / 2),
     ]
     for pair in ((1, 2), (1, 3), (2, 3)):
         t = _as_line(
-            c + g - es[0] - es[pair[0]] - es[pair[1]],
+            _row_less(c_plus_g, es[0], es[pair[0]], es[pair[1]]),
             s,
             f"the diagonal through points 1,{pair[0] + 1},{pair[1] + 1}",
         )
@@ -344,7 +371,7 @@ def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
     """The lemma-prescribed effective decomposition for degree 4 to 7."""
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
-    l = reconstruct(cd, s)
+    l = _reconstruct_row(cd, s)
     if cd.kind == KIND_TO_P2:
         parts = _plane_parts(s, cd)
     elif cd.kind == KIND_CONIC_F1:
@@ -364,8 +391,11 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     delegated to the standalone inequality module as an independent check
     and both routes must agree.
     """
-    l = reconstruct(cd, s)
-    slope = Fraction(2, 3) * intersect(anticanonical(s), l, s) / square(l, s)
+    # l = row / den, so -K.l = (-K.row) / den and l^2 = (row.row) / den^2
+    den, row = _reconstruct_row(cd, s)
+    slope = Fraction(
+        2 * den * _row_dot(_anticanonical_row(s), row), 3 * _row_dot(row, row)
+    )
     strict = cert.bound < slope
     equality = cert.bound == slope
     if s.degree == 4:

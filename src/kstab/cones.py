@@ -14,11 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .curves import (
+    _anticanonical_row,
+    _combine_rows,
     _curve_table,
+    _fiber_index,
+    _integral_row,
+    _line_index,
+    _row_dot,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -69,16 +75,6 @@ def _mori_table(degree: int) -> tuple[tuple[int, ...], ...]:
     return table + pairing_table(_mori_generators(degree)[len(table) :])
 
 
-@lru_cache(maxsize=None)
-def _line_set(degree: int) -> frozenset:
-    return frozenset(minus_one_curves(SurfaceModel(degree)))
-
-
-@lru_cache(maxsize=None)
-def _fiber_set(degree: int) -> frozenset:
-    return frozenset(fiber_classes(SurfaceModel(degree)))
-
-
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
     """True when dv pairs nonnegatively with every curve-cone generator."""
     return min(pairings(dv, _mori_table(s.degree), s)) >= 0
@@ -127,6 +123,11 @@ def mu(l: DivClass, s: SurfaceModel) -> Rational:
     """
     if not is_ample(l, s):
         raise DomainError(f"mu needs an ample class; {ample_violation(l, s)}")
+    return _mu(l, s)
+
+
+def _mu(l: DivClass, s: SurfaceModel) -> Rational:
+    """mu for a class already known to be ample."""
     gens = _mori_generators(s.degree)
     target = _coords(anticanonical(s))
     lcoords = _coords(l)
@@ -224,27 +225,47 @@ class ContractionData:
         degree = 9 - len(classes[0].e)
         if not 1 <= degree <= 8:
             raise DomainError("contraction data has an invalid rank")
-        lines = _line_set(degree)
-        for c in self.curveE:
-            if c not in lines:
+        # membership is a lookup of the integer row (None when not integral)
+        lines = _line_index(degree)
+        for c, row in zip(self.curveE, self.rowsE):
+            if row not in lines:
                 raise DomainError(f"{c} is not an exceptional curve class")
-        if self.curveC is not None and self.curveC not in _fiber_set(degree):
+        if self.curveC is not None and self.rowC not in _fiber_index(degree):
             raise DomainError(f"{self.curveC} is not a fiber class")
-        s = SurfaceModel(degree)
-        for i, c1 in enumerate(classes):
-            for c2 in classes[i + 1 :]:
-                if intersect(c1, c2, s) != 0:
+        rows = self.rowsE if self.curveC is None else self.rowsE + (self.rowC,)
+        for i, u in enumerate(rows):
+            for v in rows[i + 1 :]:
+                if _row_dot(u, v) != 0:
                     raise DomainError("contracted curves must be pairwise disjoint")
+
+    @cached_property
+    def rowsE(self) -> tuple:
+        """The integer rows of curveE (None for a class that is not integral)."""
+        return tuple(map(_integral_row, self.curveE))
+
+    @cached_property
+    def rowC(self) -> tuple[int, ...] | None:
+        """The integer row of curveC, or None."""
+        return None if self.curveC is None else _integral_row(self.curveC)
+
+
+def _reconstruct_row(data: ContractionData, s: SurfaceModel) -> tuple[int, tuple]:
+    """(D, D * l) for the class l = -K + delta*C + sum(a_i * E_i), as an
+    integer row over the least common denominator D of delta and the a_i."""
+    terms = [(_anticanonical_row(s), 1)]
+    if data.curveC is not None:
+        terms.append((data.rowC, data.delta))
+    terms += zip(data.rowsE, data.a)
+    rank = len(terms[-1][0]) - 1  # the curves share one rank
+    if rank != s.r:
+        raise DomainError(f"rank mismatch: {s.r} vs {rank}")
+    return _combine_rows(terms)
 
 
 def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes."""
-    acc = anticanonical(s)
-    if data.curveC is not None:
-        acc = acc + data.delta * data.curveC
-    for x, c in zip(data.a, data.curveE):
-        acc = acc + x * c
-    return acc
+    den, row = _reconstruct_row(data, s)
+    return DivClass(Fraction(row[0], den), tuple(Fraction(x, den) for x in row[1:]))
 
 
 def _sorted_face(coeffs, subset):
@@ -255,12 +276,12 @@ def _sorted_face(coeffs, subset):
 
 
 def _section_curve(subset, fib, s):
-    """The first (-1)-curve v with v.fib = 1 missing every curve in subset;
-    fib is integral, so its pairings are the exact integers."""
-    table = _curve_table(s.degree)
-    rows = [pairings(x, table, s) for x in (fib, *subset)]
-    for v, p, *ps in zip(minus_one_curves(s), *rows):
-        if p == 1 and not any(ps):
+    """The first (-1)-curve v with v.fib = 1 missing every curve in subset,
+    all of them integral; each curve is paired only until a test fails."""
+    fib = _integral_row(fib)
+    rows = [_integral_row(x) for x in subset]
+    for line, v in _line_index(s.degree).items():
+        if _row_dot(fib, line) == 1 and not any(_row_dot(x, line) for x in rows):
             return v
     return None
 
@@ -318,6 +339,11 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise DomainError(
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
+    return _face_decompose(l, s)
+
+
+def _face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
+    """face_decompose for an ample class in degree at most 7."""
     w = l + canonical(s)
     if w.is_zero():
         base = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
@@ -327,7 +353,7 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     else:
         data = _face_data(w, s)
     if data is None:
-        if mu(l, s) != 1:
+        if _mu(l, s) != 1:
             raise DomainError("face decomposition needs a normalized class (mu = 1)")
         raise InvariantError(f"no boundary-face decomposition found for {l}")
     # K + l is effective by the decomposition, so mu(l) <= 1; a nef class D

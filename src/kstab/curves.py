@@ -132,10 +132,15 @@ def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     return list(_fiber_classes(s.degree))
 
 
+def _denominator(w: DivClass) -> int:
+    """The least positive common denominator of w's coordinates."""
+    return lcm(w.h.denominator, *(a.denominator for a in w.e))
+
+
 def integer_row(w: DivClass) -> tuple[int, ...]:
     """Numerators (h, e_1, ..., e_r) of w over its least positive common
     denominator D; the coordinates themselves when w is integral."""
-    den = lcm(w.h.denominator, *(a.denominator for a in w.e))
+    den = _denominator(w)
     return tuple(x.numerator * (den // x.denominator) for x in (w.h, *w.e))
 
 
@@ -152,6 +157,65 @@ def pairing_table(classes) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _curve_table(degree: int) -> tuple[tuple[int, ...], ...]:
     return pairing_table(_minus_one_curves(degree))
+
+
+# An integer row is the coordinate tuple (h, e_1, ..., e_r) of an integral
+# class h*H + sum(e_i E_i); the helpers below build, combine and pair rows
+# without creating Fractions.
+
+
+def _integral_row(c: DivClass) -> tuple[int, ...] | None:
+    """The coordinates (h, e_1, ..., e_r) of an integral class as ints, or
+    None when some coordinate is not an integer."""
+    coords = (c.h, *c.e)
+    if any(x.denominator != 1 for x in coords):
+        return None
+    return tuple(x.numerator for x in coords)
+
+
+@lru_cache(maxsize=None)
+def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
+    """Each (-1)-curve of minus_one_curves, keyed by its integer row."""
+    return {_integral_row(c): c for c in _minus_one_curves(degree)}
+
+
+@lru_cache(maxsize=None)
+def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
+    """Each class of fiber_classes, keyed by its integer row."""
+    return {_integral_row(c): c for c in _fiber_classes(degree)}
+
+
+def _anticanonical_row(s: SurfaceModel) -> tuple[int, ...]:
+    return (3,) + (-1,) * s.r
+
+
+def _row_dot(u, v) -> int:
+    """The pairing u.v of two integer rows (h, e_1, ..., e_r)."""
+    return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
+
+
+def _row_sum(*rows) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*rows)))
+
+
+def _row_less(base, *rows) -> tuple[int, ...]:
+    """base minus every one of rows."""
+    return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
+
+
+def _combine_rows(terms) -> tuple[int, tuple[int, ...]]:
+    """(D, D * sum(coeff * row)) over (integer row, rational coeff) terms,
+    with D > 0 the least common denominator of the coefficients."""
+    rows, coeffs = zip(*terms)
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    return den, tuple(sum(map(mul, scaled, column)) for column in zip(*rows))
+
+
+def _same_class(x, y) -> bool:
+    """Whether (D, row) and (D', row') stand for the same class row / D."""
+    (dx, rx), (dy, ry) = x, y
+    return len(rx) == len(ry) and all(dy * p == dx * q for p, q in zip(rx, ry))
 
 
 def pairings(w: DivClass, table, s: SurfaceModel) -> list[int]:

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional
 
 from .alphabound import Certificate, certificate, compare_with_slope
-from .cones import ample_violation, face_decompose, is_nef, mu
+from .cones import _face_decompose, _mu, ample_violation, is_nef
 from .curves import minus_one_curves  # noqa: F401  re-exported
 from .curves import negative_curves
 from .errors import DomainError, InvariantError
@@ -189,9 +189,10 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
             notes="no result covers this cubic-surface polarization",
         )
     # degree 4 to 7: produce the upper-bound certificate on the normalized
-    # class; it rules out the nef-residual route instead of applying it
-    scale = mu(l, s)
-    cd = face_decompose(scale * l, s)
+    # class; it rules out the nef-residual route instead of applying it.
+    # l is ample, and so is scale * l for scale > 0: the cores skip the test
+    scale = _mu(l, s)
+    cd = _face_decompose(scale * l, s)
     cert = certificate(s, cd)
     comparison = compare_with_slope(s, cd, cert)
     upper = scale * cert.bound

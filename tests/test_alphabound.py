@@ -1,5 +1,8 @@
+import hashlib
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from kstab.alphabound import (
     FIVE_SUM_FAMILY,
     TWELVE_SUM_FAMILY,
     Certificate,
+    _as_fiber,
+    _as_line,
     certificate,
     compare_with_slope,
     largest_admissible_sum,
@@ -22,13 +27,19 @@ from kstab.cones import (
     ContractionData,
     face_decompose,
 )
+from kstab.curves import fiber_classes, integer_row, minus_one_curves
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
     basis_exceptional,
     div,
+    rational_str,
+    zero_class,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_acceptance import _grid_contractions  # noqa: E402
 
 F = Fraction
 
@@ -357,3 +368,76 @@ def test_fiber_section_degree6_bound_formula(raw, delta):
     cert = certificate(s, cd)
     assert cert.bound == 1 / (2 + delta + a[0])
     assert compare_with_slope(s, cd, cert)["strict"]
+
+
+def _render(s, cd, cert, flags):
+    parts = " ".join(f"{rational_str(c)}*{cls}" for cls, c in cert.divisor)
+    return (
+        f"{s.degree} {cd.kind} {rational_str(cd.delta)} "
+        f"{[rational_str(x) for x in cd.a]} {parts} w={cert.witness_index} "
+        f"b={rational_str(cert.bound)} {flags['strict']} {flags['equality']}"
+    )
+
+
+# sha256 of _render over every 7th acceptance-5 grid item, one line each,
+# as produced when certificates were built with Fraction class arithmetic
+_GRID_DIGEST = "7cfaa750e1ec097260257de5e5e8625fc00bfb987b9af73c4c320c97c8662ffc"
+
+
+def test_certificate_grid_digest():
+    digest = hashlib.sha256()
+    index = seen = 0
+    for degree in (4, 5, 6, 7):
+        for s, cd in _grid_contractions(degree):
+            if index % 7 == 0:
+                cert = certificate(s, cd)
+                flags = compare_with_slope(s, cd, cert)
+                digest.update(_render(s, cd, cert, flags).encode() + b"\n")
+                # the identity again, in Fraction class arithmetic
+                l = anticanonical(s)
+                if cd.curveC is not None:
+                    l = l + cd.delta * cd.curveC
+                for x, c in zip(cd.a, cd.curveE):
+                    l = l + x * c
+                total = zero_class(s)
+                for cls, coeff in cert.divisor:
+                    assert coeff > 0
+                    total = total + coeff * cls
+                assert total == l
+                seen += 1
+            index += 1
+    assert (index, seen) == (53469, 7639)
+    assert digest.hexdigest() == _GRID_DIGEST
+
+
+def test_row_lookups_name_the_class():
+    s = SurfaceModel(6)
+    with pytest.raises(InvariantError) as err:
+        _as_line((1, 0, 0, 0), s, "the test curve")
+    assert str(err.value) == "the test curve realized as (1; 0, 0, 0) is not an exceptional curve"
+    with pytest.raises(InvariantError) as err:
+        _as_fiber((1, -1, -1, 0), s, "the test fiber")
+    assert str(err.value) == "the test fiber realized as (1; -1, -1, 0) is not a fiber class"
+    for c in minus_one_curves(s):
+        assert _as_line(integer_row(c), s, "a line") == integer_row(c)
+        with pytest.raises(InvariantError):
+            _as_fiber(integer_row(c), s, "a line")
+    for c in fiber_classes(s):
+        assert _as_fiber(integer_row(c), s, "a fiber") == integer_row(c)
+        with pytest.raises(InvariantError):
+            _as_line(integer_row(c), s, "a fiber")
+
+
+def test_pullback_and_second_ruling_must_be_integral():
+    s = SurfaceModel(7)
+    e1 = basis_exceptional(s, 1)
+    # one curve short of a plane model: (-K + E1) / 3 = (1; 0, -1/3)
+    cd = ContractionData(KIND_TO_P2, F(0), (F(0),), (e1,), None)
+    with pytest.raises(InvariantError) as err:
+        certificate(s, cd)
+    assert str(err.value) == "plane hyperplane class is not integral"
+    # no contracted curve beside the ruling C: (-K - 2C) / 2 = (1/2; 1/2, -1/2)
+    cd = ContractionData(KIND_CONIC_P1P1, F(0), (), (), div(1, [-1, 0]))
+    with pytest.raises(InvariantError) as err:
+        certificate(s, cd)
+    assert str(err.value) == "second ruling class is not integral"

@@ -270,6 +270,49 @@ def test_contraction_data_validation():
         )
 
 
+def test_contraction_data_messages():
+    # membership and disjointness run on integer rows; the texts name the
+    # class as (h; e...), and half a line or half a fiber is neither
+    s = SurfaceModel(7)
+    e1, e2 = basis_exceptional(s, 1), basis_exceptional(s, 2)
+    h = basis_line(s)
+    zero = Fraction(0)
+    half = Fraction(1, 2)
+    cases = [
+        (
+            (KIND_TO_P2, zero, (zero,), (div(half, [-half, -half]),), None),
+            "(1/2; -1/2, -1/2) is not an exceptional curve class",
+        ),
+        (
+            (KIND_TO_P2, zero, (zero,), (h,), None),
+            "(1; 0, 0) is not an exceptional curve class",
+        ),
+        (
+            (KIND_CONIC_F1, zero, (zero,), (e1,), h - e1 - e2),
+            "(1; -1, -1) is not a fiber class",
+        ),
+        (
+            (KIND_CONIC_F1, zero, (zero,), (e1,), div(half, [0, -half])),
+            "(1/2; 0, -1/2) is not a fiber class",
+        ),
+        (
+            (KIND_TO_P2, zero, (zero, zero), (e1, h - e1 - e2), None),
+            "contracted curves must be pairwise disjoint",
+        ),
+        (
+            (KIND_CONIC_F1, zero, (zero,), (e1,), h - e1),
+            "contracted curves must be pairwise disjoint",
+        ),
+    ]
+    for args, message in cases:
+        with pytest.raises(DomainError) as err:
+            ContractionData(*args)
+        assert str(err.value) == message
+    good = ContractionData(KIND_CONIC_F1, half, (half,), (e1,), h - e2)
+    assert good.rowsE == ((0, 1, 0),)
+    assert good.rowC == (1, 0, -1)
+
+
 def _random_class(rng, s, denom=6, lo=-3, hi=3):
     h = Fraction(rng.randint(lo, hi), rng.randint(1, denom))
     e = [Fraction(rng.randint(lo, hi), rng.randint(1, denom)) for _ in range(s.r)]

@@ -35,3 +35,25 @@ def test_library_has_no_floats():
         )
     ]
     assert found == []
+
+
+def test_appendix_stays_independent():
+    # appendix re-derives the degree-4 bound to cross-check alphabound, so
+    # from the package it may use only the error types and the lattice
+    path = Path(kstab.__file__).parent / "appendix.py"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.level:
+                used.update([node.module.split(".")[0]] if node.module else names)
+            elif node.module.split(".")[0] == "kstab":
+                parts = node.module.split(".")
+                used.update(parts[1:2] or names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "kstab":
+                    used.add(parts[1] if len(parts) > 1 else "kstab")
+    assert used <= {"errors", "lattice"}
+    assert used  # the scan sees the imports that are there

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab.alphabound import verify_certificate
-from kstab.cones import ContractionData, KIND_TO_P2, is_ample, reconstruct
+from kstab.alphabound import certificate, verify_certificate
+from kstab.cones import (
+    ContractionData,
+    KIND_TO_P2,
+    face_decompose,
+    is_ample,
+    mu,
+    reconstruct,
+)
 from kstab.curves import disjoint_sets, minus_one_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
@@ -189,6 +196,37 @@ def test_low_degree_verdict_tests_ampleness_and_residual_once(monkeypatch):
         assert calls == {"ample_violation": 1, "is_nef": 1}
         if v.condition_a:
             assert v.alpha_lower == gamma_lower_bound(s, l)
+
+
+def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
+    # verdict has tested l, and mu(l) * l is ample with it, so the cores of
+    # mu and face_decompose it calls skip the repeat test
+    from kstab import cones, stability
+
+    calls = []
+    original = cones.ample_violation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stability, "ample_violation", counted)
+    monkeypatch.setattr(cones, "ample_violation", counted)
+    rng = random.Random(47)
+    for d in (4, 5, 6, 7):
+        s = SurfaceModel(d)
+        fiber = basis_line(s) - basis_exceptional(s, s.r)
+        for trial in range(6):
+            l = anticanonical(s) + F(trial % 3, 4) * fiber
+            for i in range(1, s.r + (trial % 3 == 0)):
+                l = l + F(rng.randrange(0, 6), 7) * basis_exceptional(s, i)
+            l = F(rng.randint(1, 5), rng.randint(1, 5)) * l
+            calls.clear()
+            v = verdict(s, l)
+            assert len(calls) == 1
+            assert v.status == STATUS_INAPPLICABLE
+            scale = mu(l, s)
+            assert v.certificate == certificate(s, face_decompose(scale * l, s))
 
 
 def test_verdict_low_degree_unknown_when_residual_fails():
