@@ -403,10 +403,7 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
         checked = appendix.prop_a1(appendix.AppendixInput(padded, cd.delta))
         if cd.kind == KIND_CONIC_P1P1:
             agree = checked["ineq2"] and (checked["strict2"] == strict)
-            piecewise = appendix.alpha_piecewise(
-                appendix.AppendixInput(padded, cd.delta)
-            )
-            if piecewise != cert.bound:
+            if checked["piecewise"] != cert.bound:
                 raise InvariantError("piecewise value disagrees with the certificate")
         else:
             agree = checked["ineq1"] and (checked["strict1"] == strict)

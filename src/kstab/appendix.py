@@ -80,8 +80,10 @@ def alpha_piecewise(inp: AppendixInput) -> Fraction:
 def prop_a1(inp: AppendixInput) -> dict:
     """Both closing inequalities, evaluated exactly.
 
-    Returns {"ineq1", "ineq2", "strict1", "strict2"}.  Both inequalities
-    hold on the whole domain, strictly away from the all-zero point.
+    Returns {"ineq1", "ineq2", "strict1", "strict2", "piecewise"}, the last
+    being the alpha_piecewise value on the left of the second inequality.
+    Both inequalities hold on the whole domain, strictly away from the
+    all-zero point.
     """
     a1, a2, a3, a4, a5 = inp.a
     delta = inp.delta
@@ -98,6 +100,7 @@ def prop_a1(inp: AppendixInput) -> dict:
         "ineq2": lhs2 <= rhs2,
         "strict1": lhs1 < rhs1,
         "strict2": lhs2 < rhs2,
+        "piecewise": lhs2,
     }
 
 

@@ -17,10 +17,11 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
-from .alphabound import Certificate, certificate, compare_with_slope
+from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import ample_violation, face_decompose, mu
+from .cones import ample_violation, mu
 from .curves import fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -38,6 +39,7 @@ from .stability import (
     STATUS_MAIN,
     STATUS_SIX_LINE,
     Verdict,
+    _upper_bound,
     cubic_line_family_report,
     verdict,
 )
@@ -228,10 +230,8 @@ def _cmd_alpha_bound(args) -> str:
     s, l = parse_input(doc)
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
-    scale = mu(l, s)
-    cd = face_decompose(scale * l, s)
-    cert = certificate(s, cd)
-    comparison = compare_with_slope(s, cd, cert)
+    # parse_input has tested ampleness
+    scale, cd, cert, comparison = _upper_bound(s, l)
     if args.json:
         return _dumps(
             {
@@ -348,6 +348,7 @@ def _cmd_verify_appendix(args) -> str:
     )
 
 
+@lru_cache(maxsize=None)  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kstab",

@@ -26,7 +26,6 @@ from .curves import (
     _line_index,
     _row_dot,
     disjoint_sets,
-    fiber_classes,
     minus_one_curves,
     negative_curves,
     pairing_table,
@@ -89,7 +88,7 @@ def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
     """
     gens = _mori_generators(s.degree)
     products = [intersect(dv, g, s) for g in gens]
-    res = solve(lp(products, [[1] * len(gens)], ["=="], [1]))
+    res = solve(lp(products, [[1] * len(gens)], [1]))
     if not isinstance(res, Optimal):
         raise InvariantError("minimum over a simplex must be attained")
     return res.value >= 0
@@ -115,6 +114,14 @@ def _coords(c: DivClass) -> tuple:
     return (c.h,) + c.e
 
 
+@lru_cache(maxsize=None)
+def _mu_rows(degree: int) -> tuple[tuple[Rational, ...], ...]:
+    # the rows of the program in mu without their lambda entry: row k holds
+    # minus the k-th coordinate of every generator
+    columns = [[-x for x in _coords(g)] for g in _mori_generators(degree)]
+    return tuple(zip(*columns))
+
+
 def mu(l: DivClass, s: SurfaceModel) -> Rational:
     """Smallest lambda >= 0 with K + lambda*l in the curve cone.
 
@@ -129,12 +136,8 @@ def mu(l: DivClass, s: SurfaceModel) -> Rational:
 def _mu(l: DivClass, s: SurfaceModel) -> Rational:
     """mu for a class already known to be ample."""
     gens = _mori_generators(s.degree)
-    target = _coords(anticanonical(s))
-    lcoords = _coords(l)
-    rows = []
-    for coord in range(s.r + 1):
-        rows.append([lcoords[coord]] + [-_coords(g)[coord] for g in gens])
-    res = solve(lp([1] + [0] * len(gens), rows, ["=="] * len(rows), list(target)))
+    rows = [(x, *row) for x, row in zip(_coords(l), _mu_rows(s.degree))]
+    res = solve(lp([1] + [0] * len(gens), rows, _coords(anticanonical(s))))
     if not isinstance(res, Optimal):
         raise InvariantError("the normalization program must have a finite optimum")
     value = res.value
@@ -309,10 +312,12 @@ def _face_data(w, s):
         return ContractionData(KIND_TO_P2, Fraction(0), a, curve, None)
     if len(support) == s.r:
         return None  # no disjoint (r-1)-set contains them all
+    fibers = _fiber_index(s.degree).items()  # in the order of fiber_classes
     for completion in disjoint_sets(zero_curves, s.r - 1 - len(support), s):
         subset = support + completion
-        for fib in fiber_classes(s):
-            if any(intersect(fib, c, s) != 0 for c in subset):
+        curve_rows = [_integral_row(c) for c in subset]
+        for fib_row, fib in fibers:
+            if any(_row_dot(fib_row, x) for x in curve_rows):
                 continue
             delta = Fraction(resid.h, 1) / fib.h
             if delta < 0 or resid != delta * fib:

@@ -48,14 +48,6 @@ class Verdict:
     notes: str
 
 
-@dataclass(frozen=True)
-class EpsilonData:
-    """The anticanonical pairing with the residual of a normalized class."""
-
-    epsilon: Rational
-    R: DivClass
-
-
 def nu(l: DivClass, s: SurfaceModel) -> Fraction:
     """The slope (-K . l) / l^2."""
     sq = square(l, s)
@@ -78,12 +70,13 @@ def normalize(l: DivClass, s: SurfaceModel) -> DivClass:
     return scaled
 
 
-def _epsilon(s: SurfaceModel, l_normalized: DivClass) -> EpsilonData:
+def _epsilon(s: SurfaceModel, l_normalized: DivClass) -> Rational:
+    """The anticanonical pairing with the residual -K - l_normalized."""
     r = anticanonical(s) - l_normalized
     eps = intersect(anticanonical(s), r, s)
     if eps <= 0 and r != zero_class(s):
         raise InvariantError("nonpositive epsilon for a nontrivial residual")
-    return EpsilonData(epsilon=eps, R=r)
+    return eps
 
 
 def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
@@ -105,7 +98,7 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
 
 def _gamma(s: SurfaceModel, l: DivClass) -> Fraction:
     """The gamma bound for an ample l in degree 1 or 2 satisfying condition A."""
-    eps = _epsilon(s, normalize(l, s)).epsilon
+    eps = _epsilon(s, normalize(l, s))
     if s.degree == 1:
         gamma = Fraction(6, 5) if eps >= Fraction(1, 2) else 3 / (3 - eps)
     else:
@@ -129,6 +122,18 @@ def _six_line_parameter(l: DivClass, s: SurfaceModel):
     if len(sextet) == 6 and x > 0 and w == x * sum(sextet[1:], sextet[0]):
         return x
     return None
+
+
+def _upper_bound(s: SurfaceModel, l: DivClass):
+    """(mu, face, certificate, comparison) for an ample l in degree 4 to 7.
+
+    l is ample, and so is mu * l: the cores of mu and face_decompose skip
+    the repeat ampleness test.
+    """
+    scale = _mu(l, s)
+    cd = _face_decompose(scale * l, s)
+    cert = certificate(s, cd)
+    return scale, cd, cert, compare_with_slope(s, cd, cert)
 
 
 def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
@@ -190,11 +195,7 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
         )
     # degree 4 to 7: produce the upper-bound certificate on the normalized
     # class; it rules out the nef-residual route instead of applying it.
-    # l is ample, and so is scale * l for scale > 0: the cores skip the test
-    scale = _mu(l, s)
-    cd = _face_decompose(scale * l, s)
-    cert = certificate(s, cd)
-    comparison = compare_with_slope(s, cd, cert)
+    scale, _, cert, comparison = _upper_bound(s, l)
     upper = scale * cert.bound
     notes = (
         f"alpha upper bound {rational_str(cert.bound)} for the input scaled "

@@ -410,6 +410,27 @@ def test_certificate_grid_digest():
     assert digest.hexdigest() == _GRID_DIGEST
 
 
+def test_degree4_comparison_evaluates_piecewise_once(monkeypatch):
+    # prop_a1 hands back its alpha_piecewise value for the bound check
+    from kstab import appendix
+
+    calls = []
+    original = appendix.alpha_piecewise
+
+    def counted(inp):
+        calls.append(inp)
+        return original(inp)
+
+    monkeypatch.setattr(appendix, "alpha_piecewise", counted)
+    items = [(s, cd) for s, cd in _grid_contractions(4) if cd.kind == KIND_CONIC_P1P1]
+    for s, cd in items[::50]:
+        cert = certificate(s, cd)
+        calls.clear()
+        compare_with_slope(s, cd, cert)
+        assert len(calls) == 1
+    assert len(items) == 17745
+
+
 def test_row_lookups_name_the_class():
     s = SurfaceModel(6)
     with pytest.raises(InvariantError) as err:

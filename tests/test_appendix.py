@@ -62,10 +62,11 @@ def test_prop_a1_equality_at_zero():
 
 
 def test_prop_a1_strict_off_zero():
+    strict = {"ineq1": True, "ineq2": True, "strict1": True, "strict2": True}
     res = prop_a1(_inp(1, 0, 0, 0, 0))
-    assert res == {"ineq1": True, "ineq2": True, "strict1": True, "strict2": True}
+    assert res == {**strict, "piecewise": Fraction(2, 5)}
     res = prop_a1(_inp(0, 0, 0, 0, 0, delta=1))
-    assert res == {"ineq1": True, "ineq2": True, "strict1": True, "strict2": True}
+    assert res == {**strict, "piecewise": Fraction(2, 5)}
 
 
 def test_fourth_case_inequalities_coincide():

@@ -1,7 +1,10 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,14 @@ from kstab.lattice import (
     div,
 )
 from kstab.stability import verdict
+
+sys.path.insert(0, str(Path(__file__).parent))
+from test_acceptance import (  # noqa: E402
+    _FAREY6,
+    _P1P1_CURVES,
+    _conic_section,
+    _nonincreasing_tuples,
+)
 
 F = Fraction
 
@@ -221,6 +232,32 @@ def test_main_alpha_bound(capsys):
     assert "degrees 4 to 7" in capsys.readouterr().err
 
 
+def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
+    # parse_input tests the class; the upper-bound pass then skips the test
+    from kstab import cones, stability
+
+    calls = []
+    original = cones.ample_violation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, cones, stability):
+        monkeypatch.setattr(module, "ample_violation", counted)
+    docs = [
+        '{"degree": 4, "family": "anticanonical-plus", "delta": "0", "a": ["1/2", "1/3"]}',
+        '{"degree": 5, "family": "anticanonical-plus", "delta": "1/2", "a": ["1/2", "1/3"]}',
+        '{"degree": 6, "L": {"h": "6", "e": ["2", "2", "1"]}}',
+        '{"degree": 7, "L": {"h": "7/2", "e": ["1", "1/2"]}}',
+    ]
+    for doc in docs:
+        calls.clear()
+        assert cli.main(["alpha-bound", "--json", "--L", doc]) == 0
+        assert "certificate" in json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+
+
 def test_main_example_cubic(capsys):
     assert cli.main(["example-cubic", "--x", "1/2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -285,3 +322,55 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == ""
+
+
+# sha256 of every (command, document, stdout, stderr, exit code) below, as
+# produced before the shared upper-bound pass and the standard-form simplex
+_CLI_DIGEST = "688a9e18070bc3dd0c70cd67bca0d7caefdda7002fe9bb0b15941e5858bcb816"
+
+
+def _grid_classes():
+    # the acceptance-5 grid classes -K + delta*C + sum(a_i * E_i), in the
+    # order of _grid_contractions, without building its ContractionData
+    for degree in (4, 5, 6, 7):
+        s = SurfaceModel(degree)
+        basis = [basis_exceptional(s, i) for i in range(1, s.r + 1)]
+        for a in _nonincreasing_tuples(s.r):
+            yield s, F(0), None, a, basis
+        p1p1_es, p1p1_c = _P1P1_CURVES[degree]
+        for delta in _FAREY6:
+            for a in _nonincreasing_tuples(s.r - 1):
+                yield s, delta, _conic_section(s), a, basis[:-1]
+                yield s, delta, p1p1_c, a, p1p1_es
+
+
+def _digest_documents():
+    # every 97th acceptance-5 grid class at scales 1 and 7/3, then every
+    # 8th acceptance-4 six-line value (x = 1 is not ample)
+    for index, (s, delta, fiber, a, curves) in enumerate(_grid_classes()):
+        if index % 97 == 0:
+            l = anticanonical(s)
+            if fiber is not None:
+                l = l + delta * fiber
+            for x, c in zip(a, curves):
+                l = l + x * c
+            for scale in (F(1), F(7, 3)):
+                L = cli._class_to_json(scale * l)
+                yield json.dumps({"degree": s.degree, "L": L})
+    for k in range(0, 121, 8):
+        yield json.dumps({"degree": 3, "family": "six-line", "x": f"{k}/120"})
+
+
+def test_cli_output_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for doc in _digest_documents():
+        for command in ("check", "alpha-bound", "mu"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, "--json", "--L", doc])
+            for part in (command, doc, out.getvalue(), err.getvalue(), str(code)):
+                digest.update(part.encode() + b"\0")
+            count += 1
+    assert count == 3 * (2 * 552 + 16)
+    assert digest.hexdigest() == _CLI_DIGEST

@@ -19,50 +19,88 @@ from kstab.ratlp import (
 
 
 def test_one_variable_minimum():
-    res = solve(lp([1], [[1]], [">="], [Fraction(3, 2)]))
+    # min x  s.t.  x >= 3/2, with the surplus s:  x - s == 3/2
+    res = solve(lp([1, 0], [[1, -1]], [Fraction(3, 2)]))
     assert isinstance(res, Optimal)
     assert res.value == Fraction(3, 2)
-    assert res.point == (Fraction(3, 2),)
+    assert res.point == (Fraction(3, 2), 0)
 
 
 def test_infeasible():
-    res = solve(lp([0], [[1], [1]], [">=", "<="], [1, 0]))
+    # x >= 1 and x <= 0:  x - s1 == 1, x + s2 == 0
+    res = solve(lp([0, 0, 0], [[1, -1, 0], [1, 0, 1]], [1, 0]))
     assert isinstance(res, Infeasible)
 
 
 def test_unbounded():
-    res = solve(lp([-1], [[1]], [">="], [0]))
+    # min -x  s.t.  x >= 0:  x - s == 0
+    res = solve(lp([-1, 0], [[1, -1]], [0]))
     assert isinstance(res, Unbounded)
+    assert res.ray == (1, 1)
 
 
 def test_free_variable():
-    # min x with x free and x >= -7 as a constraint
-    res = solve(lp([1], [[1]], [">="], [-7], nonneg=[False]))
+    # min x with x free and x >= -7:  x = xp - xm, and xp - xm - s == -7
+    res = solve(lp([1, -1, 0], [[1, -1, -1]], [-7]))
     assert isinstance(res, Optimal)
     assert res.value == -7
+    assert res.point == (0, 7, 0)  # x = xp - xm = -7
 
 
 def test_two_phase_with_equalities():
-    # min x + y  s.t.  x + 2y == 4, x - y >= -1
-    res = solve(lp([1, 1], [[1, 2], [1, -1]], ["==", ">="], [4, -1]))
+    # min x + y  s.t.  x + 2y == 4, x - y >= -1:  x - y - s == -1
+    res = solve(lp([1, 1, 0], [[1, 2, 0], [1, -1, -1]], [4, -1]))
     assert isinstance(res, Optimal)
     assert res.value == Fraction(7, 3)
-    assert res.point == (Fraction(2, 3), Fraction(5, 3))
+    assert res.point == (Fraction(2, 3), Fraction(5, 3), 0)
+
+
+def test_leftover_artificials_are_driven_out_or_dropped():
+    # phase 1 ends with the first artificial basic at 0 over -x, so it is
+    # pivoted out on a negative entry; the all-zero row is dropped
+    res = solve(lp([0], [[-1], [0]], [0, 0]))
+    assert res == Optimal(value=0, point=(0,))
+    # the same pivot, then phase 2 prices the objective against that row
+    res = solve(lp([2, 2], [[-1, 0]], [0]))
+    assert res == Optimal(value=0, point=(0, 0))
+    # a dependent row: min x + 2y  s.t.  x + y == 2, 2x + 2y == 4
+    res = solve(lp([1, 2], [[1, 1], [2, 2]], [2, 4]))
+    assert res == Optimal(value=2, point=(2, 0))
+
+
+def test_ratio_ties_leave_the_least_basic_index():
+    # a tied ratio test decides among alternative optima and among rays
+    res = solve(lp([0, 1, -1, -2], [[2, 0, 1, 1], [1, 2, 1, -1]], [2, 1]))
+    point = (0, 0, Fraction(3, 2), Fraction(1, 2))
+    assert res == Optimal(value=Fraction(-5, 2), point=point)
+    res = solve(lp([-1, -2, 1], [[1, 0, 0], [1, -1, 2]], [1, 1]))
+    assert res == Unbounded(ray=(0, 1, Fraction(1, 2)))
 
 
 def test_malformed_programs_rejected():
     with pytest.raises(DomainError):
-        lp([1], [[1, 2]], ["<="], [1])
+        lp([1], [[1, 2]], [1])
     with pytest.raises(DomainError):
-        lp([1], [[1]], ["<"], [1])
+        lp([1, 2], [[1, 2], [1]], [1, 1])
     with pytest.raises(DomainError):
-        LinearProgram((Fraction(1),), ((Fraction(1),),), ("<=",), (), (True,))
+        LinearProgram((Fraction(1),), ((Fraction(1),),), ())
 
 
 # --- oracle: enumerate basic solutions of {Ax rel b, x >= 0} ---------------
 
 
-def _oracle(prog):
+def _with_slacks(objective, lhs, rel, rhs):
+    """The standard form of {min c.x, Ax rel b, x >= 0}: one slack column
+    per inequality row, in row order, +1 for <= and -1 for >=."""
+    slacks = [(i, 1 if r == "<=" else -1) for i, r in enumerate(rel) if r != "=="]
+    lhs = [
+        list(row) + [sign if i == k else 0 for k, sign in slacks]
+        for i, row in enumerate(lhs)
+    ]
+    return lp(list(objective) + [0] * len(slacks), lhs, rhs)
+
+
+def _oracle(objective, lhs, rel, rhs):
     """Exhaustive minimum over basic feasible points.
 
     Only valid for programs whose variables are all sign-constrained (the
@@ -71,10 +109,8 @@ def _oracle(prog):
     or ('feasible', best_vertex_value) when unboundedness cannot be ruled
     out by this method.
     """
-    n = len(prog.objective)
-    eqs = []
-    for row, rel, b in zip(prog.lhs, prog.rel, prog.rhs):
-        eqs.append((row, rel, b))
+    n = len(objective)
+    eqs = list(zip(lhs, rel, rhs))
     for j in range(n):
         row = tuple(Fraction(1 if i == j else 0) for i in range(n))
         eqs.append((row, ">=", Fraction(0)))
@@ -84,11 +120,11 @@ def _oracle(prog):
         pt = _solve_square(mat, n)
         if pt is None:
             continue
-        if all(_satisfied(row, rel, b, pt) for row, rel, b in eqs):
+        if all(_satisfied(row, r, b, pt) for row, r, b in eqs):
             feasible_pts.append(pt)
     if not feasible_pts:
         return ("infeasible",)
-    best = min(sum(c * x for c, x in zip(prog.objective, pt)) for pt in feasible_pts)
+    best = min(sum(c * x for c, x in zip(objective, pt)) for pt in feasible_pts)
     return ("feasible", best)
 
 
@@ -123,18 +159,19 @@ def test_simplex_matches_vertex_oracle_on_random_small_programs():
     for _ in range(120):
         n = rng.randint(1, 3)
         m = rng.randint(1, 6)
-        prog = lp(
+        program = (
             [Fraction(rng.randint(-4, 4)) for _ in range(n)],
             [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)],
             [rng.choice(["<=", ">=", "=="]) for _ in range(m)],
             [Fraction(rng.randint(-4, 4)) for _ in range(m)],
         )
-        got = solve(prog)
-        want = _oracle(prog)
+        got = solve(_with_slacks(*program))
+        want = _oracle(*program)
         if want[0] == "infeasible":
             assert isinstance(got, Infeasible)
         elif isinstance(got, Optimal):
             assert got.value == want[1]
+            assert all(_satisfied(*eq, got.point[:n]) for eq in zip(*program[1:]))
         else:
             # Unbounded carries its own exact ray certificate, checked inside
             # solve(); the vertex set still bounds the claim from above.
