@@ -8,16 +8,13 @@ bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from multiprocessing import Pool
+from math import comb, lcm
 
 from .errors import DomainError
 from .lattice import Rational
-
-_POOL_THRESHOLD = 5000
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,14 @@ class AppendixInput:
             raise DomainError("delta must be nonnegative")
 
 
-def _largest_sum(a2, a3, a4, a5) -> Fraction:
-    # the twelve listed subset sums, best value not exceeding 1
+def _scaled(inp: AppendixInput) -> tuple[int, tuple[int, ...], int]:
+    """(q, q*a, q*delta) for q the least common denominator of the input."""
+    q = lcm(*(x.denominator for x in (*inp.a, inp.delta)))
+    return q, tuple(int(x * q) for x in inp.a), int(inp.delta * q)
+
+
+def _largest_sum(q: int, a2: int, a3: int, a4: int, a5: int) -> int:
+    # the twelve listed subset sums, best value not exceeding 1 (that is, q)
     sums = (
         a2,
         a2 + a3,
@@ -60,21 +63,50 @@ def _largest_sum(a2, a3, a4, a5) -> Fraction:
         a3 + a4 + a5,
         a2 + a3 + a4 + a5,
     )
-    return max((x for x in sums if x <= 1), default=Fraction(0))
+    return max((x for x in sums if x <= q), default=0)
+
+
+def _case_sum(q: int, a2: int, a3: int, a4: int) -> int:
+    # the sum the four-case value adds, cases tested in order
+    if a2 + a3 <= q + a4:
+        return a2 + a3 + a4
+    if a2 + a4 <= q:
+        return a2 + a4
+    if a3 + a4 <= q:
+        return a3 + a4
+    return a2
+
+
+def _sides(q: int, a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (a1, t, s, S) that _margin takes, for each of the two inequalities."""
+    a1, a2, a3, a4, a5 = a
+    t = a1 + a2 + a3 + a4
+    s = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
+    return (
+        (a1, t + a5, s + a5 * a5, _largest_sum(q, a2, a3, a4, a5)),
+        (a1, t, s, _case_sum(q, a2, a3, a4)),
+    )
+
+
+def _margin(q: int, d: int, a1: int, t: int, s: int, big_s: int) -> int:
+    """Right side minus left side of one inequality, times a positive factor.
+
+    With t and s the sum and the square sum of the coefficients it reads,
+    and S the subset sum on its left, both denominators of
+    2/(3 + 2a1 + 2delta + S) <= (2/3)(4 + 2delta + t)/(4 + 4delta + 2t - s)
+    are positive.  Clearing them and multiplying by q^2 gives, over the
+    scaled integers (s scales by q^2),
+    3(4q^2 + 4qd + 2qt - s) <= (4q + 2d + t)(3q + 2a1 + 2d + S).
+    """
+    return (4 * q + 2 * d + t) * (3 * q + 2 * a1 + 2 * d + big_s) - 3 * (
+        4 * q * q + 4 * q * d + 2 * q * t - s
+    )
 
 
 def alpha_piecewise(inp: AppendixInput) -> Fraction:
     """The four-case piecewise value, cases tested in order."""
-    a1, a2, a3, a4, _ = inp.a
-    if a2 + a3 <= 1 + a4:
-        s = a2 + a3 + a4
-    elif a2 + a4 <= 1:
-        s = a2 + a4
-    elif a3 + a4 <= 1:
-        s = a3 + a4
-    else:
-        s = a2
-    return Fraction(2) / (3 + 2 * a1 + 2 * inp.delta + s)
+    q, a, d = _scaled(inp)
+    return Fraction(2 * q, 3 * q + 2 * a[0] + 2 * d + _case_sum(q, *a[1:4]))
 
 
 def prop_a1(inp: AppendixInput) -> dict:
@@ -85,22 +117,14 @@ def prop_a1(inp: AppendixInput) -> dict:
     Both inequalities hold on the whole domain, strictly away from the
     all-zero point.
     """
-    a1, a2, a3, a4, a5 = inp.a
-    delta = inp.delta
-    lhs1 = Fraction(2) / (3 + 2 * a1 + 2 * delta + _largest_sum(a2, a3, a4, a5))
-    tot5 = a1 + a2 + a3 + a4 + a5
-    sq5 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5
-    rhs1 = Fraction(2, 3) * (4 + 2 * delta + tot5) / (4 + 4 * delta + 2 * tot5 - sq5)
-    lhs2 = alpha_piecewise(inp)
-    tot4 = tot5 - a5
-    sq4 = sq5 - a5 * a5
-    rhs2 = Fraction(2, 3) * (4 + 2 * delta + tot4) / (4 + 4 * delta + 2 * tot4 - sq4)
+    q, a, d = _scaled(inp)
+    m1, m2 = (_margin(q, d, *side) for side in _sides(q, a))
     return {
-        "ineq1": lhs1 <= rhs1,
-        "ineq2": lhs2 <= rhs2,
-        "strict1": lhs1 < rhs1,
-        "strict2": lhs2 < rhs2,
-        "piecewise": lhs2,
+        "ineq1": m1 >= 0,
+        "ineq2": m2 >= 0,
+        "strict1": m1 > 0,
+        "strict2": m2 > 0,
+        "piecewise": alpha_piecewise(inp),
     }
 
 
@@ -111,32 +135,6 @@ class GridReport:
     total: int
     failures: tuple
     equality_points: tuple
-
-
-def _scan_column(args):
-    """All delta values for one coefficient tuple; returns sorted findings."""
-    q, idx, dsteps = args
-    a = tuple(Fraction(i, q) for i in idx)
-    failures = []
-    equalities = []
-    for d in range(dsteps + 1):
-        inp = AppendixInput(a, Fraction(d, q))
-        res = prop_a1(inp)
-        if not (res["ineq1"] and res["ineq2"]):
-            failures.append((idx, d))
-        elif not (res["strict1"] and res["strict2"]):
-            equalities.append((idx, d))
-    return failures, equalities
-
-
-def _pool_size() -> int:
-    """KSTAB_THREADS as an integer clamped to [1, os.cpu_count()]."""
-    raw = os.environ.get("KSTAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"KSTAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> GridReport:
@@ -151,22 +149,18 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
     if delta_max < 0:
         raise DomainError("delta_max must be nonnegative")
     dsteps = int(delta_max * q)  # multiples of 1/q inside the window
-    columns = [
-        (q, tuple(reversed(idx)), dsteps)
-        for idx in combinations_with_replacement(range(q + 1), 5)
-    ]
-    total = len(columns) * (dsteps + 1)
-    threads = _pool_size()
-    if threads > 1 and total > _POOL_THRESHOLD:
-        with Pool(threads) as pool:
-            results = pool.map(_scan_column, columns, chunksize=64)
-    else:
-        results = map(_scan_column, columns)
     failures = []
     equalities = []
-    for f, e in results:
-        failures.extend(f)
-        equalities.extend(e)
+    for idx in combinations_with_replacement(range(q + 1), 5):
+        a = idx[::-1]
+        first, second = _sides(q, a)
+        for d in range(dsteps + 1):
+            m1 = _margin(q, d, *first)
+            m2 = _margin(q, d, *second)
+            if m1 < 0 or m2 < 0:
+                failures.append((a, d))
+            elif m1 == 0 or m2 == 0:
+                equalities.append((a, d))
     failures.sort()
     equalities.sort()
     def to_input(pair):
@@ -175,7 +169,7 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
     return GridReport(
         max_denominator=q,
         delta_max=delta_max,
-        total=total,
+        total=comb(q + 5, 5) * (dsteps + 1),  # nonincreasing 5-tuples
         failures=tuple(to_input(p) for p in failures),
         equality_points=tuple(to_input(p) for p in equalities),
     )

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import ample_violation, mu
+from .cones import _mu, ample_violation
 from .curves import fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -40,8 +40,8 @@ from .stability import (
     STATUS_SIX_LINE,
     Verdict,
     _upper_bound,
+    _verdict,
     cubic_line_family_report,
-    verdict,
 )
 
 _CRITERION_NAMES = {
@@ -220,7 +220,7 @@ def _read_file(path: str) -> str:
 def _cmd_check(args) -> str:
     doc = _load_document(args)
     s, l = parse_input(doc)
-    v = verdict(s, l)
+    v = _verdict(s, l)  # parse_input has tested ampleness
     fmt = "json" if args.json else "text"
     return render_report(v, fmt, echo=_echo(s, l))
 
@@ -282,7 +282,7 @@ def _cmd_curves(args) -> str:
 def _cmd_mu(args) -> str:
     doc = _load_document(args)
     s, l = parse_input(doc)
-    value = mu(l, s)
+    value = _mu(l, s)  # parse_input has tested ampleness
     if args.json:
         return _dumps({"input": _echo(s, l), "mu": rational_str(value)})
     return rational_str(value)

@@ -141,6 +141,11 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
     violation = ample_violation(l, s)
     if violation is not None:
         raise DomainError(f"verdict needs an ample class: {violation}")
+    return _verdict(s, l)
+
+
+def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
+    """verdict for a class already known to be ample."""
     slope = nu(l, s)
     cond = condition_a(l, s)
     reply = partial(

@@ -1,4 +1,8 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -117,57 +121,173 @@ def test_grid_totals_grow_with_refinement():
     assert grid_oracle(1).total < grid_oracle(2).total < grid_oracle(4).total
 
 
-def test_grid_pooled_matches_serial(monkeypatch):
-    monkeypatch.setenv("KSTAB_THREADS", "2")
+def test_grid_fine(monkeypatch):
+    evaluated = []
+    margin = appendix._margin
+
+    def counted(*args):
+        evaluated.append(args)
+        return margin(*args)
+
+    monkeypatch.setattr(appendix, "_margin", counted)
     rep = grid_oracle(7)
     assert rep.total == 6336
+    assert len(evaluated) == 2 * rep.total  # each counted point, both inequalities
     assert rep.failures == ()
     assert rep.equality_points == (_inp(0, 0, 0, 0, 0),)
 
 
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps serially."""
-
-    sizes = []
-
-    def __init__(self, size):
-        self.sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return list(map(fn, items))
+# sha256 of `verify-appendix --json` stdout, recorded with the Fraction
+# evaluator that the integer kernel replaced
+_GRID_JSON_DIGESTS = {
+    8: "17ed19427165e477124082c85c2a406e2d105a80c8531eb58fd3329ab7ad8450",
+    12: "77f3c4f14f620570dbfbffba26fe5b071ad7e7faa1efa070b6aca130c1ebff72",
+}
 
 
-def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(appendix, "Pool", _RecordingPool)
-    monkeypatch.setattr(appendix, "_POOL_THRESHOLD", 0)
-    monkeypatch.setattr(appendix.os, "cpu_count", lambda: 4)
-    serial = grid_oracle(2)
-    _RecordingPool.sizes.clear()
-    for raw in ("9", "4", "3", "1", "0", "-5"):
-        monkeypatch.setenv("KSTAB_THREADS", raw)
-        assert grid_oracle(2) == serial
-    # a size of one or less runs serially and starts no pool
-    assert _RecordingPool.sizes == [4, 4, 3]
-
-
-def test_non_integer_thread_count_is_a_domain_error(monkeypatch, capsys):
-    monkeypatch.setattr(appendix, "Pool", _RecordingPool)
-    for raw in ("abc", "2.5", ""):
-        monkeypatch.setenv("KSTAB_THREADS", raw)
-        with pytest.raises(DomainError, match="KSTAB_THREADS"):
-            grid_oracle(1)
-    monkeypatch.setenv("KSTAB_THREADS", "abc")
-    assert cli.main(["verify-appendix", "--max-denominator", "2"]) == 1
+@pytest.mark.parametrize("q", sorted(_GRID_JSON_DIGESTS))
+def test_grid_json_digest(q, capsys):
+    assert cli.main(["verify-appendix", "--max-denominator", str(q), "--json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: KSTAB_THREADS must be an integer")
-    assert "Traceback" not in captured.err
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == _GRID_JSON_DIGESTS[q]
+
+
+# The Fraction evaluator the integer kernel replaced, kept as its oracle.
+
+
+def _oracle_largest_sum(a2, a3, a4, a5) -> Fraction:
+    # the twelve listed subset sums, best value not exceeding 1
+    sums = (
+        a2,
+        a2 + a3,
+        a2 + a4,
+        a2 + a5,
+        a3 + a4,
+        a3 + a5,
+        a4 + a5,
+        a2 + a3 + a4,
+        a2 + a3 + a5,
+        a2 + a4 + a5,
+        a3 + a4 + a5,
+        a2 + a3 + a4 + a5,
+    )
+    return max((x for x in sums if x <= 1), default=Fraction(0))
+
+
+def _oracle_piecewise(inp: AppendixInput) -> Fraction:
+    a1, a2, a3, a4, _ = inp.a
+    if a2 + a3 <= 1 + a4:
+        s = a2 + a3 + a4
+    elif a2 + a4 <= 1:
+        s = a2 + a4
+    elif a3 + a4 <= 1:
+        s = a3 + a4
+    else:
+        s = a2
+    return Fraction(2) / (3 + 2 * a1 + 2 * inp.delta + s)
+
+
+def _oracle_prop_a1(inp: AppendixInput) -> dict:
+    a1, a2, a3, a4, a5 = inp.a
+    delta = inp.delta
+    lhs1 = Fraction(2) / (3 + 2 * a1 + 2 * delta + _oracle_largest_sum(a2, a3, a4, a5))
+    tot5 = a1 + a2 + a3 + a4 + a5
+    sq5 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5
+    rhs1 = Fraction(2, 3) * (4 + 2 * delta + tot5) / (4 + 4 * delta + 2 * tot5 - sq5)
+    lhs2 = _oracle_piecewise(inp)
+    tot4 = tot5 - a5
+    sq4 = sq5 - a5 * a5
+    rhs2 = Fraction(2, 3) * (4 + 2 * delta + tot4) / (4 + 4 * delta + 2 * tot4 - sq4)
+    return {
+        "ineq1": lhs1 <= rhs1,
+        "ineq2": lhs2 <= rhs2,
+        "strict1": lhs1 < rhs1,
+        "strict2": lhs2 < rhs2,
+        "piecewise": lhs2,
+    }
+
+
+def _oracle_margins(inp: AppendixInput, q: int) -> list:
+    # (4 + 2delta + t)(3 + 2a1 + 2delta + S) - 3(4 + 4delta + 2t - s) times
+    # q^2 for each inequality, with S from the oracle's own selections
+    a1, a2, a3, a4, a5 = inp.a
+    delta = inp.delta
+    first = 3 + 2 * a1 + 2 * delta + _oracle_largest_sum(a2, a3, a4, a5)
+    second = 2 / _oracle_piecewise(inp)
+    margins = []
+    for left, read in ((first, inp.a), (second, inp.a[:4])):
+        t = sum(read)
+        s = sum(x * x for x in read)
+        margins.append(q * q * ((4 + 2 * delta + t) * left - 3 * (4 + 4 * delta + 2 * t - s)))
+    return margins
+
+
+def _check_against_oracle(inp: AppendixInput):
+    assert prop_a1(inp) == _oracle_prop_a1(inp)
+    q = lcm(*(x.denominator for x in (*inp.a, inp.delta)))
+    q_seen, a, d = appendix._scaled(inp)
+    assert q_seen == q
+    margins = [appendix._margin(q, d, *side) for side in appendix._sides(q, a)]
+    assert margins == _oracle_margins(inp, q)
+
+
+def test_kernel_matches_oracle_on_grid():
+    # every point of the q <= 6 grids with delta up to 2
+    points = {
+        (tuple(Fraction(i, q) for i in reversed(idx)), Fraction(d, q))
+        for q in range(1, 7)
+        for idx in combinations_with_replacement(range(q + 1), 5)
+        for d in range(2 * q + 1)
+    }
+    assert len(points) == 9789
+    for a, delta in points:
+        _check_against_oracle(AppendixInput(a, delta))
+
+
+def _random_fraction(rng, low, high, max_den=10**6) -> Fraction:
+    # uniform over [low, high] on a grid with an unrelated random denominator
+    den = rng.randint(1, max_den)
+    return low + (high - low) * Fraction(rng.randint(0, den), den)
+
+
+def test_kernel_matches_oracle_on_random_points():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        a = tuple(sorted((_random_fraction(rng, 0, 1) for _ in range(5)), reverse=True))
+        _check_against_oracle(AppendixInput(a, _random_fraction(rng, 0, 2)))
+
+
+def test_kernel_matches_oracle_on_case_boundaries():
+    rng = random.Random(61018)
+    ties = {"first": 0, "second": 0, "twelve": 0}
+    while min(ties.values()) < 300:
+        kind = rng.choice(sorted(ties))
+        if kind == "first":
+            # a2 + a3 = 1 + a4
+            a4 = _random_fraction(rng, 0, 1)
+            a3 = _random_fraction(rng, a4, (1 + a4) / 2)
+            a2 = 1 + a4 - a3
+        elif kind == "second":
+            # a2 + a4 = 1
+            a4 = _random_fraction(rng, 0, Fraction(1, 2))
+            a2 = 1 - a4
+            a3 = _random_fraction(rng, a4, a2)
+        else:
+            # scale four coefficients so that one of the twelve sums is 1
+            a2, a3, a4, a5 = sorted((_random_fraction(rng, 0, 1) for _ in range(4)), reverse=True)
+            total = rng.choice([a2 + a3, a2 + a5, a3 + a4 + a5, a2 + a3 + a4 + a5, a3 + a4])
+            if total < a2 or total == 0:
+                continue
+            a2, a3, a4, a5 = (x / total for x in (a2, a3, a4, a5))
+        if kind != "twelve":
+            a5 = _random_fraction(rng, 0, a4)
+        a = (_random_fraction(rng, a2, 1), a2, a3, a4, a5)
+        delta = rng.choice([Fraction(0), _random_fraction(rng, 0, 2, max_den=50)])
+        if kind == "twelve":
+            assert _oracle_largest_sum(*a[1:]) == 1
+        _check_against_oracle(AppendixInput(a, delta))
+        ties[kind] += 1
 
 
 _coeff = st.fractions(

@@ -199,7 +199,7 @@ def test_main_invariant_error_exit_code(monkeypatch, capsys):
     def boom(s, l):
         raise InvariantError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "verdict", boom)
+    monkeypatch.setattr(cli, "_verdict", boom)
     code = cli.main(["check", "--L", MINUS_K_D2])
     assert code == 2
     assert "internal invariant" in capsys.readouterr().err
@@ -233,7 +233,7 @@ def test_main_alpha_bound(capsys):
 
 
 def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
-    # parse_input tests the class; the upper-bound pass then skips the test
+    # parse_input tests the class; the commands then call the cores that skip it
     from kstab import cones, stability
 
     calls = []
@@ -251,11 +251,15 @@ def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
         '{"degree": 6, "L": {"h": "6", "e": ["2", "2", "1"]}}',
         '{"degree": 7, "L": {"h": "7/2", "e": ["1", "1/2"]}}',
     ]
-    for doc in docs:
+    requests = [(command, doc) for doc in docs for command in ("alpha-bound", "check", "mu")]
+    # check and mu in the degrees alpha-bound does not take
+    for doc in (MINUS_K_D2, '{"degree": 3, "family": "six-line", "x": "1/20"}'):
+        requests += [("check", doc), ("mu", doc)]
+    for command, doc in requests:
         calls.clear()
-        assert cli.main(["alpha-bound", "--json", "--L", doc]) == 0
-        assert "certificate" in json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
+        assert cli.main([command, "--json", "--L", doc]) == 0
+        assert "input" in json.loads(capsys.readouterr().out)
+        assert len(calls) == 1, command
 
 
 def test_main_example_cubic(capsys):
@@ -307,10 +311,11 @@ def test_json_booleans_are_rejected(capsys):
 
 def test_closed_stdout_exits_quietly():
     # the reader is gone before any output arrives, as with `| head -c 0`;
-    # the appendix grid takes long enough that the close always comes first
+    # the q = 12 appendix grid (about 0.15 s after start-up on a shared
+    # two-core host) takes long enough that the close always comes first
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "kstab.cli", "verify-appendix", "--max-denominator", "6", "--json"]
+    argv = [sys.executable, "-m", "kstab.cli", "verify-appendix", "--max-denominator", "12", "--json"]
     proc = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,

@@ -57,3 +57,21 @@ def test_appendix_stays_independent():
                     used.add(parts[1] if len(parts) > 1 else "kstab")
     assert used <= {"errors", "lattice"}
     assert used  # the scan sees the imports that are there
+
+
+def test_library_reads_no_environment_and_starts_no_processes():
+    # no environment knob and no process pool: nothing reads os.environ or
+    # os.getenv, and nothing imports multiprocessing
+    banned = {"environ", "environb", "getenv", "getenvb", "multiprocessing"}
+    found = []
+    for path, node in _library_nodes():
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]] + [a.name for a in node.names]
+        if banned.intersection(names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
