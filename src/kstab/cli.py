@@ -99,7 +99,7 @@ def parse_input(document) -> tuple[SurfaceModel, DivClass]:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal of over 4300 digits
             raise DomainError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise DomainError("input must be a JSON object")
@@ -193,7 +193,7 @@ def _load_document(args) -> dict:
     text = raw if raw.lstrip().startswith("{") else _read_file(raw)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal of over 4300 digits
         raise DomainError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DomainError("input must be a JSON object")

@@ -24,11 +24,12 @@ from .curves import (
     _fiber_index,
     _integral_row,
     _line_index,
+    _line_rows,
+    _pairing_rows,
     _row_dot,
     disjoint_sets,
     minus_one_curves,
     negative_curves,
-    pairing_table,
     pairings,
 )
 from .errors import DomainError, InvariantError
@@ -52,14 +53,15 @@ KIND_CONIC_P1P1 = "ConicBundleP1P1"
 _KINDS = (KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1)
 
 
+def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the classes spanning the cone of curves: the
+    (-1)-curves, and in degree 8 (one blown-up point) the ruling H - E1."""
+    return _line_rows(degree) + (((1, -1),) if degree == 8 else ())
+
+
 @lru_cache(maxsize=None)
 def _mori_generators(degree: int) -> tuple[DivClass, ...]:
-    s = SurfaceModel(degree)
-    gens = minus_one_curves(s)
-    if degree == 8:
-        # one blown-up point: the ruling class closes the curve cone
-        gens.append(div(1, [-1]))
-    return tuple(gens)
+    return tuple(div(row[0], row[1:]) for row in _mori_rows(degree))
 
 
 def mori_generators(s: SurfaceModel) -> list[DivClass]:
@@ -69,9 +71,7 @@ def mori_generators(s: SurfaceModel) -> list[DivClass]:
 
 @lru_cache(maxsize=None)
 def _mori_table(degree: int) -> tuple[tuple[int, ...], ...]:
-    # the (-1)-curve rows, then the ruling's row in degree 8
-    table = _curve_table(degree)
-    return table + pairing_table(_mori_generators(degree)[len(table) :])
+    return _pairing_rows(_mori_rows(degree))
 
 
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
@@ -115,11 +115,10 @@ def _coords(c: DivClass) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _mu_rows(degree: int) -> tuple[tuple[Rational, ...], ...]:
+def _mu_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     # the rows of the program in mu without their lambda entry: row k holds
     # minus the k-th coordinate of every generator
-    columns = [[-x for x in _coords(g)] for g in _mori_generators(degree)]
-    return tuple(zip(*columns))
+    return tuple(zip(*([-x for x in row] for row in _mori_rows(degree))))
 
 
 def mu(l: DivClass, s: SurfaceModel) -> Rational:

@@ -3,17 +3,25 @@
 Everything here is a bounded exhaustive search over integral classes, with
 the bounds derived from the defining Diophantine identities, so the output
 is self-verifying rather than a transcribed table.
+
+The (-1)-curves and the fiber classes are searched as integer rows
+(h, e_1, ..., e_r).  Each row's defining identities are checked over ints,
+and a failure raises InvariantError.  The rows are sorted as their classes
+sort, and only then is each turned into a DivClass, whose coordinates are
+shared Fractions, one per small integer.  A fiber candidate that is the sum
+of two (-1)-curves meeting once is nef without a scan of the curve table.
+The per-degree pairing table and the indexes from rows to classes are built
+from the cached rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from .errors import DomainError, InvariantError
-from .lattice import DivClass, SurfaceModel, canonical, intersect
+from .lattice import DivClass, SurfaceModel, div
 
 
 def _nonincreasing_tuples(length, lo, hi, total, sq_total):
@@ -65,60 +73,91 @@ def _distinct_permutations(values):
     return out
 
 
+def _row_sort_key(row):
+    """DivClass.sort_key of the class of an integer row, over ints."""
+    return (row[0], tuple(-abs(x) for x in row[1:]), tuple(-x for x in row[1:]))
+
+
+def _candidate_rows(r, heights, lo, square, anti_degree):
+    """Rows (h, -b_1, ..., -b_r) with h in heights, each b_i in [lo, h],
+    sum(b_i) = 3h - anti_degree and sum(b_i^2) = h^2 - square: the
+    integral classes of that square and that degree against -K."""
+    for h in heights:
+        total = 3 * h - anti_degree
+        sq = h * h - square
+        if total * total > r * sq:
+            continue  # Cauchy-Schwarz on (b_i)
+        for multiset in _nonincreasing_tuples(r, lo, h, total, sq):
+            for perm in _distinct_permutations(multiset):
+                yield (h, *(-b for b in perm))
+
+
+def _checked_rows(rows, s: SurfaceModel, square, anti_degree, name):
+    """rows sorted as their classes sort, after checking over ints that each
+    has the given square and the given degree against -K."""
+    anti = _anticanonical_row(s)
+    for row in rows:
+        if _row_dot(row, row) != square or _row_dot(anti, row) != anti_degree:
+            raise InvariantError(f"{div(row[0], row[1:])} is not a {name} class")
+    return tuple(sorted(rows, key=_row_sort_key))
+
+
+@lru_cache(maxsize=None)
+def _line_rows(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the (-1)-curves, in the order of minus_one_curves.
+
+    Candidates a*H - sum(b_i E_i) have a^2 - sum b_i^2 = -1 and
+    3a - sum b_i = 1.  Cauchy-Schwarz on (b_i) gives (3a-1)^2 <= r*(a^2+1),
+    so a <= 6 for r <= 8; equality at a = 7, r = 8 would force all
+    b_i = 20/8, not integral.  The same argument applied to all-but-one
+    coordinate pins each b_i to [-1, a].
+    """
+    s = SurfaceModel(degree)
+    rows = list(_candidate_rows(s.r, range(7), lo=-1, square=-1, anti_degree=1))
+    return _checked_rows(rows, s, square=-1, anti_degree=1, name="(-1)-curve")
+
+
+@lru_cache(maxsize=None)
+def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the fiber classes, in the order of fiber_classes.
+
+    Candidates h*H - sum(b_i E_i) have h^2 = sum b_i^2 and 3h - sum b_i = 2.
+    Cauchy-Schwarz gives (3h-2)^2 <= r*h^2, so h <= 5 for r <= 7 and
+    h <= 11 for r = 8; per coordinate it pins b_i to [0, h].
+
+    A candidate is kept when it pairs nonnegatively with every (-1)-curve.
+    A sum E + E' of two (-1)-curves with E.E' = 1 passes without that scan:
+    it pairs to E.E' - 1 = 0 with E and with E', and nonnegatively with
+    every other (-1)-curve, since distinct (-1)-curves meet nonnegatively.
+    In degrees 1-7 every candidate is such a sum, which spares degree 1 the
+    scan of 2160 candidates against 240 lines; a candidate that is not
+    (H - E1 in degree 8) is scanned in full.
+    """
+    s = SurfaceModel(degree)
+    lines = _line_rows(degree)
+    sums = {
+        _row_sum(u, v)
+        for i, u in enumerate(lines)
+        for v in lines[i + 1 :]
+        if _row_dot(u, v) == 1
+    }
+    heights = range(1, (11 if s.r == 8 else 5) + 1)
+    rows = [
+        row
+        for row in _candidate_rows(s.r, heights, lo=0, square=0, anti_degree=2)
+        if row in sums or all(_row_dot(row, line) >= 0 for line in lines)
+    ]
+    return _checked_rows(rows, s, square=0, anti_degree=2, name="fiber")
+
+
 @lru_cache(maxsize=None)
 def _minus_one_curves(degree: int) -> tuple[DivClass, ...]:
-    s = SurfaceModel(degree)
-    r = s.r
-    found = []
-    # candidates a*H - sum(b_i E_i), integral, with a^2 - sum b_i^2 = -1
-    # and 3a - sum b_i = 1.  Cauchy-Schwarz on (b_i) gives
-    # (3a-1)^2 <= r*(a^2+1), so a <= 6 for r <= 8; equality at a = 7, r = 8
-    # would force all b_i = 20/8, not integral.  The same argument applied to
-    # all-but-one coordinate pins each b_i to [-1, a].
-    for a in range(0, 7):
-        total = 3 * a - 1
-        sq = a * a + 1
-        if total * total > r * sq:
-            continue
-        for multiset in _nonincreasing_tuples(r, -1, a, total, sq):
-            for perm in _distinct_permutations(multiset):
-                found.append(
-                    DivClass(Fraction(a), tuple(Fraction(-b) for b in perm))
-                )
-    found.sort(key=DivClass.sort_key)
-    mk = canonical(s)
-    for c in found:
-        if intersect(c, c, s) != -1 or intersect(mk, c, s) != -1:
-            raise InvariantError(f"{c} is not a (-1)-curve class")
-    return tuple(found)
+    return tuple(div(row[0], row[1:]) for row in _line_rows(degree))
 
 
 @lru_cache(maxsize=None)
 def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
-    s = SurfaceModel(degree)
-    r = s.r
-    table = _curve_table(degree)
-    mk = canonical(s)
-    found = []
-    # candidates h*H - sum(b_i E_i) with h^2 = sum b_i^2 and 3h - sum b_i = 2.
-    # Cauchy-Schwarz: (3h-2)^2 <= r*h^2, so h <= 5 for r <= 7 and h <= 11 for
-    # r = 8; per-coordinate it pins b_i to [0, h].
-    hi = 11 if r == 8 else 5
-    for h in range(1, hi + 1):
-        total = 3 * h - 2
-        sq = h * h
-        if total * total > r * sq:
-            continue
-        for multiset in _nonincreasing_tuples(r, 0, h, total, sq):
-            for perm in _distinct_permutations(multiset):
-                cand = DivClass(Fraction(h), tuple(Fraction(-b) for b in perm))
-                if min(pairings(cand, table, s)) >= 0:
-                    found.append(cand)
-    found.sort(key=DivClass.sort_key)
-    for c in found:
-        if intersect(c, c, s) != 0 or intersect(mk, c, s) != -2:
-            raise InvariantError(f"{c} is not a fiber class")
-    return tuple(found)
+    return tuple(div(row[0], row[1:]) for row in _fiber_rows(degree))
 
 
 def minus_one_curves(s: SurfaceModel) -> list[DivClass]:
@@ -148,15 +187,17 @@ def pairing_table(classes) -> tuple[tuple[int, ...], ...]:
     """One row (h, -e_1, ..., -e_r) per class, scaled by a positive integer
     to clear denominators, so that a row's dot product with integer_row(w)
     is a positive multiple of the pairing of w with that class."""
-    return tuple(
-        (row[0],) + tuple(-x for x in row[1:])
-        for row in map(integer_row, classes)
-    )
+    return _pairing_rows(map(integer_row, classes))
+
+
+def _pairing_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """One row (h, -e_1, ..., -e_r) per integer row (h, e_1, ..., e_r)."""
+    return tuple((row[0], *(-x for x in row[1:])) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def _curve_table(degree: int) -> tuple[tuple[int, ...], ...]:
-    return pairing_table(_minus_one_curves(degree))
+    return _pairing_rows(_line_rows(degree))
 
 
 # An integer row is the coordinate tuple (h, e_1, ..., e_r) of an integral
@@ -176,13 +217,13 @@ def _integral_row(c: DivClass) -> tuple[int, ...] | None:
 @lru_cache(maxsize=None)
 def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
     """Each (-1)-curve of minus_one_curves, keyed by its integer row."""
-    return {_integral_row(c): c for c in _minus_one_curves(degree)}
+    return dict(zip(_line_rows(degree), _minus_one_curves(degree)))
 
 
 @lru_cache(maxsize=None)
 def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
     """Each class of fiber_classes, keyed by its integer row."""
-    return {_integral_row(c): c for c in _fiber_classes(degree)}
+    return dict(zip(_fiber_rows(degree), _fiber_classes(degree)))
 
 
 def _anticanonical_row(s: SurfaceModel) -> tuple[int, ...]:

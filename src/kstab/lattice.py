@@ -8,6 +8,7 @@ a.h*b.h - sum(a.e_i*b.e_i).  All coordinates are exact rationals
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,18 +16,59 @@ from .errors import DomainError
 
 Rational = Fraction
 
+# The most decimal digits a parsed numerator or denominator may have.  A
+# report prints numbers of up to 18 times the digits of the class's
+# coordinates (L^2 in degree 1), and Python prints no int of more than 4300
+# digits.
+MAX_DIGITS = 200
+_TOO_LARGE = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+# One shared Fraction per small integer, among them every coordinate of the
+# curve tables (h in 0..11, e_i in -11..1); a lookup costs far less than
+# building a Fraction.
+_SMALL = {n: Fraction(n) for n in range(-11, 12)}
+
+
+def _too_large(value) -> DomainError:
+    text = value if isinstance(value, str) else str(value)
+    if len(text) > 40:
+        text = f"{text[:20]}...{text[-10:]}"
+    return DomainError(
+        f"rational has more than {MAX_DIGITS} digits above or below the line: {text!r}"
+    )
+
 
 def rational(value) -> Fraction:
-    """Parse a rational from "p/q", "n", int or Fraction."""
+    """Parse a rational from "p/q", "n", int or Fraction.
+
+    A str or int may have at most MAX_DIGITS digits in its numerator and in
+    its denominator; a Fraction is taken as it is.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        small = _SMALL.get(value)
+        if small is not None:
+            return small
+        if -_TOO_LARGE < value < _TOO_LARGE:
+            return Fraction(value)
+        raise _too_large(value)
     if isinstance(value, str):
+        # "1e999999999" would build a billion-digit int, so the length and
+        # the exponent are bounded before Fraction builds the number
+        if len(value) > 3 * MAX_DIGITS:
+            raise _too_large(value)
         try:
-            return Fraction(value.strip())
+            if "e" in value or "E" in value:
+                exponent = _EXPONENT.search(value)
+                if exponent and abs(int(exponent.group(1))) > 3 * MAX_DIGITS:
+                    raise _too_large(value)
+            q = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational: {value!r}") from exc
+        if -_TOO_LARGE < q.numerator < _TOO_LARGE and q.denominator < _TOO_LARGE:
+            return q
+        raise _too_large(value)
     raise DomainError(f"not a rational: {value!r}")
 
 

@@ -195,6 +195,24 @@ def test_main_input_error_exit_code(capsys):
     assert "--L is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+@pytest.mark.parametrize("command", ["check", "mu"])
+def test_main_rejects_huge_rationals(command, value, capsys):
+    # each would build a number of more than 4300 digits, which the echo
+    # of the parsed class cannot print
+    doc = json.dumps({"degree": 8, "L": {"h": value, "e": ["1"]}})
+    assert cli.main([command, "--json", "--L", doc]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rational has more than")
+
+
+def test_main_rejects_huge_json_integers(capsys):
+    doc = '{"degree": 8, "L": {"h": 1%s, "e": [1]}}' % ("0" * 5000)
+    assert cli.main(["check", "--L", doc]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not valid JSON")
+
+
 def test_main_invariant_error_exit_code(monkeypatch, capsys):
     def boom(s, l):
         raise InvariantError("forced for the exit-code contract")

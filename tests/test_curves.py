@@ -1,10 +1,21 @@
 import time
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
-from kstab.curves import disjoint_sets, fiber_classes, minus_one_curves, negative_curves
-from kstab.errors import DomainError
+from kstab.cones import _mori_table, _mu_rows
+from kstab.curves import (
+    _checked_rows,
+    _curve_table,
+    _fiber_index,
+    _line_index,
+    disjoint_sets,
+    fiber_classes,
+    minus_one_curves,
+    negative_curves,
+)
+from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
     basis_exceptional,
@@ -124,13 +135,72 @@ def test_disjoint_sets_rejects_duplicates():
 
 
 def test_full_enumeration_under_five_seconds():
-    from kstab.curves import _minus_one_curves
+    from kstab.curves import _line_rows, _minus_one_curves
 
+    _line_rows.cache_clear()
     _minus_one_curves.cache_clear()
     start = time.perf_counter()
     for d in range(1, 9):
         minus_one_curves(SurfaceModel(d))
     assert time.perf_counter() - start < 5.0
+
+
+# sha256 of _tables_text(degree), recorded when the tables were still built
+# through Fraction arithmetic
+TABLE_DIGESTS = {
+    1: "18ebd304210f0b137a683651ca91e2a97d54e1aedc928c16863cf490105b4d80",
+    2: "74ea65ef991e091b724a59edec26517c5e7d9631d501e91fdcd122ab3a0f9b23",
+    3: "ce14409c1ad77d9bfbc5c3d2ef7c013d9d5ed329015ce899f974089511cb6306",
+    4: "2207483015b0cbb5288fff5ac8340c74f9a784c02bed368168f1b7f6970691d1",
+    5: "c8a4c0d98111dfc4c788995a145f80fddc13c8de250b9c2a2f3696ed4fbe5852",
+    6: "01d96bb9a330add3f978d6cb539a974370aa25aaaec0d12dd76814fec16a7dfb",
+    7: "ad1a183016160d081996c276690cf44cdd10fcd6a5ee85213fd49ce0b117a4d8",
+    8: "c2696245186db5e7e95b338c3f6e81e78cc7a204725b95f97eef2f6979e14465",
+}
+
+
+def _tables_text(degree):
+    """Every per-degree table in order; the indexes by keys, then values."""
+    s = SurfaceModel(degree)
+    sections = {
+        "lines": minus_one_curves(s),
+        "fibers": fiber_classes(s),
+        "curve_table": _curve_table(degree),
+        "line_index": _line_index(degree),
+        "fiber_index": _fiber_index(degree),
+        "line_index_values": _line_index(degree).values(),
+        "fiber_index_values": _fiber_index(degree).values(),
+        "mori_table": _mori_table(degree),
+        "mu_rows": _mu_rows(degree),
+    }
+    return "\n".join(
+        f"{name}: "
+        + " ".join(
+            "(" + ",".join(map(str, x)) + ")" if isinstance(x, tuple) else str(x)
+            for x in items
+        )
+        for name, items in sections.items()
+    )
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_tables_are_pinned(degree):
+    assert sha256(_tables_text(degree).encode()).hexdigest() == TABLE_DIGESTS[degree]
+    s = SurfaceModel(degree)
+    for c in minus_one_curves(s) + fiber_classes(s):
+        assert all(type(x) is Fraction for x in (c.h, *c.e))
+
+
+def test_table_rows_are_checked_over_ints():
+    s = SurfaceModel(7)
+    lines = [(0, 1, 0), (1, -1, -1), (0, 0, 1)]
+    assert _checked_rows(lines, s, -1, 1, "(-1)-curve") == ((0, 1, 0), (0, 0, 1), (1, -1, -1))
+    for bad in ((1, -1, 0), (0, -1, 0), (2, -1, -1)):
+        # square 0 and degree 2; square -1 and degree -1; square 2
+        with pytest.raises(InvariantError, match="is not a"):
+            _checked_rows(lines + [bad], s, -1, 1, "(-1)-curve")
+    with pytest.raises(InvariantError, match="is not a fiber class"):
+        _checked_rows([(1, -1, -1)], s, 0, 2, "fiber")
 
 
 def test_negative_curves_premises():

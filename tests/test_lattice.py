@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kstab.errors import DomainError
 from kstab.lattice import (
+    MAX_DIGITS,
     DivClass,
     SurfaceModel,
     anticanonical,
@@ -36,6 +37,28 @@ def test_rational_parsing_rejects_garbage():
         rational("1/0")
     with pytest.raises(DomainError):
         rational(1.5)
+
+
+def test_rational_digit_bound():
+    # MAX_DIGITS digits above and below the line parse; one more does not
+    big = 10**MAX_DIGITS - 1
+    assert rational(f"-{big}/{big - 1}") == Fraction(-big, big - 1)
+    assert rational(big) == big
+    assert rational(f"{big}e-{MAX_DIGITS - 1}") == Fraction(big, 10 ** (MAX_DIGITS - 1))
+    assert rational("1" + "0" * 450 + "e-450") == 1  # reduces below the bound
+    for value in (
+        f"{big + 1}",
+        f"1/{big + 1}",
+        f"1e{MAX_DIGITS}",
+        f"1e-{MAX_DIGITS}",
+        f"1.{'0' * MAX_DIGITS}1",
+        big + 1,
+        -big - 1,
+    ):
+        with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+            rational(value)
+    # a Fraction the library computed is taken as it is
+    assert rational(Fraction(big + 1, 3)) == Fraction(big + 1, 3)
 
 
 def test_surface_model_range():
