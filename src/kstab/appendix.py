@@ -128,6 +128,11 @@ def prop_a1(inp: AppendixInput) -> dict:
     }
 
 
+# The most points grid_oracle scans; q = 24 at delta_max = 1 (2.97 million)
+# took about 4.6 s on one core of a shared two-core machine.
+MAX_GRID_POINTS = 10**7
+
+
 @dataclass(frozen=True)
 class GridReport:
     max_denominator: int
@@ -142,6 +147,7 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
 
     Coefficients range over [0, 1], delta over [0, delta_max].  The report
     window is exactly what was enumerated; nothing is claimed beyond it.
+    A grid of more than MAX_GRID_POINTS points is refused before the scan.
     """
     q = max_denominator
     if q < 1:
@@ -149,6 +155,9 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
     if delta_max < 0:
         raise DomainError("delta_max must be nonnegative")
     dsteps = int(delta_max * q)  # multiples of 1/q inside the window
+    total = comb(q + 5, 5) * (dsteps + 1)  # nonincreasing 5-tuples
+    if total > MAX_GRID_POINTS:
+        raise DomainError(f"the grid would have more than {MAX_GRID_POINTS} points")
     failures = []
     equalities = []
     for idx in combinations_with_replacement(range(q + 1), 5):
@@ -169,7 +178,7 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
     return GridReport(
         max_denominator=q,
         delta_max=delta_max,
-        total=comb(q + 5, 5) * (dsteps + 1),  # nonincreasing 5-tuples
+        total=total,
         failures=tuple(to_input(p) for p in failures),
         equality_points=tuple(to_input(p) for p in equalities),
     )

@@ -95,6 +95,8 @@ def test_grid_bad_parameters():
         grid_oracle(0)
     with pytest.raises(DomainError):
         grid_oracle(2, Fraction(-1))
+    with pytest.raises(DomainError):
+        grid_oracle(30)  # 10063592 points, the least q over the cap
 
 
 def test_grid_coarse():

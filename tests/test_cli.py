@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kstab import cli
+from kstab import appendix, cli
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
@@ -306,6 +306,19 @@ def test_main_verify_appendix(capsys):
     assert payload["total"] == 63
     assert payload["failures"] == []
     assert payload["equality_points"] == [{"a": ["0"] * 5, "delta": "0"}]
+
+
+def test_verify_appendix_refuses_grids_over_the_cap(capsys, monkeypatch):
+    # the point count is checked before the scan; delta_max = 1e50 alone
+    # would never finish
+    def scan(*args):
+        pytest.fail("the grid scan started")
+
+    monkeypatch.setattr(appendix, "_sides", scan)
+    cap = f"error: the grid would have more than {appendix.MAX_GRID_POINTS} points\n"
+    for extra in (["--max-denominator", "2", "--delta-max", "1e50"], ["--max-denominator", "1000000"]):
+        assert cli.main(["verify-appendix", *extra]) == 1
+        assert capsys.readouterr() == ("", cap)
 
 
 def test_json_booleans_are_rejected(capsys):

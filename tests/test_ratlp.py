@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from kstab.curves import minus_one_curves
-from kstab.errors import DomainError
+from kstab.errors import DomainError, InvariantError
 from kstab.lattice import SurfaceModel, anticanonical, div, zero_class
 from kstab.ratlp import (
     Infeasible,
     LinearProgram,
     Optimal,
     Unbounded,
+    _check_point,
     cone_member,
     lp,
     solve,
@@ -84,6 +85,16 @@ def test_malformed_programs_rejected():
         lp([1, 2], [[1, 2], [1]], [1, 1])
     with pytest.raises(DomainError):
         LinearProgram((Fraction(1),), ((Fraction(1),),), ())
+
+
+def test_check_point_rejects_a_broken_row_and_a_negative_entry():
+    # the one check every Optimal answer passes, on the entries as given
+    prog = lp([1, 0], [[1, -1]], [Fraction(3, 2)])
+    _check_point(prog, (Fraction(3, 2), 0))
+    with pytest.raises(InvariantError):
+        _check_point(prog, (1, 0))  # 1 - 0 != 3/2
+    with pytest.raises(InvariantError):
+        _check_point(prog, (Fraction(1, 2), -1))  # the row holds, s < 0
 
 
 # --- oracle: enumerate basic solutions of {Ax rel b, x >= 0} ---------------
@@ -166,6 +177,11 @@ def test_simplex_matches_vertex_oracle_on_random_small_programs():
             [Fraction(rng.randint(-4, 4)) for _ in range(m)],
         )
         got = solve(_with_slacks(*program))
+        objective, lhs, rel, rhs = program
+        # the same program with plain-int entries gets the same answer
+        plain_lhs = [list(map(int, row)) for row in lhs]
+        plain = (list(map(int, objective)), plain_lhs, rel, list(map(int, rhs)))
+        assert solve(_with_slacks(*plain)) == got
         want = _oracle(*program)
         if want[0] == "infeasible":
             assert isinstance(got, Infeasible)
