@@ -34,7 +34,6 @@ from .curves import (
     _combine_rows,
     _denominator,
     _fiber_index,
-    _integral_row,
     _line_index,
     _row_dot,
     _row_less,
@@ -251,10 +250,9 @@ def _f1_parts(s, cd):
     c = cd.rowC
     a = cd.a
     delta = cd.delta
-    section = _section_curve(cd.curveE, cd.curveC, s)
-    if section is None:
+    v = _section_curve(es, c, s)
+    if v is None:
         raise InvariantError("no section curve found for a fiber-with-section kind")
-    v = _integral_row(section)
     ell = _plane_pullback(s, es + (v,))
     if c != _row_less(ell, v):
         raise InvariantError("fiber class does not match the section model")

@@ -97,10 +97,7 @@ def _expand_family(doc, s: SurfaceModel) -> DivClass:
 def parse_input(document) -> tuple[SurfaceModel, DivClass]:
     """Validate a JSON input document and expand it to an explicit class."""
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except ValueError as exc:  # also an int literal of over 4300 digits
-            raise DomainError(f"input is not valid JSON: {exc}") from exc
+        document = _parse_json(document)
     if not isinstance(document, dict):
         raise DomainError("input must be a JSON object")
     if "degree" not in document:
@@ -190,11 +187,7 @@ def _load_document(args) -> dict:
     raw = args.L
     if raw is None:
         raise DomainError("--L is required")
-    text = raw if raw.lstrip().startswith("{") else _read_file(raw)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an int literal of over 4300 digits
-        raise DomainError(f"input is not valid JSON: {exc}") from exc
+    doc = _parse_json(raw if raw.lstrip().startswith("{") else _read_file(raw))
     if not isinstance(doc, dict):
         raise DomainError("input must be a JSON object")
     if "degree" not in doc and args.degree is not None:
@@ -209,11 +202,20 @@ def _load_document(args) -> dict:
     return doc
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an int literal of over 4300 digits
+        raise DomainError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError("input is not valid JSON: it is nested too deeply") from exc
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 

@@ -15,21 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 from .curves import (
     _anticanonical_row,
     _combine_rows,
-    _curve_table,
+    _denominator,
+    _disjoint_index_sets,
+    _disjoint_masks,
     _fiber_index,
     _integral_row,
     _line_index,
     _line_rows,
-    _pairing_rows,
+    _minus_one_curves,
     _row_dot,
-    disjoint_sets,
-    minus_one_curves,
-    negative_curves,
+    _row_sum,
+    integer_row,
     pairings,
 )
 from .errors import DomainError, InvariantError
@@ -43,7 +43,6 @@ from .lattice import (
     div,
     intersect,
     square,
-    zero_class,
 )
 from .ratlp import Optimal, cone_member, lp, solve
 
@@ -53,6 +52,7 @@ KIND_CONIC_P1P1 = "ConicBundleP1P1"
 _KINDS = (KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1)
 
 
+@lru_cache(maxsize=None)
 def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     """The integer rows of the classes spanning the cone of curves: the
     (-1)-curves, and in degree 8 (one blown-up point) the ruling H - E1."""
@@ -69,14 +69,9 @@ def mori_generators(s: SurfaceModel) -> list[DivClass]:
     return list(_mori_generators(s.degree))
 
 
-@lru_cache(maxsize=None)
-def _mori_table(degree: int) -> tuple[tuple[int, ...], ...]:
-    return _pairing_rows(_mori_rows(degree))
-
-
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
     """True when dv pairs nonnegatively with every curve-cone generator."""
-    return min(pairings(dv, _mori_table(s.degree), s)) >= 0
+    return min(pairings(dv, _mori_rows(s.degree), s)) >= 0
 
 
 def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
@@ -103,7 +98,7 @@ def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     """Reason dv fails the ampleness test, or None when ample."""
     if square(dv, s) <= 0:
         return f"self-intersection of {dv} is not positive"
-    signs = pairings(dv, _mori_table(s.degree), s)
+    signs = pairings(dv, _mori_rows(s.degree), s)
     for g, p in zip(_mori_generators(s.degree), signs):
         if p <= 0:
             return f"pairing of {dv} with the curve class {g} is not positive"
@@ -265,21 +260,13 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     return DivClass(Fraction(row[0], den), tuple(Fraction(x, den) for x in row[1:]))
 
 
-def _sorted_face(coeffs, subset):
-    # curves past the end of coeffs carry coefficient zero
-    pairs = zip_longest(coeffs, subset, fillvalue=Fraction(0))
-    order = sorted(pairs, key=lambda p: (-p[0], p[1].sort_key()))
-    return tuple(p[0] for p in order), tuple(p[1] for p in order)
-
-
-def _section_curve(subset, fib, s):
-    """The first (-1)-curve v with v.fib = 1 missing every curve in subset,
-    all of them integral; each curve is paired only until a test fails."""
-    fib = _integral_row(fib)
-    rows = [_integral_row(x) for x in subset]
-    for line, v in _line_index(s.degree).items():
+def _section_curve(rows, fib, s):
+    """The integer row of the first (-1)-curve v with v.fib = 1 missing
+    every one of rows, or None; fib and rows are integer rows, and each
+    curve is paired only until a test fails."""
+    for line in _line_rows(s.degree):
         if _row_dot(fib, line) == 1 and not any(_row_dot(x, line) for x in rows):
-            return v
+            return line
     return None
 
 
@@ -287,40 +274,53 @@ def _face_data(w, s):
     """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
     contraction), else the first disjoint (r-1)-set with a fiber class
     (conic bundle), or None.  By negative_curves, each set is the curves
-    with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0;
-    disjoint_sets lists these completions in the order of the full sets.
+    with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0,
+    taken in index-lex order.  The search runs over indexes into the line
+    rows, on the integers D * w.E of one pairings call.
     """
     if square(w, s) > 0:
         return None  # a face has w^2 = -sum(a_i^2) <= 0
-    support = tuple(negative_curves(w, s))
+    rows = _line_rows(s.degree)
+    signs = pairings(w, rows, s)
+    support = tuple(i for i, p in enumerate(signs) if p < 0)
     if len(support) > s.r:
         return None  # at most r (-1)-curves are pairwise disjoint
-    coeffs = tuple(-intersect(w, c, s) for c in support)
-    resid = w - sum((x * c for x, c in zip(coeffs, support)), zero_class(s))
-    table = _curve_table(s.degree)
-    rows = [pairings(x, table, s) for x in (w, *support)]
-    zero_curves = [c for c, *ps in zip(minus_one_curves(s), *rows) if not any(ps)]
-    plane = disjoint_sets(zero_curves, s.r - len(support), s) if resid.is_zero() else []
-    if plane:
-        a, curve = _sorted_face(coeffs, support + plane[0])
-        return ContractionData(KIND_TO_P2, Fraction(0), a, curve, None)
+    # D * (w - sum(a_i E_i)), with a_i = -w.E_i
+    resid = _row_sum(integer_row(w), *([signs[i] * x for x in rows[i]] for i in support))
+    den = _denominator(w)
+    masks = _disjoint_masks(s.degree)
+    allowed = sum(1 << j for j, p in enumerate(signs) if p == 0)
+    for i in support:
+        allowed &= masks[i]
+    if not any(resid):
+        plane = next(_disjoint_index_sets(allowed, masks, s.r - len(support)), None)
+        if plane is not None:
+            return _contraction(KIND_TO_P2, Fraction(0), signs, den, support + plane, None, s)
     if len(support) == s.r:
         return None  # no disjoint (r-1)-set contains them all
-    fibers = _fiber_index(s.degree).items()  # in the order of fiber_classes
-    for completion in disjoint_sets(zero_curves, s.r - 1 - len(support), s):
-        subset = support + completion
-        curve_rows = [_integral_row(c) for c in subset]
-        for fib_row, fib in fibers:
-            if any(_row_dot(fib_row, x) for x in curve_rows):
+    for completion in _disjoint_index_sets(allowed, masks, s.r - 1 - len(support)):
+        chosen = support + completion
+        curves = [rows[i] for i in chosen]
+        for fib, fib_class in _fiber_index(s.degree).items():
+            if any(_row_dot(fib, x) for x in curves):
                 continue
-            delta = Fraction(resid.h, 1) / fib.h
-            if delta < 0 or resid != delta * fib:
+            # resid = D * delta * fib with delta >= 0; every fiber has h > 0
+            if resid[0] < 0 or any(x * fib[0] != resid[0] * y for x, y in zip(resid, fib)):
                 continue
-            section = _section_curve(subset, fib, s)
-            kind = KIND_CONIC_P1P1 if section is None else KIND_CONIC_F1
-            a, curve = _sorted_face(coeffs, subset)
-            return ContractionData(kind, delta, a, curve, fib)
+            delta = Fraction(resid[0], den * fib[0])
+            kind = KIND_CONIC_P1P1 if _section_curve(curves, fib, s) is None else KIND_CONIC_F1
+            return _contraction(kind, delta, signs, den, chosen, fib_class, s)
     return None
+
+
+def _contraction(kind, delta, signs, den, chosen, fib, s):
+    """ContractionData for the lines of index chosen, each weighted
+    -signs[i] / D, and the fiber class fib (or None).  The face is sorted by
+    decreasing weight, then by index: lines are indexed in sorted order."""
+    order = sorted(chosen, key=lambda i: (signs[i], i))
+    a = tuple(Fraction(-signs[i], den) for i in order)
+    lines = _minus_one_curves(s.degree)
+    return ContractionData(kind, delta, a, tuple(lines[i] for i in order), fib)
 
 
 def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:

@@ -10,15 +10,15 @@ and a failure raises InvariantError.  The rows are sorted as their classes
 sort, and only then is each turned into a DivClass, whose coordinates are
 shared Fractions, one per small integer.  A fiber candidate that is the sum
 of two (-1)-curves meeting once is nef without a scan of the curve table.
-The per-degree pairing table and the indexes from rows to classes are built
-from the cached rows.
+The indexes from rows to classes and the table of disjoint pairs of
+(-1)-curves are built from the cached rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import mul, neg
 
 from .errors import DomainError, InvariantError
 from .lattice import DivClass, SurfaceModel, div
@@ -183,23 +183,6 @@ def integer_row(w: DivClass) -> tuple[int, ...]:
     return tuple(x.numerator * (den // x.denominator) for x in (w.h, *w.e))
 
 
-def pairing_table(classes) -> tuple[tuple[int, ...], ...]:
-    """One row (h, -e_1, ..., -e_r) per class, scaled by a positive integer
-    to clear denominators, so that a row's dot product with integer_row(w)
-    is a positive multiple of the pairing of w with that class."""
-    return _pairing_rows(map(integer_row, classes))
-
-
-def _pairing_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """One row (h, -e_1, ..., -e_r) per integer row (h, e_1, ..., e_r)."""
-    return tuple((row[0], *(-x for x in row[1:])) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def _curve_table(degree: int) -> tuple[tuple[int, ...], ...]:
-    return _pairing_rows(_line_rows(degree))
-
-
 # An integer row is the coordinate tuple (h, e_1, ..., e_r) of an integral
 # class h*H + sum(e_i E_i); the helpers below build, combine and pair rows
 # without creating Fractions.
@@ -259,17 +242,20 @@ def _same_class(x, y) -> bool:
     return len(rx) == len(ry) and all(dy * p == dx * q for p, q in zip(rx, ry))
 
 
-def pairings(w: DivClass, table, s: SurfaceModel) -> list[int]:
-    """The integers D * m_c * (w.c), one per row of table, in order.
+def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
+    """The integers D * m_c * (w.c), one per integer row (h, e_1, ..., e_r)
+    of rows, in order.
 
-    D > 0 clears the denominators of w and m_c > 0 those of the class c
-    behind the row (m_c = 1 for integral classes, as in the curve tables),
-    so each sign and each zero is exactly that of the rational w.c.
+    D > 0 clears the denominators of w, and m_c > 0 those of the class c
+    behind the row (m_c = 1 for integral classes, as in the curve tables;
+    integer_row gives the row of any class), so each sign and each zero is
+    exactly that of the rational w.c.
     """
     if len(w.e) != s.r:
         raise DomainError(f"class rank does not match surface: {len(w.e)} vs r={s.r}")
-    row = integer_row(w)
-    return [sum(map(mul, row, t)) for t in table]
+    h, *e = integer_row(w)
+    dual = (h, *map(neg, e))
+    return [sum(map(mul, dual, row)) for row in rows]
 
 
 def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
@@ -284,9 +270,37 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
     sum of nonnegative terms, so the E_j are pairwise disjoint.
     """
-    curves = _minus_one_curves(s.degree)
-    signs = pairings(w, _curve_table(s.degree), s)
-    return [c for c, p in zip(curves, signs) if p < 0]
+    signs = pairings(w, _line_rows(s.degree), s)
+    return [c for c, p in zip(_minus_one_curves(s.degree), signs) if p < 0]
+
+
+def _zero_masks(classes, s: SurfaceModel) -> tuple[int, ...]:
+    """Bit j of entry i is set when classes i and j pair to zero."""
+    rows = [integer_row(c) for c in classes]
+    return tuple(
+        sum(1 << j for j, p in enumerate(pairings(c, rows, s)) if p == 0) for c in classes
+    )
+
+
+@lru_cache(maxsize=None)
+def _disjoint_masks(degree: int) -> tuple[int, ...]:
+    """Bit j of entry i is set when lines i and j of _line_rows are disjoint."""
+    return _zero_masks(_minus_one_curves(degree), SurfaceModel(degree))
+
+
+def _disjoint_index_sets(allowed: int, masks, k: int):
+    """The k-sets of indexes from the bits of allowed whose masks hold one
+    another, as ascending tuples in index-lex order, one at a time."""
+    if k == 0:
+        yield ()
+        return
+    while allowed.bit_count() >= k:
+        low = allowed & -allowed
+        allowed ^= low
+        i = low.bit_length() - 1
+        # allowed now holds the indexes past i; keep those that miss i
+        for rest in _disjoint_index_sets(allowed & masks[i], masks, k - 1):
+            yield (i, *rest)
 
 
 def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]:
@@ -299,24 +313,8 @@ def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]
         raise DomainError("curves must be pairwise distinct")
     if k < 0:
         raise DomainError("k must be >= 0")
-    table = pairing_table(curves)
-    # bit j of disjoint[i] is set when curves i and j pair to zero
-    disjoint = [
-        sum(1 << j for j, p in enumerate(pairings(c, table, s)) if p == 0)
-        for c in curves
+    masks = _zero_masks(curves, s)
+    return [
+        tuple(curves[i] for i in chosen)
+        for chosen in _disjoint_index_sets((1 << len(curves)) - 1, masks, k)
     ]
-    out = []
-
-    def rec(allowed, chosen):
-        # allowed holds the indices past the last chosen one that miss them all
-        if len(chosen) == k:
-            out.append(tuple(curves[i] for i in chosen))
-            return
-        while allowed.bit_count() >= k - len(chosen):
-            low = allowed & -allowed
-            allowed ^= low
-            i = low.bit_length() - 1
-            rec(allowed & disjoint[i], chosen + [i])
-
-    rec((1 << len(curves)) - 1, [])
-    return out

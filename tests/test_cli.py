@@ -186,6 +186,21 @@ def test_main_file_input(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_main_rejects_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"degree": 8, "L": "\xff"}')
+    assert cli.main(["check", "--L", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
+def test_deeply_nested_json_is_rejected(capsys):
+    doc = '{"degree": ' + "[" * 50000
+    assert cli.main(["check", "--L", doc]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not valid JSON")
+    with pytest.raises(DomainError, match="nested too deeply"):
+        cli.parse_input(doc)
+
+
 def test_main_input_error_exit_code(capsys):
     code = cli.main(["check", "--L", '{"degree": 1, "L": {"h": "0", "e": ["0"] * 8}}'])
     assert code == 1

@@ -4,10 +4,10 @@ from hashlib import sha256
 
 import pytest
 
-from kstab.cones import _mori_table, _mu_rows
+from kstab.cones import _mu_rows
 from kstab.curves import (
     _checked_rows,
-    _curve_table,
+    _disjoint_masks,
     _fiber_index,
     _line_index,
     disjoint_sets,
@@ -145,17 +145,18 @@ def test_full_enumeration_under_five_seconds():
     assert time.perf_counter() - start < 5.0
 
 
-# sha256 of _tables_text(degree), recorded when the tables were still built
-# through Fraction arithmetic
+# sha256 of _tables_text(degree), recorded from the tables as they were
+# built before the pairing-row tables were removed; those tables in turn
+# matched the ones built through Fraction arithmetic
 TABLE_DIGESTS = {
-    1: "18ebd304210f0b137a683651ca91e2a97d54e1aedc928c16863cf490105b4d80",
-    2: "74ea65ef991e091b724a59edec26517c5e7d9631d501e91fdcd122ab3a0f9b23",
-    3: "ce14409c1ad77d9bfbc5c3d2ef7c013d9d5ed329015ce899f974089511cb6306",
-    4: "2207483015b0cbb5288fff5ac8340c74f9a784c02bed368168f1b7f6970691d1",
-    5: "c8a4c0d98111dfc4c788995a145f80fddc13c8de250b9c2a2f3696ed4fbe5852",
-    6: "01d96bb9a330add3f978d6cb539a974370aa25aaaec0d12dd76814fec16a7dfb",
-    7: "ad1a183016160d081996c276690cf44cdd10fcd6a5ee85213fd49ce0b117a4d8",
-    8: "c2696245186db5e7e95b338c3f6e81e78cc7a204725b95f97eef2f6979e14465",
+    1: "bcb795c6e3639e5a927fdd1c7c30e50f1885a7e879d8097bc8cdb0ea03a2feba",
+    2: "455b367658c7cabdb62abfbe046682de3f4cc32b83fbce8ee4dbb841fabf4d3a",
+    3: "4695293fe1b91eb030c9f1d5073ba631729fe6c1dcedc9384eade2e48ced0f5a",
+    4: "e0d2c9bf6cbc9b287cfba8a0fdb34533935019f0f0c2e789f79511779d1aa480",
+    5: "141001e5a895ecc656aafe9811e5857cc532efc9bcc7f65b4d88e4730a2ae6f8",
+    6: "da0da10bdf98151bf4f36ae145711becc0b2abbcb22cc489fc53229cc511d941",
+    7: "67ae333eb79834e30b33227c4b2fecc883354a290c4352d3e06c920b706d3f3e",
+    8: "d9860470866355b0c9e286f2f5f18cca829913cc0bf06094c9f43e9175674ffe",
 }
 
 
@@ -165,12 +166,10 @@ def _tables_text(degree):
     sections = {
         "lines": minus_one_curves(s),
         "fibers": fiber_classes(s),
-        "curve_table": _curve_table(degree),
         "line_index": _line_index(degree),
         "fiber_index": _fiber_index(degree),
         "line_index_values": _line_index(degree).values(),
         "fiber_index_values": _fiber_index(degree).values(),
-        "mori_table": _mori_table(degree),
         "mu_rows": _mu_rows(degree),
     }
     return "\n".join(
@@ -189,6 +188,16 @@ def test_tables_are_pinned(degree):
     s = SurfaceModel(degree)
     for c in minus_one_curves(s) + fiber_classes(s):
         assert all(type(x) is Fraction for x in (c.h, *c.e))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_disjoint_masks_match_fraction_intersections(degree):
+    s = SurfaceModel(degree)
+    lines = minus_one_curves(s)
+    expected = tuple(
+        sum(1 << j for j, d in enumerate(lines) if intersect(c, d, s) == 0) for c in lines
+    )
+    assert _disjoint_masks(degree) == expected
 
 
 def test_table_rows_are_checked_over_ints():

@@ -75,3 +75,27 @@ def test_library_reads_no_environment_and_starts_no_processes():
         if banned.intersection(names):
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # every name a module imports is used in it; the package's __init__
+    # re-exports, and a line marked "noqa: F401" is a deliberate re-export
+    found = []
+    for path in sorted(Path(kstab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
