@@ -38,7 +38,6 @@ from .lattice import (
     Rational,
     SurfaceModel,
     anticanonical,
-    basis_exceptional,
     canonical,
     div,
     intersect,
@@ -344,13 +343,7 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
 def _face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     """face_decompose for an ample class in degree at most 7."""
     w = l + canonical(s)
-    if w.is_zero():
-        base = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
-        data = ContractionData(
-            KIND_TO_P2, Fraction(0), (Fraction(0),) * s.r, base, None
-        )
-    else:
-        data = _face_data(w, s)
+    data = _face_data(w, s)
     if data is None:
         if _mu(l, s) != 1:
             raise DomainError("face decomposition needs a normalized class (mu = 1)")

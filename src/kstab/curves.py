@@ -24,55 +24,6 @@ from .errors import DomainError, InvariantError
 from .lattice import DivClass, SurfaceModel, div
 
 
-def _nonincreasing_tuples(length, lo, hi, total, sq_total):
-    """Nonincreasing integer tuples with fixed sum and fixed sum of squares."""
-    out = []
-
-    def rec(prefix, remaining, cap, t, q):
-        if remaining == 0:
-            if t == 0 and q == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(cap, t - lo * (remaining - 1)), lo - 1, -1):
-            # bounds: later entries are <= v and >= lo
-            rt = t - v
-            rq = q - v * v
-            if rq < 0:
-                continue
-            if rt > v * (remaining - 1) or rt < lo * (remaining - 1):
-                continue
-            # Cauchy-Schwarz: remaining sum of squares >= rt^2 / (remaining-1)
-            if remaining > 1 and rt * rt > rq * (remaining - 1):
-                continue
-            if remaining > 1 and rq > (remaining - 1) * max(v * v, lo * lo):
-                continue
-            rec(prefix + [v], remaining - 1, v, rt, rq)
-
-    rec([], length, hi, total, sq_total)
-    return out
-
-
-def _distinct_permutations(values):
-    """All distinct orderings of a multiset, in lexicographic order."""
-    values = sorted(values)
-    n = len(values)
-    out = []
-
-    def rec(prefix, pool):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        last = None
-        for i, v in enumerate(pool):
-            if v == last:
-                continue
-            last = v
-            rec(prefix + [v], pool[:i] + pool[i + 1 :])
-
-    rec([], values)
-    return out
-
-
 def _row_sort_key(row):
     """DivClass.sort_key of the class of an integer row, over ints."""
     return (row[0], tuple(-abs(x) for x in row[1:]), tuple(-x for x in row[1:]))
@@ -83,13 +34,23 @@ def _candidate_rows(r, heights, lo, square, anti_degree):
     sum(b_i) = 3h - anti_degree and sum(b_i^2) = h^2 - square: the
     integral classes of that square and that degree against -K."""
     for h in heights:
-        total = 3 * h - anti_degree
-        sq = h * h - square
-        if total * total > r * sq:
-            continue  # Cauchy-Schwarz on (b_i)
-        for multiset in _nonincreasing_tuples(r, lo, h, total, sq):
-            for perm in _distinct_permutations(multiset):
-                yield (h, *(-b for b in perm))
+
+        @lru_cache(maxsize=None)
+        def suffixes(n, total, sq):
+            """The tuples (-b_1, ..., -b_n) with each b_i in [lo, h], sum
+            total and square sum sq; a b_i is kept only when the rest can
+            still meet Cauchy-Schwarz, (total - b)^2 <= (n - 1)(sq - b^2)."""
+            if n == 0:
+                return ((),) if total == sq == 0 else ()
+            return tuple(
+                (-b, *rest)
+                for b in range(lo, h + 1)
+                if (total - b) ** 2 <= (n - 1) * (sq - b * b)
+                for rest in suffixes(n - 1, total - b, sq - b * b)
+            )
+
+        for row in suffixes(r, 3 * h - anti_degree, h * h - square):
+            yield (h, *row)
 
 
 def _checked_rows(rows, s: SurfaceModel, square, anti_degree, name):

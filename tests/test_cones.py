@@ -12,6 +12,7 @@ from kstab.cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
+    _face_data,
     ample_violation,
     face_decompose,
     is_ample,
@@ -161,6 +162,13 @@ def test_face_zero_case():
     assert data.a == (0, 0, 0, 0)
     assert data.curveE == tuple(basis_exceptional(s, i) for i in range(1, 5))
     assert data.curveC is None
+    # K + L = 0 takes the general search, whose first disjoint r-set is
+    # E_1, ..., E_r in every degree
+    for degree in range(1, 8):
+        s = SurfaceModel(degree)
+        base = tuple(basis_exceptional(s, i) for i in range(1, s.r + 1))
+        expect = ContractionData(KIND_TO_P2, Fraction(0), (Fraction(0),) * s.r, base, None)
+        assert face_decompose(anticanonical(s), s) == expect
 
 
 def test_face_plane_contraction_degree4():
@@ -208,6 +216,18 @@ def test_face_conic_zero_delta_degree7():
     assert data.a == (Fraction(1, 4),)
     assert data.curveE == (basis_line(s) - basis_exceptional(s, 1) - basis_exceptional(s, 2),)
     assert data.curveC == basis_line(s) - basis_exceptional(s, 1)
+
+
+def test_face_data_rejects_fiber_residuals_that_do_not_fit():
+    s = SurfaceModel(7)
+    e1, e2 = basis_exceptional(s, 1), basis_exceptional(s, 2)
+    h = basis_line(s)
+    # support H - E1 - E2; the residual -(1/3)(H - E1) is a negative
+    # multiple of the one fiber that misses the support
+    assert _face_data(Fraction(1, 2) * (h - e1 - e2) - Fraction(1, 3) * (h - e1), s) is None
+    # support E2; the residual (1/3)(H - E1) + (1/5)E1 is no multiple of a
+    # fiber missing E2
+    assert _face_data(Fraction(1, 2) * e2 + Fraction(1, 3) * (h - e1) + Fraction(1, 5) * e1, s) is None
 
 
 _NOT_NORMALIZED = "face decomposition needs a normalized class"

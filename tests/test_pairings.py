@@ -15,8 +15,7 @@ import pytest
 
 from kstab.cones import _section_curve, ample_violation, is_nef, mori_generators
 from kstab.curves import (
-    _distinct_permutations,
-    _nonincreasing_tuples,
+    _candidate_rows,
     disjoint_sets,
     fiber_classes,
     integer_row,
@@ -76,6 +75,59 @@ def _section_curve_oracle(subset, fib, s):
         if intersect(v, fib, s) == 1 and all(intersect(v, c, s) == 0 for c in subset):
             return v
     return None
+
+
+# The multiset search and its permutations that _candidate_rows replaced,
+# kept as the reference for the one bounded search.
+
+
+def _nonincreasing_tuples(length, lo, hi, total, sq_total):
+    """Nonincreasing integer tuples with fixed sum and fixed sum of squares."""
+    out = []
+
+    def rec(prefix, remaining, cap, t, q):
+        if remaining == 0:
+            if t == 0 and q == 0:
+                out.append(tuple(prefix))
+            return
+        for v in range(min(cap, t - lo * (remaining - 1)), lo - 1, -1):
+            # bounds: later entries are <= v and >= lo
+            rt = t - v
+            rq = q - v * v
+            if rq < 0:
+                continue
+            if rt > v * (remaining - 1) or rt < lo * (remaining - 1):
+                continue
+            # Cauchy-Schwarz: remaining sum of squares >= rt^2 / (remaining-1)
+            if remaining > 1 and rt * rt > rq * (remaining - 1):
+                continue
+            if remaining > 1 and rq > (remaining - 1) * max(v * v, lo * lo):
+                continue
+            rec(prefix + [v], remaining - 1, v, rt, rq)
+
+    rec([], length, hi, total, sq_total)
+    return out
+
+
+def _distinct_permutations(values):
+    """All distinct orderings of a multiset, in lexicographic order."""
+    values = sorted(values)
+    n = len(values)
+    out = []
+
+    def rec(prefix, pool):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        last = None
+        for i, v in enumerate(pool):
+            if v == last:
+                continue
+            last = v
+            rec(prefix + [v], pool[:i] + pool[i + 1 :])
+
+    rec([], values)
+    return out
 
 
 def _fiber_classes_oracle(degree):
@@ -233,6 +285,33 @@ def test_section_curve_matches_fraction_oracle(degree):
 @pytest.mark.parametrize("degree", range(2, 9))
 def test_fiber_classes_match_fraction_oracle(degree):
     assert fiber_classes(SurfaceModel(degree)) == _fiber_classes_oracle(degree)
+
+
+def _candidate_rows_oracle(r, heights, lo, square, anti_degree):
+    for h in heights:
+        total = 3 * h - anti_degree
+        sq = h * h - square
+        if total * total > r * sq:
+            continue
+        for multiset in _nonincreasing_tuples(r, lo, h, total, sq):
+            for perm in _distinct_permutations(multiset):
+                yield (h, *(-b for b in perm))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_candidate_rows_match_multiset_search(r):
+    # (heights, lo, square, degree against -K): the line and fiber searches,
+    # the roots and the classes of square 1 and degree 3
+    cases = [
+        (range(7), -1, -1, 1),
+        (range(1, (11 if r == 8 else 5) + 1), 0, 0, 2),
+        (range(4), -2, -2, 0),
+        (range(5), -1, 1, 3),
+    ]
+    for case in cases:
+        rows = list(_candidate_rows(r, *case))
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == set(_candidate_rows_oracle(r, *case))
 
 
 def test_degree1_fiber_classes():

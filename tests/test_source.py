@@ -99,3 +99,31 @@ def test_library_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_library_has_no_unused_private_definitions():
+    # every module-level private function, class or constant is loaded or
+    # imported somewhere in the library; a dead helper is deleted, not kept
+    defined, used = [], set()
+    for path in sorted(Path(kstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [f"{path.name}: {name}" for name in names if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert defined  # the scan sees the private helpers that are there
+    assert [d for d in defined if d.split(": ")[1] not in used] == []
