@@ -155,13 +155,6 @@ def test_mu_tight_and_bracketed():
 
 
 def test_face_zero_case():
-    s = SurfaceModel(5)
-    data = face_decompose(anticanonical(s), s)
-    assert data.kind == KIND_TO_P2
-    assert data.delta == 0
-    assert data.a == (0, 0, 0, 0)
-    assert data.curveE == tuple(basis_exceptional(s, i) for i in range(1, 5))
-    assert data.curveC is None
     # K + L = 0 takes the general search, whose first disjoint r-set is
     # E_1, ..., E_r in every degree
     for degree in range(1, 8):
