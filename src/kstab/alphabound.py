@@ -26,23 +26,22 @@ from .cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
-    _reconstruct_row,
     _section_curve,
+    reconstruct,
 )
-from .curves import (
+from .curves import _fiber_index, _line_index
+from .errors import DomainError, InvariantError
+from .lattice import (
+    DivClass,
+    Rational,
+    SurfaceModel,
     _anticanonical_row,
     _combine_rows,
-    _denominator,
-    _fiber_index,
-    _line_index,
+    _from_row,
     _row_dot,
     _row_less,
     _row_sum,
-    _same_class,
-    integer_row,
 )
-from .errors import DomainError, InvariantError
-from .lattice import DivClass, Rational, SurfaceModel, div
 
 # subset families for the improvement step, as index tuples into
 # (a2, a3, a4[, a5]); order matters: ties resolve to the earliest entry
@@ -114,20 +113,20 @@ def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     for cls, coeff in cert.divisor:
         if cls.rank != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
-        terms.append((integer_row(cls), Fraction(coeff, _denominator(cls))))
-    _check_identity(terms, (_denominator(l), integer_row(l)))
+        terms.append((cls.row, Fraction(coeff, cls.den)))
+    _check_identity(terms, l)
 
 
-def _check_identity(terms, l) -> None:
+def _check_identity(terms, l: DivClass) -> None:
     """sum(coeff * row) over (integer row, coeff) terms must equal the class
-    l = (D, D * l), compared as integers over a common denominator."""
-    if not _same_class(_combine_rows(terms), l):
+    l, summed as integers over a common denominator."""
+    if _from_row(*_combine_rows(terms)) != l:
         raise InvariantError("certificate divisor does not reconstruct the class")
 
 
-def _finish(parts, l, s) -> Certificate:
+def _finish(parts, l: DivClass, s) -> Certificate:
     """The certificate of (integer row, coefficient) parts, each row a
-    (-1)-curve; l is the (D, D * l) row of the class they must sum to."""
+    (-1)-curve; l is the class they must sum to."""
     lines = _line_index(s.degree)
     kept = []
     for row, coeff in parts:
@@ -147,7 +146,7 @@ def _finish(parts, l, s) -> Certificate:
 
 
 def _class_str(row) -> str:
-    return str(div(row[0], row[1:]))
+    return str(_from_row(1, row))
 
 
 def _as_line(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
@@ -213,7 +212,7 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
 
 
 def _plane_parts(s, cd):
-    es = cd.rowsE
+    es = tuple(e.row for e in cd.curveE)
     a = cd.a
     ell = _plane_pullback(s, es)
     if s.degree == 4:
@@ -246,8 +245,8 @@ def _plane_parts(s, cd):
 
 
 def _f1_parts(s, cd):
-    es = cd.rowsE
-    c = cd.rowC
+    es = tuple(e.row for e in cd.curveE)
+    c = cd.curveC.row
     a = cd.a
     delta = cd.delta
     v = _section_curve(es, c, s)
@@ -299,8 +298,8 @@ def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
 
 
 def _p1p1_parts(s, cd):
-    es = cd.rowsE
-    c = cd.rowC
+    es = tuple(e.row for e in cd.curveE)
+    c = cd.curveC.row
     a = cd.a
     delta = cd.delta
     g = _other_ruling(s, es, c)
@@ -369,7 +368,7 @@ def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
     """The lemma-prescribed effective decomposition for degree 4 to 7."""
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
-    l = _reconstruct_row(cd, s)
+    l = reconstruct(cd, s)
     if cd.kind == KIND_TO_P2:
         parts = _plane_parts(s, cd)
     elif cd.kind == KIND_CONIC_F1:
@@ -390,9 +389,9 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     and both routes must agree.
     """
     # l = row / den, so -K.l = (-K.row) / den and l^2 = (row.row) / den^2
-    den, row = _reconstruct_row(cd, s)
+    l = reconstruct(cd, s)
     slope = Fraction(
-        2 * den * _row_dot(_anticanonical_row(s), row), 3 * _row_dot(row, row)
+        2 * l.den * _row_dot(_anticanonical_row(s), l.row), 3 * _row_dot(l.row, l.row)
     )
     strict = cert.bound < slope
     equality = cert.bound == slope

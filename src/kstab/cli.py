@@ -27,6 +27,7 @@ from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
     SurfaceModel,
+    _ratio_str,
     anticanonical,
     basis_exceptional,
     basis_line,
@@ -121,11 +122,13 @@ def parse_input(document) -> tuple[SurfaceModel, DivClass]:
 
 
 def _class_to_json(c: DivClass) -> dict:
-    return {"h": rational_str(c.h), "e": [rational_str(-x) for x in c.e]}
+    h, *e = c.row
+    return {"h": _ratio_str(h, c.den), "e": [_ratio_str(-x, c.den) for x in e]}
 
 
 def _fmt_class(c: DivClass) -> str:
-    return f"({rational_str(c.h)}; {', '.join(rational_str(-x) for x in c.e)})"
+    h, *e = c.row
+    return f"({_ratio_str(h, c.den)}; {', '.join(_ratio_str(-x, c.den) for x in e)})"
 
 
 def _echo(s: SurfaceModel, l: DivClass) -> dict:

@@ -14,22 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .curves import (
-    _anticanonical_row,
-    _combine_rows,
-    _denominator,
     _disjoint_index_sets,
     _disjoint_masks,
     _fiber_index,
-    _integral_row,
     _line_index,
     _line_rows,
     _minus_one_curves,
-    _row_dot,
-    _row_sum,
-    integer_row,
     pairings,
 )
 from .errors import DomainError, InvariantError
@@ -37,9 +30,13 @@ from .lattice import (
     DivClass,
     Rational,
     SurfaceModel,
+    _anticanonical_row,
+    _combine_rows,
+    _from_row,
+    _row_dot,
+    _row_sum,
     anticanonical,
     canonical,
-    div,
     intersect,
     square,
 )
@@ -60,7 +57,7 @@ def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _mori_generators(degree: int) -> tuple[DivClass, ...]:
-    return tuple(div(row[0], row[1:]) for row in _mori_rows(degree))
+    return tuple(_from_row(1, row) for row in _mori_rows(degree))
 
 
 def mori_generators(s: SurfaceModel) -> list[DivClass]:
@@ -104,10 +101,6 @@ def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     return None
 
 
-def _coords(c: DivClass) -> tuple:
-    return (c.h,) + c.e
-
-
 @lru_cache(maxsize=None)
 def _mu_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     # the rows of the program in mu without their lambda entry: row k holds
@@ -127,14 +120,15 @@ def mu(l: DivClass, s: SurfaceModel) -> Rational:
 
 
 def _mu(l: DivClass, s: SurfaceModel) -> Rational:
-    """mu for a class already known to be ample; the check solve() makes
-    on these rows proves K + mu*l = sum(t_i * G_i) with every t_i >= 0."""
+    """mu for a class already known to be ample; posed on the row of
+    l = row / D, the program's optimum is mu / D, and the check solve()
+    makes proves K + (mu / D) * row = sum(t_i * G_i) with every t_i >= 0."""
     table = _mu_rows(s.degree)
-    rows = [(x, *row) for x, row in zip(_coords(l), table)]
+    rows = [(x, *row) for x, row in zip(l.row, table)]
     res = solve(lp([1] + [0] * len(table[0]), rows, _anticanonical_row(s)))
     if not isinstance(res, Optimal):
         raise InvariantError("the normalization program must have a finite optimum")
-    return res.value
+    return res.value * l.den
 
 
 def mu_bisect(
@@ -213,50 +207,35 @@ class ContractionData:
             classes.append(self.curveC)
         if not classes:
             return
-        degree = 9 - len(classes[0].e)
+        degree = 9 - classes[0].rank
         if not 1 <= degree <= 8:
             raise DomainError("contraction data has an invalid rank")
-        # membership is a lookup of the integer row (None when not integral)
-        lines = _line_index(degree)
-        for c, row in zip(self.curveE, self.rowsE):
-            if row not in lines:
+        # membership is a lookup of the class by its integer row: a class
+        # row / D with D > 1 shares its row with an integral class
+        lines, fibers = _line_index(degree), _fiber_index(degree)
+        for c in self.curveE:
+            if lines.get(c.row) != c:
                 raise DomainError(f"{c} is not an exceptional curve class")
-        if self.curveC is not None and self.rowC not in _fiber_index(degree):
+        if self.curveC is not None and fibers.get(self.curveC.row) != self.curveC:
             raise DomainError(f"{self.curveC} is not a fiber class")
-        rows = self.rowsE if self.curveC is None else self.rowsE + (self.rowC,)
+        rows = [c.row for c in classes]
         for i, u in enumerate(rows):
             for v in rows[i + 1 :]:
                 if _row_dot(u, v) != 0:
                     raise DomainError("contracted curves must be pairwise disjoint")
 
-    @cached_property
-    def rowsE(self) -> tuple:
-        """The integer rows of curveE (None for a class that is not integral)."""
-        return tuple(map(_integral_row, self.curveE))
 
-    @cached_property
-    def rowC(self) -> tuple[int, ...] | None:
-        """The integer row of curveC, or None."""
-        return None if self.curveC is None else _integral_row(self.curveC)
-
-
-def _reconstruct_row(data: ContractionData, s: SurfaceModel) -> tuple[int, tuple]:
-    """(D, D * l) for the class l = -K + delta*C + sum(a_i * E_i), as an
-    integer row over the least common denominator D of delta and the a_i."""
+def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
+    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes,
+    summed as integer rows over a common denominator."""
     terms = [(_anticanonical_row(s), 1)]
     if data.curveC is not None:
-        terms.append((data.rowC, data.delta))
-    terms += zip(data.rowsE, data.a)
+        terms.append((data.curveC.row, data.delta))
+    terms += ((c.row, a) for c, a in zip(data.curveE, data.a))
     rank = len(terms[-1][0]) - 1  # the curves share one rank
     if rank != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {rank}")
-    return _combine_rows(terms)
-
-
-def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
-    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes."""
-    den, row = _reconstruct_row(data, s)
-    return DivClass(Fraction(row[0], den), tuple(Fraction(x, den) for x in row[1:]))
+    return _from_row(*_combine_rows(terms))
 
 
 def _section_curve(rows, fib, s):
@@ -285,8 +264,8 @@ def _face_data(w, s):
     if len(support) > s.r:
         return None  # at most r (-1)-curves are pairwise disjoint
     # D * (w - sum(a_i E_i)), with a_i = -w.E_i
-    resid = _row_sum(integer_row(w), *([signs[i] * x for x in rows[i]] for i in support))
-    den = _denominator(w)
+    resid = _row_sum(w.row, *([signs[i] * x for x in rows[i]] for i in support))
+    den = w.den
     masks = _disjoint_masks(s.degree)
     allowed = sum(1 << j for j, p in enumerate(signs) if p == 0)
     for i in support:

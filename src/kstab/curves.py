@@ -7,21 +7,20 @@ is self-verifying rather than a transcribed table.
 The (-1)-curves and the fiber classes are searched as integer rows
 (h, e_1, ..., e_r).  Each row's defining identities are checked over ints,
 and a failure raises InvariantError.  The rows are sorted as their classes
-sort, and only then is each turned into a DivClass, whose coordinates are
-shared Fractions, one per small integer.  A fiber candidate that is the sum
-of two (-1)-curves meeting once is nef without a scan of the curve table.
-The indexes from rows to classes and the table of disjoint pairs of
-(-1)-curves are built from the cached rows.
+sort, and only then is each turned into a DivClass over denominator 1.  A
+fiber candidate that is the sum of two (-1)-curves meeting once is nef
+without a scan of the curve table.  The indexes from rows to classes and
+the table of disjoint pairs of (-1)-curves are built from the cached rows,
+and pairings signs a class's own integer row against such rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 from operator import mul, neg
 
 from .errors import DomainError, InvariantError
-from .lattice import DivClass, SurfaceModel, div
+from .lattice import DivClass, SurfaceModel, _anticanonical_row, _from_row, _row_dot, _row_sum
 
 
 def _row_sort_key(row):
@@ -59,7 +58,7 @@ def _checked_rows(rows, s: SurfaceModel, square, anti_degree, name):
     anti = _anticanonical_row(s)
     for row in rows:
         if _row_dot(row, row) != square or _row_dot(anti, row) != anti_degree:
-            raise InvariantError(f"{div(row[0], row[1:])} is not a {name} class")
+            raise InvariantError(f"{_from_row(1, row)} is not a {name} class")
     return tuple(sorted(rows, key=_row_sort_key))
 
 
@@ -113,12 +112,12 @@ def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _minus_one_curves(degree: int) -> tuple[DivClass, ...]:
-    return tuple(div(row[0], row[1:]) for row in _line_rows(degree))
+    return tuple(_from_row(1, row) for row in _line_rows(degree))
 
 
 @lru_cache(maxsize=None)
 def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
-    return tuple(div(row[0], row[1:]) for row in _fiber_rows(degree))
+    return tuple(_from_row(1, row) for row in _fiber_rows(degree))
 
 
 def minus_one_curves(s: SurfaceModel) -> list[DivClass]:
@@ -130,32 +129,6 @@ def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = 0, -K.C = 2, nonnegative against
     every curve from minus_one_curves."""
     return list(_fiber_classes(s.degree))
-
-
-def _denominator(w: DivClass) -> int:
-    """The least positive common denominator of w's coordinates."""
-    return lcm(w.h.denominator, *(a.denominator for a in w.e))
-
-
-def integer_row(w: DivClass) -> tuple[int, ...]:
-    """Numerators (h, e_1, ..., e_r) of w over its least positive common
-    denominator D; the coordinates themselves when w is integral."""
-    den = _denominator(w)
-    return tuple(x.numerator * (den // x.denominator) for x in (w.h, *w.e))
-
-
-# An integer row is the coordinate tuple (h, e_1, ..., e_r) of an integral
-# class h*H + sum(e_i E_i); the helpers below build, combine and pair rows
-# without creating Fractions.
-
-
-def _integral_row(c: DivClass) -> tuple[int, ...] | None:
-    """The coordinates (h, e_1, ..., e_r) of an integral class as ints, or
-    None when some coordinate is not an integer."""
-    coords = (c.h, *c.e)
-    if any(x.denominator != 1 for x in coords):
-        return None
-    return tuple(x.numerator for x in coords)
 
 
 @lru_cache(maxsize=None)
@@ -170,51 +143,18 @@ def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
     return dict(zip(_fiber_rows(degree), _fiber_classes(degree)))
 
 
-def _anticanonical_row(s: SurfaceModel) -> tuple[int, ...]:
-    return (3,) + (-1,) * s.r
-
-
-def _row_dot(u, v) -> int:
-    """The pairing u.v of two integer rows (h, e_1, ..., e_r)."""
-    return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
-
-
-def _row_sum(*rows) -> tuple[int, ...]:
-    return tuple(map(sum, zip(*rows)))
-
-
-def _row_less(base, *rows) -> tuple[int, ...]:
-    """base minus every one of rows."""
-    return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
-
-
-def _combine_rows(terms) -> tuple[int, tuple[int, ...]]:
-    """(D, D * sum(coeff * row)) over (integer row, rational coeff) terms,
-    with D > 0 the least common denominator of the coefficients."""
-    rows, coeffs = zip(*terms)
-    den = lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
-    return den, tuple(sum(map(mul, scaled, column)) for column in zip(*rows))
-
-
-def _same_class(x, y) -> bool:
-    """Whether (D, row) and (D', row') stand for the same class row / D."""
-    (dx, rx), (dy, ry) = x, y
-    return len(rx) == len(ry) and all(dy * p == dx * q for p, q in zip(rx, ry))
-
-
 def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
     """The integers D * m_c * (w.c), one per integer row (h, e_1, ..., e_r)
     of rows, in order.
 
-    D > 0 clears the denominators of w, and m_c > 0 those of the class c
-    behind the row (m_c = 1 for integral classes, as in the curve tables;
-    integer_row gives the row of any class), so each sign and each zero is
-    exactly that of the rational w.c.
+    D = w.den, and m_c > 0 clears the denominators of the class c behind
+    the row (m_c = 1 for integral classes, as in the curve tables; c.row is
+    the row of any class), so each sign and each zero is exactly that of
+    the rational w.c.
     """
-    if len(w.e) != s.r:
-        raise DomainError(f"class rank does not match surface: {len(w.e)} vs r={s.r}")
-    h, *e = integer_row(w)
+    if w.rank != s.r:
+        raise DomainError(f"class rank does not match surface: {w.rank} vs r={s.r}")
+    h, *e = w.row
     dual = (h, *map(neg, e))
     return [sum(map(mul, dual, row)) for row in rows]
 
@@ -237,7 +177,7 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
 
 def _zero_masks(classes, s: SurfaceModel) -> tuple[int, ...]:
     """Bit j of entry i is set when classes i and j pair to zero."""
-    rows = [integer_row(c) for c in classes]
+    rows = [c.row for c in classes]
     return tuple(
         sum(1 << j for j, p in enumerate(pairings(c, rows, s)) if p == 0) for c in classes
     )

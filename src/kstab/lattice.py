@@ -2,8 +2,9 @@
 
 Classes are written in the basis (H; E_1, ..., E_r): H is the pullback of a
 line, the E_i are the exceptional classes.  The pairing is
-a.h*b.h - sum(a.e_i*b.e_i).  All coordinates are exact rationals
-(fractions.Fraction, always lowest terms, positive denominator).
+a.h*b.h - sum(a.e_i*b.e_i).  A class is an integer row (h, e_1, ..., e_r)
+over one positive denominator, in lowest terms, and its arithmetic runs on
+ints.  The row helpers at the end are the one home of the row format.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 
 from .errors import DomainError
 
@@ -23,9 +26,9 @@ Rational = Fraction
 MAX_DIGITS = 200
 _TOO_LARGE = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
-# One shared Fraction per small integer, among them every coordinate of the
-# curve tables (h in 0..11, e_i in -11..1); a lookup costs far less than
-# building a Fraction.
+# One shared Fraction per small integer: rational() coerces each coordinate
+# div is given and each scalar a class is multiplied by, and most of them
+# are small ints; a lookup costs far less than building a Fraction.
 _SMALL = {n: Fraction(n) for n in range(-11, 12)}
 
 
@@ -75,9 +78,7 @@ def rational(value) -> Fraction:
 def rational_str(q: Fraction) -> str:
     """Serialize as "p/q", or "n" when integral."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _ratio_str(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -95,43 +96,66 @@ class SurfaceModel:
         return 9 - self.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class DivClass:
-    h: Fraction
-    e: tuple[Fraction, ...]
+    """The class row / den, row = (h, e_1, ..., e_r) of ints, den > 0 and
+    gcd(den, *row) == 1: equal classes have equal fields.  DivClass(h, e)
+    takes int or Fraction coordinates, and h and e build Fractions."""
+
+    den: int
+    row: tuple[int, ...]
+
+    def __init__(self, h, e):
+        coords = (h, *e)
+        den = lcm(*(x.denominator for x in coords))
+        row = tuple(x.numerator * (den // x.denominator) for x in coords)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "row", row)
+
+    @property
+    def h(self) -> Fraction:
+        return Fraction(self.row[0], self.den)
+
+    @property
+    def e(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.row[1:])
 
     @property
     def rank(self) -> int:
-        return len(self.e)
+        return len(self.row) - 1
 
-    def _check(self, other: "DivClass") -> None:
-        if len(self.e) != len(other.e):
-            raise DomainError(
-                f"rank mismatch: {len(self.e)} vs {len(other.e)}"
-            )
+    def _combine(self, other: "DivClass", op) -> "DivClass":
+        """op(self, other) for op add or sub, over a common denominator."""
+        if len(self.row) != len(other.row):
+            raise DomainError(f"rank mismatch: {self.rank} vs {other.rank}")
+        a, b = self.den, other.den
+        if a == b:
+            return _from_row(a, tuple(map(op, self.row, other.row)))
+        den = lcm(a, b)
+        fa, fb = den // a, den // b
+        return _from_row(den, tuple(op(fa * x, fb * y) for x, y in zip(self.row, other.row)))
 
     def __add__(self, other: "DivClass") -> "DivClass":
-        self._check(other)
-        return DivClass(self.h + other.h, tuple(a + b for a, b in zip(self.e, other.e)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "DivClass") -> "DivClass":
-        self._check(other)
-        return DivClass(self.h - other.h, tuple(a - b for a, b in zip(self.e, other.e)))
+        return self._combine(other, sub)
 
     def __neg__(self) -> "DivClass":
-        return DivClass(-self.h, tuple(-a for a in self.e))
+        return _from_row(self.den, tuple(map(neg, self.row)))
 
     def __mul__(self, scalar) -> "DivClass":
         c = rational(scalar)
-        return DivClass(self.h * c, tuple(a * c for a in self.e))
+        n = c.numerator
+        return _from_row(self.den * c.denominator, tuple(n * x for x in self.row))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self.h == 0 and all(a == 0 for a in self.e)
+        return not any(self.row)
 
     def is_integral(self) -> bool:
-        return self.h.denominator == 1 and all(a.denominator == 1 for a in self.e)
+        return self.den == 1
 
     def sort_key(self):
         # h first, then multiplicity at earlier points first, sign as tiebreak;
@@ -139,8 +163,27 @@ class DivClass:
         return (self.h, tuple(-abs(a) for a in self.e), tuple(-a for a in self.e))
 
     def __str__(self) -> str:
-        es = ", ".join(rational_str(a) for a in self.e)
-        return f"({rational_str(self.h)}; {es})"
+        h, *e = (_ratio_str(x, self.den) for x in self.row)
+        return f"({h}; {', '.join(e)})"
+
+
+def _from_row(den: int, row: tuple[int, ...]) -> DivClass:
+    """The class row / den for den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            den //= g
+            row = tuple(x // g for x in row)
+    c = object.__new__(DivClass)
+    object.__setattr__(c, "den", den)
+    object.__setattr__(c, "row", row)
+    return c
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """rational_str of num / den for den > 0, without a Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def div(h, e) -> DivClass:
@@ -149,14 +192,11 @@ def div(h, e) -> DivClass:
 
 
 def intersect(a: DivClass, b: DivClass, s: SurfaceModel) -> Fraction:
-    if len(a.e) != s.r or len(b.e) != s.r:
+    if len(a.row) != s.r + 1 or len(b.row) != s.r + 1:
         raise DomainError(
-            f"class rank does not match surface: {len(a.e)}, {len(b.e)} vs r={s.r}"
+            f"class rank does not match surface: {a.rank}, {b.rank} vs r={s.r}"
         )
-    acc = a.h * b.h
-    for x, y in zip(a.e, b.e):
-        acc -= x * y
-    return acc
+    return Fraction(_row_dot(a.row, b.row), a.den * b.den)
 
 
 def square(a: DivClass, s: SurfaceModel) -> Fraction:
@@ -165,25 +205,55 @@ def square(a: DivClass, s: SurfaceModel) -> Fraction:
 
 def canonical(s: SurfaceModel) -> DivClass:
     """K = -3H + sum(E_i)."""
-    return DivClass(Fraction(-3), tuple(Fraction(1) for _ in range(s.r)))
+    return _from_row(1, (-3,) + (1,) * s.r)
 
 
 def anticanonical(s: SurfaceModel) -> DivClass:
-    return -canonical(s)
+    return _from_row(1, _anticanonical_row(s))
 
 
 def zero_class(s: SurfaceModel) -> DivClass:
-    return DivClass(Fraction(0), tuple(Fraction(0) for _ in range(s.r)))
+    return _from_row(1, (0,) * (s.r + 1))
 
 
 def basis_line(s: SurfaceModel) -> DivClass:
-    return DivClass(Fraction(1), tuple(Fraction(0) for _ in range(s.r)))
+    return _from_row(1, (1,) + (0,) * s.r)
 
 
 def basis_exceptional(s: SurfaceModel, i: int) -> DivClass:
     """E_i for i in 1..r."""
     if not 1 <= i <= s.r:
         raise DomainError(f"exceptional index {i} out of 1..{s.r}")
-    return DivClass(
-        Fraction(0), tuple(Fraction(1 if j == i - 1 else 0) for j in range(s.r))
-    )
+    return _from_row(1, tuple(int(j == i) for j in range(s.r + 1)))
+
+
+# An integer row (h, e_1, ..., e_r) holds the coordinates of an integral
+# class, or of a class times a common denominator; the helpers below build,
+# combine and pair rows without creating Fractions.
+
+
+def _anticanonical_row(s: SurfaceModel) -> tuple[int, ...]:
+    return (3,) + (-1,) * s.r
+
+
+def _row_dot(u, v) -> int:
+    """The pairing u.v of two integer rows (h, e_1, ..., e_r)."""
+    return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
+
+
+def _row_sum(*rows) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*rows)))
+
+
+def _row_less(base, *rows) -> tuple[int, ...]:
+    """base minus every one of rows."""
+    return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
+
+
+def _combine_rows(terms) -> tuple[int, tuple[int, ...]]:
+    """(D, D * sum(coeff * row)) over (integer row, rational coeff) terms,
+    with D > 0 the least common denominator of the coefficients."""
+    rows, coeffs = zip(*terms)
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
+    return den, tuple(sum(map(mul, scaled, column)) for column in zip(*rows))

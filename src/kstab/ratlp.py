@@ -209,23 +209,21 @@ def _check_ray(prog, ray):
 def cone_member(target: DivClass, generators) -> tuple[Fraction, ...] | None:
     """Nonnegative coordinates of target in the span of generators, or None.
 
-    The program's rows are the generator coordinates, so the check solve()
-    makes on its point is the substitution target == sum(t_i * G_i), t >= 0.
+    The program is posed on the integer rows of G_i = row_i / d_i and of
+    target = row / D, so the check solve() makes on its point u is the
+    substitution target == sum(t_i * G_i), t >= 0, with t_i = u_i * d_i / D.
     """
     generators = list(generators)
-    if any(len(g.e) != len(target.e) for g in generators):
+    if any(g.rank != target.rank for g in generators):
         raise DomainError("generator rank does not match target")
     if target.is_zero():
         return tuple(_ZERO for _ in generators)
     if not generators:
         return None
-    coords = [target.h] + list(target.e)
-    rows = []
-    for i in range(len(coords)):
-        rows.append(tuple(g.h if i == 0 else g.e[i - 1] for g in generators))
-    res = solve(lp(objective=[0] * len(generators), lhs=rows, rhs=coords))
+    rows = list(zip(*(g.row for g in generators)))
+    res = solve(lp(objective=[0] * len(generators), lhs=rows, rhs=target.row))
     if isinstance(res, Infeasible):
         return None
     if not isinstance(res, Optimal):
         raise InvariantError("a zero objective cannot be unbounded")
-    return res.point
+    return tuple(u * g.den / target.den if u else u for u, g in zip(res.point, generators))

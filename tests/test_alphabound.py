@@ -27,7 +27,7 @@ from kstab.cones import (
     ContractionData,
     face_decompose,
 )
-from kstab.curves import fiber_classes, integer_row, minus_one_curves
+from kstab.curves import fiber_classes, minus_one_curves
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
@@ -440,13 +440,13 @@ def test_row_lookups_name_the_class():
         _as_fiber((1, -1, -1, 0), s, "the test fiber")
     assert str(err.value) == "the test fiber realized as (1; -1, -1, 0) is not a fiber class"
     for c in minus_one_curves(s):
-        assert _as_line(integer_row(c), s, "a line") == integer_row(c)
+        assert _as_line(c.row, s, "a line") == c.row
         with pytest.raises(InvariantError):
-            _as_fiber(integer_row(c), s, "a line")
+            _as_fiber(c.row, s, "a line")
     for c in fiber_classes(s):
-        assert _as_fiber(integer_row(c), s, "a fiber") == integer_row(c)
+        assert _as_fiber(c.row, s, "a fiber") == c.row
         with pytest.raises(InvariantError):
-            _as_line(integer_row(c), s, "a fiber")
+            _as_line(c.row, s, "a fiber")
 
 
 def test_pullback_and_second_ruling_must_be_integral():

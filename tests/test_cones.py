@@ -322,8 +322,7 @@ def test_contraction_data_messages():
             ContractionData(*args)
         assert str(err.value) == message
     good = ContractionData(KIND_CONIC_F1, half, (half,), (e1,), h - e2)
-    assert good.rowsE == ((0, 1, 0),)
-    assert good.rowC == (1, 0, -1)
+    assert [c.row for c in good.curveE] == [(0, 1, 0)] and good.curveC.row == (1, 0, -1)
 
 
 def _random_class(rng, s, denom=6, lo=-3, hi=3):

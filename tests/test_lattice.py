@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from kstab.lattice import (
     rational,
     rational_str,
     square,
+    zero_class,
 )
 
 
@@ -123,6 +125,11 @@ def test_componentwise_arithmetic():
     assert 3 * a == div("3/2", ["3", "-2"])
     assert -a == div("-1/2", ["-1", "2/3"])
     assert str(a) == "(1/2; 1, -2/3)"
+    # one class, one representation: the fields are in lowest terms
+    half = div("2/4", ["4/2", "0"])
+    assert half == DivClass(Fraction(1, 2), (Fraction(2), Fraction(0)))
+    assert hash(half) == hash(DivClass(Fraction(1, 2), (Fraction(2), Fraction(0))))
+    assert (half.den, half.row) == (2, (1, 4, 0))
 
 
 small_rationals = st.fractions(
@@ -144,3 +151,10 @@ def test_bilinearity_and_symmetry(xs, ys, zs):
     assert intersect(a + b, c, s) == intersect(a, c, s) + intersect(b, c, s)
     assert intersect(a, b, s) == intersect(b, a, s)
     assert intersect(2 * a, b, s) == 2 * intersect(a, b, s)
+    # the representation: row / den in lowest terms, read back exactly
+    for x in (a, b, c, a + b, a - b, -a, Fraction(3, 4) * a, 0 * a):
+        assert x.den > 0 and gcd(x.den, *x.row) == 1
+    assert a.h == xs[0] and a.e == tuple(xs[1:]) + (0,)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a - a == zero_class(s) == 0 * b and zero_class(s).den == 1
+    assert intersect(a, b, s) == a.h * b.h - sum(x * y for x, y in zip(a.e, b.e))

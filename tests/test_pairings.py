@@ -18,7 +18,6 @@ from kstab.curves import (
     _candidate_rows,
     disjoint_sets,
     fiber_classes,
-    integer_row,
     minus_one_curves,
     negative_curves,
     pairings,
@@ -186,10 +185,10 @@ def test_pairings_are_scaled_fraction_pairings():
     for d in range(1, 9):
         s = SurfaceModel(d)
         lines = minus_one_curves(s)
-        table = [integer_row(c) for c in lines]
+        table = [c.row for c in lines]
         for w in _random_classes(rng, s, 12):
             den = lcm(*(x.denominator for x in (w.h, *w.e)))
-            assert integer_row(w) == tuple(x * den for x in (w.h, *w.e))
+            assert w.den == den and w.row == tuple(x * den for x in (w.h, *w.e))
             assert pairings(w, table, s) == [intersect(w, c, s) * den for c in lines]
 
 
@@ -225,7 +224,7 @@ def test_sign_tests_reject_rank_mismatch():
     with pytest.raises(DomainError):
         disjoint_sets(minus_one_curves(s)[:3] + [wrong], 2, s)
     with pytest.raises(DomainError):
-        pairings(wrong, [integer_row(c) for c in minus_one_curves(s)], s)
+        pairings(wrong, [c.row for c in minus_one_curves(s)], s)
 
 
 @pytest.mark.parametrize("degree", range(1, 9))
@@ -275,9 +274,9 @@ def test_section_curve_matches_fraction_oracle(degree):
         for k in range(0, s.r):
             subsets = disjoint_sets(missing, k, s)
             for subset in rng.sample(subsets, min(len(subsets), 6)):
-                got = _section_curve(list(map(integer_row, subset)), integer_row(fib), s)
+                got = _section_curve([c.row for c in subset], fib.row, s)
                 expect = _section_curve_oracle(subset, fib, s)
-                assert got == (None if expect is None else integer_row(expect))
+                assert got == (None if expect is None else expect.row)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
 

@@ -209,6 +209,17 @@ def test_cone_member_stated_sum():
     for t, g in zip(coeffs, curves):
         acc = acc + t * g
     assert acc == target
+    # generators and a target over denominators > 1: the program runs on
+    # their integer rows, and each coefficient is scaled back by g.den / D
+    e1, line, e2 = div(0, [1, 0]), div(1, [-1, -1]), div(0, [0, 1])
+    gens = [Fraction(1, 2) * e1, Fraction(1, 3) * line, Fraction(1, 4) * e2]
+    assert [g.den for g in gens] == [2, 3, 4]
+    target = Fraction(2, 7) * e1 + Fraction(3, 5) * line
+    assert target.den == 35
+    coeffs = cone_member(target, gens)
+    assert coeffs == (Fraction(4, 7), Fraction(9, 5), 0)
+    assert sum((t * g for t, g in zip(coeffs, gens)), zero_class(s)) == target
+    assert cone_member(-target, gens) is None
 
 
 def test_cone_member_no():

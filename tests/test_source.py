@@ -127,3 +127,28 @@ def test_library_has_no_unused_private_definitions():
                 used.update(alias.name for alias in node.names)
     assert defined  # the scan sees the private helpers that are there
     assert [d for d in defined if d.split(": ")[1] not in used] == []
+
+
+_ROW_HELPERS = {"_row_dot", "_row_sum", "_row_less", "_combine_rows", "_anticanonical_row"}
+
+
+def test_row_helpers_live_only_in_lattice():
+    # the integer-row format has one home: no other module defines these
+    homes = {
+        (path.name, node.name)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef) and node.name in _ROW_HELPERS
+    }
+    assert homes == {("lattice.py", name) for name in _ROW_HELPERS}
+
+
+def test_is_nef_lp_stays_independent_of_is_nef():
+    # is_nef_lp cross-checks is_nef, so it shares none of is_nef's sign
+    # test: its objective comes from intersect, not from the row tables
+    path = Path(kstab.__file__).parent / "cones.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "is_nef_lp"]
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert "intersect" in names  # the scan sees the names that are there
+    assert names.isdisjoint({"pairings", "_mori_rows", "_line_rows", "is_nef"})
