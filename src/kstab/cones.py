@@ -73,12 +73,16 @@ def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
 def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
     """Linear-programming route to the nefness predicate.
 
-    Minimizes dv.G over convex combinations of the cone generators; dv is
-    nef exactly when that minimum is nonnegative.  Kept alongside is_nef
-    so the two implementations can cross-check each other.
+    Minimizes D * (dv.G) over convex combinations of the cone generators
+    G, with D = dv.den > 0; the generators are integral, so each D * (dv.G)
+    is the int pairing of the rows, and dv is nef exactly when that
+    minimum is nonnegative.  Kept alongside is_nef so the two
+    implementations can cross-check each other.
     """
+    if dv.rank != s.r:
+        raise DomainError(f"class rank does not match surface: {dv.rank} vs r={s.r}")
     gens = _mori_generators(s.degree)
-    products = [intersect(dv, g, s) for g in gens]
+    products = [_row_dot(dv.row, g.row) for g in gens]
     res = solve(lp(products, [[1] * len(gens)], [1]))
     if not isinstance(res, Optimal):
         raise InvariantError("minimum over a simplex must be attained")

@@ -1,20 +1,21 @@
-"""Exact two-phase simplex over standard-form programs, and rational cone
-membership.
+"""Exact two-phase simplex over integer standard-form programs, and rational
+cone membership.
 
 A program is
 
     minimize    c . x
-    subject to  lhs . x == rhs,  x >= 0.
+    subject to  lhs . x == rhs,  x >= 0
 
-Primal simplex with Bland's least-index pivot rule, which rules out
-cycling, so every call terminates.  The tableau rows are integer multiples
-of the exact rational rows, so no Fraction is built while pivoting.
-Problem sizes here are tiny (at most ~250 columns, ~10 rows), so a dense
-tableau is the right data structure.
+with int entries.  Primal simplex with Bland's least-index pivot rule,
+which rules out cycling, so every call terminates.  The tableau rows are
+integer multiples of the exact rational rows, so no Fraction is built
+while pivoting.  Problem sizes here are tiny (at most ~250 columns, ~10
+rows), so a dense tableau is the right data structure.
 
-solve() returns Optimal(value, point), Infeasible() or Unbounded(ray), and
-checks any point or ray once, exactly, on the entries (ints or Fractions)
-as the caller gave them; a failure there is a solver bug and raises
+solve() returns Optimal(value, point) or Infeasible(); a program whose
+objective is unbounded below raises DomainError, as no caller poses one.
+solve() checks each optimal point once, exactly, on the entries as the
+caller gave them; a failure there is a solver bug and raises
 InvariantError.  Callers rely on that check and do not repeat it.
 """
 
@@ -23,23 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError, InvariantError
 from .lattice import DivClass
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize objective . x subject to lhs . x == rhs and x >= 0, with
-    int or Fraction entries; solve() checks its answer on them as given."""
+    int entries only: solve() pivots on them as given, with no conversion.
+    solve() returns Optimal or Infeasible, and raises DomainError when the
+    objective is unbounded below."""
 
-    objective: tuple[int | Fraction, ...]
-    lhs: tuple[tuple[int | Fraction, ...], ...]
-    rhs: tuple[int | Fraction, ...]
+    objective: tuple[int, ...]
+    lhs: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.lhs) != len(self.rhs):
@@ -59,24 +61,13 @@ class Infeasible:
     pass
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
-
-
 def lp(objective, lhs, rhs) -> LinearProgram:
-    """A LinearProgram from sequences of ints or Fractions, kept as given."""
+    """A LinearProgram from sequences of ints, kept as given."""
     return LinearProgram(tuple(objective), tuple(map(tuple, lhs)), tuple(rhs))
 
 
-# reduce(), not lcm(*row) or gcd(*row): on CPython 3.11 the star calls left
-# the process holding about 1 MB more memory after a few thousand solves
-def _integers(row) -> list[int]:
-    """The least positive integral multiple of a row of ints or Fractions."""
-    den = reduce(lcm, (a.denominator for a in row))
-    return [a.numerator * (den // a.denominator) for a in row]
-
-
+# reduce(), not gcd(*row): on CPython 3.11 the star call left the process
+# holding about 1 MB more memory after a few thousand solves
 def _eliminate(row, prow, col) -> list[int]:
     """row - (row[col] / prow[col]) * prow, scaled by a positive integer
     into lowest terms; prow[col] > 0."""
@@ -107,12 +98,13 @@ def _price(cost, rows, basis) -> list[int]:
     return cost
 
 
-def _run_simplex(rows, cost, basis, ncols):
-    """Minimize cost over the tableau.  Returns 'optimal' or ('unbounded', pc)."""
+def _run_simplex(rows, cost, basis, ncols) -> bool:
+    """Minimize cost over the tableau.  True at an optimum, False when an
+    improving column has no positive entry: the cost is unbounded below."""
     while True:
         pc = next((j for j in range(ncols) if cost[j] < 0), -1)
         if pc < 0:
-            return "optimal", -1
+            return True
         # least ratio row[-1] / row[pc] over row[pc] > 0, ties to the least
         # basic index; the ratios compare by cross-multiplying
         pr = -1
@@ -126,12 +118,13 @@ def _run_simplex(rows, cost, basis, ncols):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
                     pr = i
         if pr < 0:
-            return "unbounded", pc
+            return False
         _pivot(rows, cost, basis, pr, pc)
 
 
 def solve(prog: LinearProgram):
-    """Two-phase simplex on a tableau of integer rows.
+    """Two-phase simplex on a tableau of integer rows: Optimal or
+    Infeasible, or DomainError when the objective is unbounded below.
 
     Each row is a positive multiple of the exact rational tableau row, so
     every sign and ratio, hence every pivot, is that of the rational
@@ -141,18 +134,18 @@ def solve(prog: LinearProgram):
     ncols = len(prog.objective)
     nrows = len(prog.lhs)
 
-    # phase 1: one artificial per row, rhs made nonnegative first
+    # phase 1: the program's rows, each with its rhs made nonnegative, and
+    # one artificial per row
     rows = []
     for i, (row, b) in enumerate(zip(prog.lhs, prog.rhs)):
         art = [0] * nrows
         art[i] = 1
         if b < 0:
             row, b = [-a for a in row], -b
-        rows.append(_integers([*row, *art, b]))
+        rows.append([*row, *art, b])
     basis = list(range(ncols, ncols + nrows))
     cost = _price([0] * ncols + [1] * nrows + [0], rows, basis)
-    status, _ = _run_simplex(rows, cost, basis, ncols + nrows)
-    if status != "optimal":
+    if not _run_simplex(rows, cost, basis, ncols + nrows):
         raise InvariantError("phase 1 is bounded below by 0 yet came back unbounded")
     if cost[-1] != 0:
         return Infeasible()
@@ -170,16 +163,9 @@ def solve(prog: LinearProgram):
     basis = [basis[i] for i in keep]
 
     # phase 2: price the real objective for the current basis
-    cost = _price(_integers([*prog.objective, 0]), rows, basis)
-    status, pc = _run_simplex(rows, cost, basis, ncols)
-
-    if status == "unbounded":
-        ray = [_ZERO] * ncols
-        ray[pc] = _ONE
-        for row, bi in zip(rows, basis):
-            ray[bi] = Fraction(-row[pc], row[bi])
-        _check_ray(prog, ray)
-        return Unbounded(ray=tuple(ray))
+    cost = _price([*prog.objective, 0], rows, basis)
+    if not _run_simplex(rows, cost, basis, ncols):
+        raise DomainError("the objective is unbounded below on the feasible set")
 
     point = [_ZERO] * ncols
     for row, bi in zip(rows, basis):
@@ -195,15 +181,6 @@ def _check_point(prog, point):
             raise InvariantError(f"simplex produced an infeasible point: {point}")
     if any(x < 0 for x in point):
         raise InvariantError(f"simplex violated a sign constraint: {point}")
-
-
-def _check_ray(prog, ray):
-    if sum(c * x for c, x in zip(prog.objective, ray)) >= 0:
-        raise InvariantError("unbounded ray does not improve the objective")
-    if any(sum(a * x for a, x in zip(row, ray)) != 0 for row in prog.lhs):
-        raise InvariantError("unbounded ray leaves the feasible cone")
-    if any(x < 0 for x in ray):
-        raise InvariantError("unbounded ray violates a sign constraint")
 
 
 def cone_member(target: DivClass, generators) -> tuple[Fraction, ...] | None:
@@ -224,6 +201,4 @@ def cone_member(target: DivClass, generators) -> tuple[Fraction, ...] | None:
     res = solve(lp(objective=[0] * len(generators), lhs=rows, rhs=target.row))
     if isinstance(res, Infeasible):
         return None
-    if not isinstance(res, Optimal):
-        raise InvariantError("a zero objective cannot be unbounded")
     return tuple(u * g.den / target.den if u else u for u, g in zip(res.point, generators))

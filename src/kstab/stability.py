@@ -56,10 +56,15 @@ def nu(l: DivClass, s: SurfaceModel) -> Fraction:
     return intersect(anticanonical(s), l, s) / sq
 
 
+def _residual(s: SurfaceModel, l: DivClass, slope: Rational) -> DivClass:
+    """-K - (2/3) * slope * l for slope = nu(l): the class condition A
+    tests, and -K minus the normalized class."""
+    return anticanonical(s) - Fraction(2, 3) * slope * l
+
+
 def condition_a(l: DivClass, s: SurfaceModel) -> bool:
     """Whether -K - (2/3) nu(l) l is nef."""
-    residual = anticanonical(s) - Fraction(2, 3) * nu(l, s) * l
-    return is_nef(residual, s)
+    return is_nef(_residual(s, l, nu(l, s)), s)
 
 
 def normalize(l: DivClass, s: SurfaceModel) -> DivClass:
@@ -70,9 +75,8 @@ def normalize(l: DivClass, s: SurfaceModel) -> DivClass:
     return scaled
 
 
-def _epsilon(s: SurfaceModel, l_normalized: DivClass) -> Rational:
-    """The anticanonical pairing with the residual -K - l_normalized."""
-    r = anticanonical(s) - l_normalized
+def _epsilon(s: SurfaceModel, r: DivClass) -> Rational:
+    """The anticanonical pairing with the residual r = -K - l_normalized."""
     eps = intersect(anticanonical(s), r, s)
     if eps <= 0 and r != zero_class(s):
         raise InvariantError("nonpositive epsilon for a nontrivial residual")
@@ -91,14 +95,16 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
     violation = ample_violation(l, s)
     if violation is not None:
         raise DomainError(f"gamma bound needs an ample class: {violation}")
-    if not condition_a(l, s):
+    residual = _residual(s, l, nu(l, s))
+    if not is_nef(residual, s):
         raise DomainError("gamma bound needs the nef residual condition")
-    return _gamma(s, l)
+    return _gamma(s, residual)
 
 
-def _gamma(s: SurfaceModel, l: DivClass) -> Fraction:
-    """The gamma bound for an ample l in degree 1 or 2 satisfying condition A."""
-    eps = _epsilon(s, normalize(l, s))
+def _gamma(s: SurfaceModel, residual: DivClass) -> Fraction:
+    """The gamma bound in degree 1 or 2 for an ample l satisfying
+    condition A, from its nef residual -K - (2/3) nu(l) l."""
+    eps = _epsilon(s, residual)
     if s.degree == 1:
         gamma = Fraction(6, 5) if eps >= Fraction(1, 2) else 3 / (3 - eps)
     else:
@@ -145,9 +151,11 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
 
 
 def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
-    """verdict for a class already known to be ample."""
+    """verdict for a class already known to be ample; the slope and the
+    residual are computed once, for condition A and for gamma."""
     slope = nu(l, s)
-    cond = condition_a(l, s)
+    residual = _residual(s, l, slope)
+    cond = is_nef(residual, s)
     reply = partial(
         Verdict, condition_a=cond, nu=slope, alpha_lower=None, certificate=None
     )
@@ -164,7 +172,7 @@ def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
                 notes="the nef residual condition fails, so the low-degree "
                 "criterion does not apply",
             )
-        gamma = _gamma(s, l)
+        gamma = _gamma(s, residual)
         rescaled = gamma * Fraction(2, 3) * slope
         return reply(
             status=STATUS_MAIN,

@@ -295,6 +295,40 @@ def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
         assert len(calls) == 1, command
 
 
+def test_each_request_solves_one_integer_program(monkeypatch, capsys):
+    # mu is the one linear program on the request path, posed on int rows
+    from kstab import cones
+
+    programs = []
+    original = cones.solve
+
+    def recorded(prog):
+        programs.append(prog)
+        return original(prog)
+
+    monkeypatch.setattr(cones, "solve", recorded)
+    requests = []
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        fiber = basis_line(s) - basis_exceptional(s, s.r)
+        classes = (
+            F(5, 3) * (anticanonical(s) + F(1, 4) * basis_exceptional(s, 1)),
+            F(2, 7) * (anticanonical(s) + F(1, 2) * fiber),
+        )
+        commands = ("check", "alpha-bound", "mu") if 4 <= d <= 7 else ("mu",)
+        for l in classes:
+            doc = json.dumps({"degree": d, "L": cli._class_to_json(l)})
+            requests += [(command, doc) for command in commands]
+    for command, doc in requests:
+        programs.clear()
+        assert cli.main([command, "--json", "--L", doc]) == 0
+        capsys.readouterr()
+        assert len(programs) == 1, (command, doc)
+        (prog,) = programs
+        entries = [*prog.objective, *prog.rhs, *(a for row in prog.lhs for a in row)]
+        assert all(type(a) is int for a in entries), (command, doc)
+
+
 def test_main_example_cubic(capsys):
     assert cli.main(["example-cubic", "--x", "1/2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -138,6 +138,48 @@ def test_mu_nontrivial_value():
     assert mu(l, s) == Fraction(6, 7)
 
 
+def _weyl_mu(l):
+    """mu(l) by the Weyl group, sharing no code with the library: sort the
+    multiplicities b_i = -e_i of the row descending, then apply the Cremona
+    step (h, b1, b2, b3) += d while d = h - b1 - b2 - b3 < 0.  In that
+    chamber the nef classes H and H - E1 decide mu of the row, and
+    mu(row / den) = den * mu(row)."""
+    h, *b = l.row
+    b = sorted((-x for x in b), reverse=True)
+    while len(b) >= 3 and h - sum(b[:3]) < 0:
+        d = h - sum(b[:3])
+        h, b = h + d, sorted([x + d for x in b[:3]] + b[3:], reverse=True)
+    return l.den * max(Fraction(3, h), Fraction(2, h - b[0]))
+
+
+def _random_ample(rng, s, spread):
+    """A random ample class with multiplicities in 1..spread over a prime
+    denominator p > 1: h starts at the least value every (-1)-curve allows."""
+    b = [rng.randint(1, spread) for _ in range(s.r)]
+    bounds = [
+        sum(x * -e for x, e in zip(b, c.row[1:])) // c.row[0]
+        for c in minus_one_curves(s)
+        if c.row[0]
+    ]
+    h = max(bounds, default=0) + 1 + rng.randint(0, spread)
+    while not is_ample(div(h, [-x for x in b]), s):
+        h += 1
+    p = rng.choice([2, 3, 5, 7])
+    h += h % p == 0  # gcd(p, row) = 1, so the class keeps denominator p
+    return Fraction(1, p) * div(h, [-x for x in b])
+
+
+def test_mu_matches_the_weyl_chamber_oracle():
+    rng = random.Random(20261019)
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        for spread in (3, 10, 40):
+            for _ in range(16):
+                l = _random_ample(rng, s, spread)
+                assert l.den > 1 and is_ample(l, s)
+                assert mu(l, s) == _weyl_mu(l), (d, l)
+
+
 def test_mu_tight_and_bracketed():
     rng = random.Random(3)
     for d in (4, 6, 8):
@@ -338,6 +380,9 @@ def test_nef_routes_agree_on_random_classes():
         for _ in range(60):
             dv = _random_class(rng, s)
             assert is_nef(dv, s) == is_nef_lp(dv, s)
+    for nef in (is_nef, is_nef_lp):
+        with pytest.raises(DomainError):
+            nef(div(1, [0]), SurfaceModel(5))
 
 
 @settings(max_examples=40, derandomize=True)

@@ -144,11 +144,28 @@ def test_row_helpers_live_only_in_lattice():
 
 def test_is_nef_lp_stays_independent_of_is_nef():
     # is_nef_lp cross-checks is_nef, so it shares none of is_nef's sign
-    # test: its objective comes from intersect, not from the row tables
+    # test: its objective pairs the rows of the generator classes by
+    # _row_dot, not through pairings or the row tables
     path = Path(kstab.__file__).parent / "cones.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "is_nef_lp"]
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-    assert "intersect" in names  # the scan sees the names that are there
+    assert "_row_dot" in names  # the scan sees the names that are there
     assert names.isdisjoint({"pairings", "_mori_rows", "_line_rows", "is_nef"})
+
+
+def test_only_cones_imports_ratlp():
+    # the linear program has one home: cones poses every program the
+    # library solves, so taking mu off the simplex touches one module
+    importers = set()
+    for path, node in _library_nodes():
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [a.name for a in node.names]
+            if module.split(".")[-1] == "ratlp" or (module in ("", "kstab") and "ratlp" in names):
+                importers.add(path.name)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "ratlp" for a in node.names):
+                importers.add(path.name)
+    assert importers == {"cones.py"}

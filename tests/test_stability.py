@@ -198,6 +198,32 @@ def test_low_degree_verdict_tests_ampleness_and_residual_once(monkeypatch):
             assert v.alpha_lower == gamma_lower_bound(s, l)
 
 
+def test_verdict_computes_the_slope_once(monkeypatch):
+    # one residual -K - (2/3) nu(l) l serves condition A and gamma's epsilon
+    from kstab import stability
+
+    calls = []
+    original = stability.nu
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stability, "nu", counted)
+    rng = random.Random(31)
+    statuses = set()
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        for trial in range(3):
+            l = anticanonical(s)
+            for i in range(1, s.r + 1):
+                l = l + F(rng.randrange(0, 4) * trial, 32) * basis_exceptional(s, i)
+            calls.clear()
+            statuses.add(stability._verdict(s, F(3, 4) * l).status)
+            assert len(calls) == 1, d
+    assert STATUS_MAIN in statuses and STATUS_INAPPLICABLE in statuses
+
+
 def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
     # verdict has tested l, and mu(l) * l is ample with it, so the cores of
     # mu and face_decompose it calls skip the repeat test
