@@ -26,7 +26,6 @@ from .cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
-    _section_curve,
     reconstruct,
 )
 from .curves import _fiber_index, _line_index
@@ -163,6 +162,22 @@ def _as_fiber(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
     return row
 
 
+def _divided(row, n: int, label: str) -> tuple[int, ...]:
+    """row / n, or InvariantError when that is not integral.
+
+    A face contracts S onto P2, F1 or P1 x P1, where M = -K + sum(E_i) over
+    the contracted curves is 3*ell, 2*sigma + 3C or 2C + 2G (Manin, Cubic
+    Forms, ch. IV).  Contracting r - 1 disjoint lines that miss the fiber C
+    leaves a degree-8 surface, whose only (-1)-curve missing them is sigma
+    on F1, with none on P1 x P1.  As C is primitive, M has an odd entry
+    exactly on F1; there 3*ell = M + sigma = 3*sigma + 3C, so C = ell - sigma
+    once both divisions are exact.
+    """
+    if any(x % n for x in row):
+        raise InvariantError(f"{label} is not integral")
+    return tuple(x // n for x in row)
+
+
 def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     """The hyperplane class of the plane model contracting the given curves.
 
@@ -170,10 +185,7 @@ def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     square 1, degree 3 against -K, disjoint from every contracted curve.
     """
     anti = _anticanonical_row(s)
-    acc = _row_sum(anti, *points)
-    if any(x % 3 for x in acc):
-        raise InvariantError("plane hyperplane class is not integral")
-    ell = tuple(x // 3 for x in acc)
+    ell = _divided(_row_sum(anti, *points), 3, "plane hyperplane class")
     if _row_dot(ell, ell) != 1 or _row_dot(anti, ell) != 3:
         raise InvariantError("plane hyperplane class has wrong invariants")
     for c in points:
@@ -249,12 +261,9 @@ def _f1_parts(s, cd):
     c = cd.curveC.row
     a = cd.a
     delta = cd.delta
-    v = _section_curve(es, c, s)
-    if v is None:
-        raise InvariantError("no section curve found for a fiber-with-section kind")
+    m = _row_sum(_anticanonical_row(s), *es)
+    v = _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
     ell = _plane_pullback(s, es + (v,))
-    if c != _row_less(ell, v):
-        raise InvariantError("fiber class does not match the section model")
     if s.degree == 4:
         n_value, subset = _largest_with_subset(a[1:], FIVE_SUM_FAMILY)
         return _five_point_parts(
@@ -285,10 +294,8 @@ def _f1_parts(s, cd):
 
 def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
     """The second ruling class G, from -K = 2C + 2G - sum(E)."""
-    acc = _row_less(_row_sum(_anticanonical_row(s), *es), c, c)
-    if any(x % 2 for x in acc):
-        raise InvariantError("second ruling class is not integral")
-    g = tuple(x // 2 for x in acc)
+    m = _row_sum(_anticanonical_row(s), *es)
+    g = _divided(_row_less(m, c, c), 2, "second ruling class")
     if _row_dot(g, g) != 0 or _row_dot(g, c) != 1:
         raise InvariantError("second ruling class has wrong invariants")
     for e in es:

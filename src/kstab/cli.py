@@ -45,6 +45,10 @@ from .stability import (
     cubic_line_family_report,
 )
 
+# At most this many characters of an --L file are read; a valid document
+# (nine coordinates of at most 3 * lattice.MAX_DIGITS characters) is a few KB.
+MAX_INPUT_CHARS = 1 << 20
+
 _CRITERION_NAMES = {
     STATUS_MAIN: "the low-degree nef-residual criterion",
     STATUS_SIX_LINE: "the cubic six-line family bound",
@@ -103,10 +107,7 @@ def parse_input(document) -> tuple[SurfaceModel, DivClass]:
         raise DomainError("input must be a JSON object")
     if "degree" not in document:
         raise DomainError('input needs a "degree"')
-    degree = document["degree"]
-    if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= 8:
-        raise DomainError(f"degree must be an integer in 1..8, got {degree!r}")
-    s = SurfaceModel(degree)
+    s = SurfaceModel(document["degree"])
     if "family" in document:
         l = _expand_family(document, s)
     elif "L" in document:
@@ -217,9 +218,12 @@ def _parse_json(text: str):
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read(MAX_INPUT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    if len(text) > MAX_INPUT_CHARS:
+        raise DomainError(f"cannot read {path}: it has over {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _cmd_check(args) -> str:

@@ -22,7 +22,6 @@ from .curves import (
     _fiber_index,
     _line_index,
     _line_rows,
-    _minus_one_curves,
     pairings,
 )
 from .errors import DomainError, InvariantError
@@ -242,16 +241,6 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     return _from_row(*_combine_rows(terms))
 
 
-def _section_curve(rows, fib, s):
-    """The integer row of the first (-1)-curve v with v.fib = 1 missing
-    every one of rows, or None; fib and rows are integer rows, and each
-    curve is paired only until a test fails."""
-    for line in _line_rows(s.degree):
-        if _row_dot(fib, line) == 1 and not any(_row_dot(x, line) for x in rows):
-            return line
-    return None
-
-
 def _face_data(w, s):
     """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
     contraction), else the first disjoint (r-1)-set with a fiber class
@@ -290,7 +279,9 @@ def _face_data(w, s):
             if resid[0] < 0 or any(x * fib[0] != resid[0] * y for x, y in zip(resid, fib)):
                 continue
             delta = Fraction(resid[0], den * fib[0])
-            kind = KIND_CONIC_P1P1 if _section_curve(curves, fib, s) is None else KIND_CONIC_F1
+            # M = -K + sum(E_i) has an odd entry exactly over F1 (alphabound._divided)
+            odd = any(x % 2 for x in _row_sum(_anticanonical_row(s), *curves))
+            kind = KIND_CONIC_F1 if odd else KIND_CONIC_P1P1
             return _contraction(kind, delta, signs, den, chosen, fib_class, s)
     return None
 
@@ -301,8 +292,8 @@ def _contraction(kind, delta, signs, den, chosen, fib, s):
     decreasing weight, then by index: lines are indexed in sorted order."""
     order = sorted(chosen, key=lambda i: (signs[i], i))
     a = tuple(Fraction(-signs[i], den) for i in order)
-    lines = _minus_one_curves(s.degree)
-    return ContractionData(kind, delta, a, tuple(lines[i] for i in order), fib)
+    rows, lines = _line_rows(s.degree), _line_index(s.degree)
+    return ContractionData(kind, delta, a, tuple(lines[rows[i]] for i in order), fib)
 
 
 def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:

@@ -9,9 +9,10 @@ The (-1)-curves and the fiber classes are searched as integer rows
 and a failure raises InvariantError.  The rows are sorted as their classes
 sort, and only then is each turned into a DivClass over denominator 1.  A
 fiber candidate that is the sum of two (-1)-curves meeting once is nef
-without a scan of the curve table.  The indexes from rows to classes and
-the table of disjoint pairs of (-1)-curves are built from the cached rows,
-and pairings signs a class's own integer row against such rows.
+without a scan of the curve table.  One cached index per list maps each
+row to its class in sorted order, and the public lists read it; the table
+of disjoint pairs of (-1)-curves is built from it too, and pairings signs
+a class's own integer row against such rows.
 """
 
 from __future__ import annotations
@@ -111,36 +112,26 @@ def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _minus_one_curves(degree: int) -> tuple[DivClass, ...]:
-    return tuple(_from_row(1, row) for row in _line_rows(degree))
+def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
+    """Each (-1)-curve, keyed by its integer row, in the order of _line_rows."""
+    return {row: _from_row(1, row) for row in _line_rows(degree)}
 
 
 @lru_cache(maxsize=None)
-def _fiber_classes(degree: int) -> tuple[DivClass, ...]:
-    return tuple(_from_row(1, row) for row in _fiber_rows(degree))
+def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
+    """Each fiber class, keyed by its integer row, in the order of _fiber_rows."""
+    return {row: _from_row(1, row) for row in _fiber_rows(degree)}
 
 
 def minus_one_curves(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = -1 and -K.C = 1, sorted."""
-    return list(_minus_one_curves(s.degree))
+    return list(_line_index(s.degree).values())
 
 
 def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = 0, -K.C = 2, nonnegative against
     every curve from minus_one_curves."""
-    return list(_fiber_classes(s.degree))
-
-
-@lru_cache(maxsize=None)
-def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
-    """Each (-1)-curve of minus_one_curves, keyed by its integer row."""
-    return dict(zip(_line_rows(degree), _minus_one_curves(degree)))
-
-
-@lru_cache(maxsize=None)
-def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
-    """Each class of fiber_classes, keyed by its integer row."""
-    return dict(zip(_fiber_rows(degree), _fiber_classes(degree)))
+    return list(_fiber_index(s.degree).values())
 
 
 def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
@@ -171,8 +162,8 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
     sum of nonnegative terms, so the E_j are pairwise disjoint.
     """
-    signs = pairings(w, _line_rows(s.degree), s)
-    return [c for c, p in zip(_minus_one_curves(s.degree), signs) if p < 0]
+    lines = _line_index(s.degree)
+    return [c for c, p in zip(lines.values(), pairings(w, lines, s)) if p < 0]
 
 
 def _zero_masks(classes, s: SurfaceModel) -> tuple[int, ...]:
@@ -186,7 +177,7 @@ def _zero_masks(classes, s: SurfaceModel) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _disjoint_masks(degree: int) -> tuple[int, ...]:
     """Bit j of entry i is set when lines i and j of _line_rows are disjoint."""
-    return _zero_masks(_minus_one_curves(degree), SurfaceModel(degree))
+    return _zero_masks(_line_index(degree).values(), SurfaceModel(degree))
 
 
 def _disjoint_index_sets(allowed: int, masks, k: int):

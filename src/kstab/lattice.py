@@ -88,8 +88,9 @@ class SurfaceModel:
     degree: int
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or not 1 <= self.degree <= 8:
-            raise DomainError(f"degree must be an integer in 1..8, got {self.degree!r}")
+        d = self.degree
+        if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= 8:
+            raise DomainError(f"degree must be an integer in 1..8, got {d!r}")
 
     @property
     def r(self) -> int:

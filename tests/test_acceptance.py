@@ -26,7 +26,7 @@ from kstab.cones import (
     mu_bisect,
     reconstruct,
 )
-from kstab.curves import _line_rows, _minus_one_curves, minus_one_curves
+from kstab.curves import _line_index, _line_rows, minus_one_curves
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
@@ -63,7 +63,7 @@ def test_acceptance_1_curve_counts():
     # both caches, so the gate times the enumeration and not only the
     # building of classes from cached rows
     _line_rows.cache_clear()
-    _minus_one_curves.cache_clear()
+    _line_index.cache_clear()
     start = time.perf_counter()
     for d, count in expected.items():
         curves = minus_one_curves(SurfaceModel(d))

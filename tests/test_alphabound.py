@@ -462,3 +462,11 @@ def test_pullback_and_second_ruling_must_be_integral():
     with pytest.raises(InvariantError) as err:
         certificate(s, cd)
     assert str(err.value) == "second ruling class is not integral"
+    # F1 data whose lines contract onto P1 x P1: M = -K + E1 + E2 + (H - E3 - E4)
+    # = 4H - 2E3 - 2E4, so (M - 3C) / 2 = (H + E3 - 2E4) / 2 for C = H - E3
+    s = SurfaceModel(5)
+    curves = (basis_exceptional(s, 1), basis_exceptional(s, 2), div(1, [0, 0, -1, -1]))
+    cd = ContractionData(KIND_CONIC_F1, F(0), (F(0),) * 3, curves, div(1, [0, 0, -1, 0]))
+    with pytest.raises(InvariantError) as err:
+        certificate(s, cd)
+    assert str(err.value) == "section curve is not integral"

@@ -193,6 +193,18 @@ def test_main_rejects_undecodable_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
+def test_main_rejects_a_file_over_the_cap(tmp_path, capsys):
+    # a valid document padded to the cap is read; one character more is not
+    path = tmp_path / "input.json"
+    path.write_text(MINUS_K_D2.ljust(cli.MAX_INPUT_CHARS), encoding="utf-8")
+    assert cli.main(["check", "--L", str(path)]) == 0
+    assert "KStableByMainTheorem" in capsys.readouterr().out
+    path.write_text(MINUS_K_D2.ljust(cli.MAX_INPUT_CHARS + 1), encoding="utf-8")
+    assert cli.main(["check", "--L", str(path)]) == 1
+    expect = f"error: cannot read {path}: it has over {cli.MAX_INPUT_CHARS} characters\n"
+    assert capsys.readouterr() == ("", expect)
+
+
 def test_deeply_nested_json_is_rejected(capsys):
     doc = '{"degree": ' + "[" * 50000
     assert cli.main(["check", "--L", doc]) == 1
@@ -384,6 +396,9 @@ def test_json_booleans_are_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+    # SurfaceModel rejects the bool degree with the message parse_input gave
+    assert cli.main(["check", "--L", cases[0]]) == 1
+    assert capsys.readouterr() == ("", "error: degree must be an integer in 1..8, got True\n")
     # integers stay accepted
     s, l = cli.parse_input('{"degree": 7, "L": {"h": 3, "e": [1, 1]}}')
     assert (s, l) == (SurfaceModel(7), anticanonical(SurfaceModel(7)))

@@ -135,10 +135,10 @@ def test_disjoint_sets_rejects_duplicates():
 
 
 def test_full_enumeration_under_five_seconds():
-    from kstab.curves import _line_rows, _minus_one_curves
+    from kstab.curves import _line_rows
 
     _line_rows.cache_clear()
-    _minus_one_curves.cache_clear()
+    _line_index.cache_clear()
     start = time.perf_counter()
     for d in range(1, 9):
         minus_one_curves(SurfaceModel(d))

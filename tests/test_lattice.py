@@ -70,6 +70,10 @@ def test_surface_model_range():
         SurfaceModel(0)
     with pytest.raises(DomainError):
         SurfaceModel(9)
+    # bool is an int subclass, but True is no degree
+    for flag in (True, False):
+        with pytest.raises(DomainError, match=f"got {flag}"):
+            SurfaceModel(flag)
 
 
 def test_basis_products():

@@ -13,19 +13,36 @@ from math import lcm
 
 import pytest
 
-from kstab.cones import _section_curve, ample_violation, is_nef, mori_generators
+from kstab.alphabound import _divided
+from kstab.cones import (
+    KIND_CONIC_F1,
+    KIND_CONIC_P1P1,
+    _face_data,
+    ample_violation,
+    is_nef,
+    mori_generators,
+)
 from kstab.curves import (
     _candidate_rows,
+    _disjoint_index_sets,
+    _disjoint_masks,
+    _fiber_index,
+    _line_rows,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
     negative_curves,
     pairings,
 )
-from kstab.errors import DomainError
+from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     DivClass,
     SurfaceModel,
+    _anticanonical_row,
+    _from_row,
+    _row_dot,
+    _row_less,
+    _row_sum,
     anticanonical,
     div,
     intersect,
@@ -67,6 +84,16 @@ def _disjoint_sets_oracle(curves, k, s):
 
     rec(0, [])
     return out
+
+
+def _section_curve_scan(rows, fib, degree):
+    """The integer row of the first (-1)-curve v with v.fib = 1 missing every
+    one of rows, or None: the line-table scan that the division of
+    M = -K + sum(E_i) replaced, kept as its reference."""
+    for line in _line_rows(degree):
+        if _row_dot(fib, line) == 1 and not any(_row_dot(x, line) for x in rows):
+            return line
+    return None
 
 
 def _section_curve_oracle(subset, fib, s):
@@ -262,23 +289,51 @@ def test_disjoint_sets_on_full_cubic_list_keep_oracle_order():
         assert disjoint_sets(curves, 6, s) == _disjoint_sets_oracle(curves, 6, s)
 
 
-@pytest.mark.parametrize("degree", range(2, 8))
-def test_section_curve_matches_fraction_oracle(degree):
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_conic_kind_and_section_match_the_line_scan(degree):
+    # every conic face, a fiber C with a disjoint (r-1)-set of lines missing
+    # it, in degrees 2-7, and 25 fibers with 80 sets each in degree 1: the
+    # face is over F1 exactly when M = -K + sum(E_i) has an odd entry, and
+    # then (M - 3C) / 2 is the section the scan finds
     s = SurfaceModel(degree)
-    rng = random.Random(300 + degree)
-    lines = minus_one_curves(s)
-    fibers = fiber_classes(s)
-    outcomes = set()
-    for fib in rng.sample(fibers, min(len(fibers), 12)):
-        missing = [c for c in lines if intersect(c, fib, s) == 0]
-        for k in range(0, s.r):
-            subsets = disjoint_sets(missing, k, s)
-            for subset in rng.sample(subsets, min(len(subsets), 6)):
-                got = _section_curve([c.row for c in subset], fib.row, s)
-                expect = _section_curve_oracle(subset, fib, s)
-                assert got == (None if expect is None else expect.row)
-                outcomes.add(got is None)
-    assert outcomes == {True, False}
+    rng = random.Random(700 + degree)
+    rows, lines, masks = _line_rows(degree), minus_one_curves(s), _disjoint_masks(degree)
+    fibers = list(_fiber_index(degree).items())
+    if degree == 1:
+        fibers = rng.sample(fibers, 25)
+    faces = []
+    for fib, fib_class in fibers:
+        allowed = sum(1 << i for i, row in enumerate(rows) if _row_dot(fib, row) == 0)
+        sets = list(_disjoint_index_sets(allowed, masks, s.r - 1))
+        if degree == 1:
+            sets = rng.sample(sets, 80)
+        faces += ((fib, fib_class, chosen) for chosen in sets)
+    rng.shuffle(faces)
+    kinds = set()
+    for n, (fib, fib_class, chosen) in enumerate(faces):
+        curves = [rows[i] for i in chosen]
+        scan = _section_curve_scan(curves, fib, degree)
+        m = _row_sum(_anticanonical_row(s), *curves)
+        odd = any(x % 2 for x in m)
+        assert odd == (scan is not None)
+        kinds.add(odd)
+        if odd:
+            assert _divided(_row_less(m, fib, fib, fib), 2, "section curve") == scan
+        else:
+            with pytest.raises(InvariantError, match="section curve is not integral"):
+                _divided(_row_less(m, fib, fib, fib), 2, "section curve")
+        if n >= 60:
+            continue
+        # a seeded subset against the Fraction scan, and against the kind
+        # _face_data gives w = C/2 + sum(a_i E_i), distinct a_i in (0, 1/2)
+        oracle = _section_curve_oracle([lines[i] for i in chosen], fib_class, s)
+        assert (None if oracle is None else oracle.row) == scan
+        terms = [tuple(s.r * x for x in fib)]
+        terms += (tuple((i + 1) * x for x in row) for i, row in enumerate(curves))
+        data = _face_data(_from_row(2 * s.r, _row_sum(*terms)), s)
+        assert (data.curveC, set(data.curveE)) == (fib_class, {lines[i] for i in chosen})
+        assert data.kind == (KIND_CONIC_F1 if odd else KIND_CONIC_P1P1)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("degree", range(2, 9))
