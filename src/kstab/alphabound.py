@@ -11,14 +11,19 @@ Every named auxiliary curve (lines through two of the blown-down points,
 the conic through five of them, fiber and section classes, the diagonal
 type curves) is realized as an explicit integer row (h, e_1, ..., e_r) and
 looked up among the enumerated curves before use; the lookup hands back
-the curve's class for the output.  Only the coefficients, computed from
-the contraction data, are rational.
+the curve's class for the output.  The coefficients are ints too: the a_i
+and delta go over one denominator Q, every coefficient, subset sum and
+case test is computed over ints, and the class identity is one
+cross-multiplied integer sum.  Only then are the certificate's rational
+coefficients n / Q and its bound built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import appendix
 from .cones import (
@@ -35,7 +40,6 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
-    _combine_rows,
     _from_row,
     _row_dot,
     _row_less,
@@ -63,19 +67,22 @@ FIVE_SUM_FAMILY = ((0,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 def largest_admissible_sum(values, family) -> Fraction:
     """Largest family subset-sum of values not exceeding 1 (0 if none)."""
-    return _largest_with_subset(values, family)[0]
+    q = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (q // v.denominator) for v in values]
+    return Fraction(_largest_subset_sum(scaled, family, q)[0], q)
 
 
-def _largest_with_subset(values, family):
+def _largest_subset_sum(values, family, one):
+    """(best, subset) for the int values: the largest family subset-sum not
+    exceeding one, from the earliest subset reaching it ((0, ()) if none
+    is positive)."""
     if any(v < 0 for v in values):
         raise DomainError("subset-sum values must be nonnegative")
-    best = Fraction(0)
-    best_subset = ()
+    best, best_subset = 0, ()
     for subset in family:
-        total = sum((values[i] for i in subset), Fraction(0))
-        if total <= 1 and total > best:
-            best = total
-            best_subset = subset
+        total = sum(values[i] for i in subset)
+        if total <= one and total > best:
+            best, best_subset = total, subset
     return best, best_subset
 
 
@@ -108,40 +115,45 @@ class Certificate:
 
 def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     """Exact recheck of the class identity; raises on failure."""
-    terms = []
-    for cls, coeff in cert.divisor:
+    for cls, _ in cert.divisor:
         if cls.rank != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
-        terms.append((cls.row, Fraction(coeff, cls.den)))
-    _check_identity(terms, l)
+    # coeff * (row / den) = n * row / D over D the lcm of coeff.denominator * den
+    den = lcm(*(c.denominator * cls.den for cls, c in cert.divisor))
+    terms = [
+        (cls.row, c.numerator * (den // (c.denominator * cls.den))) for cls, c in cert.divisor
+    ]
+    _check_identity(terms, den, l)
 
 
-def _check_identity(terms, l: DivClass) -> None:
-    """sum(coeff * row) over (integer row, coeff) terms must equal the class
-    l, summed as integers over a common denominator."""
-    if _from_row(*_combine_rows(terms)) != l:
+def _check_identity(terms, den: int, l: DivClass) -> None:
+    """sum(n * row) / den over (integer row, int n) terms must equal the
+    class l = l.row / l.den: one cross-multiplied integer sum."""
+    rows, ns = zip(*terms)
+    total = [l.den * sum(map(mul, ns, column)) for column in zip(*rows)]
+    if total != [den * x for x in l.row]:
         raise InvariantError("certificate divisor does not reconstruct the class")
 
 
-def _finish(parts, l: DivClass, s) -> Certificate:
-    """The certificate of (integer row, coefficient) parts, each row a
-    (-1)-curve; l is the class they must sum to."""
+def _finish(parts, one: int, l: DivClass, s) -> Certificate:
+    """The certificate of (integer row, n) parts, each row a (-1)-curve with
+    coefficient n / one; l is the class they must sum to."""
     lines = _line_index(s.degree)
     kept = []
-    for row, coeff in parts:
-        if coeff < 0:
+    for row, n in parts:
+        if n < 0:
             raise InvariantError(
-                f"negative coefficient {coeff} generated for {lines[row]}; case selection bug"
+                f"negative coefficient {Fraction(n, one)} generated for {lines[row]}; "
+                "case selection bug"
             )
-        if coeff != 0:
-            kept.append((row, Fraction(coeff)))
-    top = max(c for _, c in kept)
-    witness = next(i for i, (_, c) in enumerate(kept) if c == top)
-    cert = Certificate(
-        tuple((lines[row], c) for row, c in kept), witness, Fraction(1) / top
+        if n:
+            kept.append((row, n))
+    top = max(n for _, n in kept)
+    witness = next(i for i, (_, n) in enumerate(kept) if n == top)
+    _check_identity(kept, one, l)
+    return Certificate(
+        tuple((lines[row], Fraction(n, one)) for row, n in kept), witness, Fraction(one, top)
     )
-    _check_identity(kept, l)
-    return cert
 
 
 def _class_str(row) -> str:
@@ -194,10 +206,10 @@ def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     return ell
 
 
-def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
+def _five_point_parts(s, ell, es5, a5, n_value, subset, delta, one):
     """Shared degree-4 pattern over a plane model with five base points.
 
-    es5/a5 hold the rows of the five contracted curves and their
+    es5/a5 hold the rows of the five contracted curves and their scaled
     coefficients (the fifth may be a section curve with coefficient zero).
     subset indexes (a2..a5) entries whose sum is n_value.  delta > 0 shifts
     the E1 and L15 coefficients, absorbing delta copies of the fiber
@@ -209,11 +221,11 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
         for j in range(1, 5)
     ]
     parts = [
-        (es5[0], (3 + 2 * a5[0] + 2 * delta + n_value) / 2),
-        (z, (1 - n_value) / 2),
+        (es5[0], (3 * one + 2 * a5[0] + 2 * delta + n_value) // 2),
+        (z, (one - n_value) // 2),
     ]
     for j in range(1, 5):
-        coeff = (1 + n_value - 2 * a5[j]) / 2 if j - 1 in subset else (1 + n_value) / 2
+        coeff = (one + n_value - 2 * a5[j]) // 2 if j - 1 in subset else (one + n_value) // 2
         if j == 4:
             coeff = coeff + delta
         parts.append((lines[j - 1], coeff))
@@ -223,70 +235,65 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta):
     return parts
 
 
-def _plane_parts(s, cd):
+def _plane_parts(s, cd, a, delta, one):
     es = tuple(e.row for e in cd.curveE)
-    a = cd.a
     ell = _plane_pullback(s, es)
     if s.degree == 4:
-        n_value, subset = _largest_with_subset(a[1:], TWELVE_SUM_FAMILY)
-        return _five_point_parts(s, ell, es, a, n_value, subset, Fraction(0))
+        n_value, subset = _largest_subset_sum(a[1:], TWELVE_SUM_FAMILY, one)
+        return _five_point_parts(s, ell, es, a, n_value, subset, 0, one)
     lines = [
         _as_line(_row_less(ell, es[0], es[j]), s, f"the line through points 1,{j + 1}")
         for j in range(1, s.r)
     ]
     if s.degree == 7:
-        return [(lines[0], Fraction(3)), (es[0], 2 + a[0]), (es[1], 2 + a[1])]
+        return [(lines[0], 3 * one), (es[0], 2 * one + a[0]), (es[1], 2 * one + a[1])]
     if s.degree == 6:
         return [
-            (lines[0], Fraction(2)),
-            (lines[1], Fraction(1)),
-            (es[0], 2 + a[0]),
-            (es[1], 1 + a[1]),
+            (lines[0], 2 * one),
+            (lines[1], one),
+            (es[0], 2 * one + a[0]),
+            (es[1], one + a[1]),
             (es[2], a[2]),
         ]
     # degree 5
     return [
-        (lines[0], Fraction(1)),
-        (lines[1], Fraction(1)),
-        (lines[2], Fraction(1)),
-        (es[0], 2 + a[0]),
+        (lines[0], one),
+        (lines[1], one),
+        (lines[2], one),
+        (es[0], 2 * one + a[0]),
         (es[1], a[1]),
         (es[2], a[2]),
         (es[3], a[3]),
     ]
 
 
-def _f1_parts(s, cd):
+def _f1_parts(s, cd, a, delta, one):
     es = tuple(e.row for e in cd.curveE)
     c = cd.curveC.row
-    a = cd.a
-    delta = cd.delta
     m = _row_sum(_anticanonical_row(s), *es)
     v = _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
     ell = _plane_pullback(s, es + (v,))
     if s.degree == 4:
-        n_value, subset = _largest_with_subset(a[1:], FIVE_SUM_FAMILY)
-        return _five_point_parts(
-            s, ell, es + (v,), a + (Fraction(0),), n_value, subset, delta
-        )
+        n_value, subset = _largest_subset_sum(a[1:], FIVE_SUM_FAMILY, one)
+        return _five_point_parts(s, ell, es + (v,), a + (0,), n_value, subset, delta, one)
     l1v = _as_line(_row_less(ell, es[0], v), s, "the line through point 1 and the section")
     if s.degree == 7:
-        return [(l1v, 3 + delta), (es[0], 2 + delta + a[0]), (v, Fraction(2))]
+        return [(l1v, 3 * one + delta), (es[0], 2 * one + delta + a[0]), (v, 2 * one)]
     l12 = _as_line(_row_less(ell, es[0], es[1]), s, "the line through points 1,2")
     if s.degree == 6:
         return [
-            (l12, Fraction(2)),
-            (l1v, 1 + delta),
-            (es[0], 2 + delta + a[0]),
-            (es[1], 1 + a[1]),
+            (l12, 2 * one),
+            (l1v, one + delta),
+            (es[0], 2 * one + delta + a[0]),
+            (es[1], one + a[1]),
         ]
     # degree 5
     l13 = _as_line(_row_less(ell, es[0], es[2]), s, "the line through points 1,3")
     return [
-        (l12, Fraction(1)),
-        (l13, Fraction(1)),
-        (l1v, 1 + delta),
-        (es[0], 2 + delta + a[0]),
+        (l12, one),
+        (l13, one),
+        (l1v, one + delta),
+        (es[0], 2 * one + delta + a[0]),
         (es[1], a[1]),
         (es[2], a[2]),
     ]
@@ -304,26 +311,25 @@ def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
     return _as_fiber(g, s, "the second ruling")
 
 
-def _p1p1_parts(s, cd):
+def _p1p1_parts(s, cd, a, delta, one):
     es = tuple(e.row for e in cd.curveE)
     c = cd.curveC.row
-    a = cd.a
-    delta = cd.delta
     g = _other_ruling(s, es, c)
     f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
     f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
     if s.degree == 7:
-        return [(es[0], 3 + a[0] + delta), (f1, 2 + delta), (f1p, Fraction(2))]
+        return [(es[0], 3 * one + a[0] + delta), (f1, 2 * one + delta), (f1p, 2 * one)]
     if s.degree == 6:
         f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
         f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
+        half = one // 2
         return [
-            (es[0], 2 + delta + a[0]),
+            (es[0], 2 * one + delta + a[0]),
             (es[1], a[1]),
-            (f1, Fraction(3, 2) + delta),
-            (f1p, Fraction(3, 2)),
-            (f2, Fraction(1, 2)),
-            (f2p, Fraction(1, 2)),
+            (f1, 3 * half + delta),
+            (f1p, 3 * half),
+            (f2, half),
+            (f2p, half),
         ]
     c_plus_g = _row_sum(c, g)
     if s.degree == 5:
@@ -331,29 +337,29 @@ def _p1p1_parts(s, cd):
             _row_less(c_plus_g, es[0], es[1], es[2]), s, "the diagonal through points 1,2,3"
         )
         return [
-            (es[0], 2 + delta + a[0]),
+            (es[0], 2 * one + delta + a[0]),
             (es[1], a[1]),
             (es[2], a[2]),
-            (f1, 1 + delta),
-            (f1p, Fraction(1)),
-            (t, Fraction(1)),
+            (f1, one + delta),
+            (f1p, one),
+            (t, one),
         ]
     # degree 4: four-case split, tested in order; the chosen subset's sum
     # joins the E1 coefficient and the leftover E's keep their own terms
     a2, a3, a4 = a[1], a[2], a[3]
-    if a2 + a3 <= 1 + a4:
+    if a2 + a3 <= one + a4:
         chosen = (1, 2, 3)
-    elif a2 + a4 <= 1:
+    elif a2 + a4 <= one:
         chosen = (1, 3)
-    elif a3 + a4 <= 1:
+    elif a3 + a4 <= one:
         chosen = (2, 3)
     else:
         chosen = (1,)
-    s_value = sum((a[i] for i in chosen), Fraction(0))
+    s_value = sum(a[i] for i in chosen)
     parts = [
-        (es[0], (3 + 2 * a[0] + 2 * delta + s_value) / 2),
-        (f1, (1 + 2 * delta + s_value) / 2),
-        (f1p, (1 + s_value) / 2),
+        (es[0], (3 * one + 2 * a[0] + 2 * delta + s_value) // 2),
+        (f1, (one + 2 * delta + s_value) // 2),
+        (f1p, (one + s_value) // 2),
     ]
     for pair in ((1, 2), (1, 3), (2, 3)):
         t = _as_line(
@@ -361,14 +367,33 @@ def _p1p1_parts(s, cd):
             s,
             f"the diagonal through points 1,{pair[0] + 1},{pair[1] + 1}",
         )
-        signed = sum(
-            (-a[i] if i in pair else a[i] for i in chosen), Fraction(0)
-        )
-        parts.append((t, (1 + signed) / 2))
+        signed = sum(-a[i] if i in pair else a[i] for i in chosen)
+        parts.append((t, (one + signed) // 2))
     for i in (1, 2, 3):
         if i not in chosen:
             parts.append((es[i], a[i]))
     return parts
+
+
+_PARTS = {KIND_TO_P2: _plane_parts, KIND_CONIC_F1: _f1_parts, KIND_CONIC_P1P1: _p1p1_parts}
+
+
+def _parts(s: SurfaceModel, cd: ContractionData):
+    """(Q, parts): the lemma's (integer row, n) parts, each standing for
+    n / Q copies of the curve of the row.
+
+    Q = 2q for q the least common denominator of the a_i and delta, and
+    the builders take Q, Q * a_i and Q * delta.  Each of these is 2 times
+    the int q, q * a_i or q * delta, so every sum of them a builder halves
+    is even and each // 2 is exact.
+    """
+    builder = _PARTS.get(cd.kind)
+    if builder is None:
+        raise DomainError(f"unknown contraction kind {cd.kind!r}")
+    one = 2 * lcm(*(x.denominator for x in cd.a), cd.delta.denominator)
+    a = tuple(x.numerator * (one // x.denominator) for x in cd.a)
+    delta = cd.delta.numerator * (one // cd.delta.denominator)
+    return one, builder(s, cd, a, delta, one)
 
 
 def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
@@ -376,15 +401,8 @@ def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
     l = reconstruct(cd, s)
-    if cd.kind == KIND_TO_P2:
-        parts = _plane_parts(s, cd)
-    elif cd.kind == KIND_CONIC_F1:
-        parts = _f1_parts(s, cd)
-    elif cd.kind == KIND_CONIC_P1P1:
-        parts = _p1p1_parts(s, cd)
-    else:
-        raise DomainError(f"unknown contraction kind {cd.kind!r}")
-    return _finish(parts, l, s)
+    one, parts = _parts(s, cd)
+    return _finish(parts, one, l, s)
 
 
 def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) -> dict:

@@ -44,7 +44,11 @@ class AppendixInput:
 def _scaled(inp: AppendixInput) -> tuple[int, tuple[int, ...], int]:
     """(q, q*a, q*delta) for q the least common denominator of the input."""
     q = lcm(*(x.denominator for x in (*inp.a, inp.delta)))
-    return q, tuple(int(x * q) for x in inp.a), int(inp.delta * q)
+    return (
+        q,
+        tuple(x.numerator * (q // x.denominator) for x in inp.a),
+        inp.delta.numerator * (q // inp.delta.denominator),
+    )
 
 
 def _largest_sum(q: int, a2: int, a3: int, a4: int, a5: int) -> int:

@@ -56,7 +56,10 @@ def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _mori_generators(degree: int) -> tuple[DivClass, ...]:
-    return tuple(_from_row(1, row) for row in _mori_rows(degree))
+    """The classes of _mori_rows: the lines' own classes from _line_index,
+    and in degree 8 the ruling H - E1."""
+    ruling = (_from_row(1, (1, -1)),) if degree == 8 else ()
+    return tuple(_line_index(degree).values()) + ruling
 
 
 def mori_generators(s: SurfaceModel) -> list[DivClass]:

@@ -26,10 +26,6 @@ Rational = Fraction
 MAX_DIGITS = 200
 _TOO_LARGE = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
-# One shared Fraction per small integer: rational() coerces each coordinate
-# div is given and each scalar a class is multiplied by, and most of them
-# are small ints; a lookup costs far less than building a Fraction.
-_SMALL = {n: Fraction(n) for n in range(-11, 12)}
 
 
 def _too_large(value) -> DomainError:
@@ -50,12 +46,7 @@ def rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        small = _SMALL.get(value)
-        if small is not None:
-            return small
-        if -_TOO_LARGE < value < _TOO_LARGE:
-            return Fraction(value)
-        raise _too_large(value)
+        return Fraction(_exact(value))
     if isinstance(value, str):
         # "1e999999999" would build a billion-digit int, so the length and
         # the exponent are bounded before Fraction builds the number
@@ -73,6 +64,16 @@ def rational(value) -> Fraction:
             return q
         raise _too_large(value)
     raise DomainError(f"not a rational: {value!r}")
+
+
+def _exact(value):
+    """value coerced as rational() does it, except that an int stays an
+    int: a class or scalar built from ints builds no Fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if -_TOO_LARGE < value < _TOO_LARGE:
+            return value
+        raise _too_large(value)
+    return rational(value)
 
 
 def rational_str(q: Fraction) -> str:
@@ -146,7 +147,7 @@ class DivClass:
         return _from_row(self.den, tuple(map(neg, self.row)))
 
     def __mul__(self, scalar) -> "DivClass":
-        c = rational(scalar)
+        c = _exact(scalar)
         n = c.numerator
         return _from_row(self.den * c.denominator, tuple(n * x for x in self.row))
 
@@ -189,7 +190,7 @@ def _ratio_str(num: int, den: int) -> str:
 
 def div(h, e) -> DivClass:
     """Build a DivClass, coercing every coordinate."""
-    return DivClass(rational(h), tuple(rational(a) for a in e))
+    return DivClass(_exact(h), tuple(_exact(a) for a in e))
 
 
 def intersect(a: DivClass, b: DivClass, s: SurfaceModel) -> Fraction:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -14,6 +15,7 @@ from kstab.alphabound import (
     Certificate,
     _as_fiber,
     _as_line,
+    _parts,
     certificate,
     compare_with_slope,
     largest_admissible_sum,
@@ -27,7 +29,7 @@ from kstab.cones import (
     ContractionData,
     face_decompose,
 )
-from kstab.curves import fiber_classes, minus_one_curves
+from kstab.curves import _line_index, fiber_classes, minus_one_curves
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
@@ -39,6 +41,7 @@ from kstab.lattice import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+import fraction_parts  # noqa: E402
 from test_acceptance import _grid_contractions  # noqa: E402
 
 F = Fraction
@@ -114,6 +117,24 @@ def test_certificate_record_validation():
     good = Certificate(((e1, F(2)),), 0, F(1, 2))
     with pytest.raises(InvariantError):
         verify_certificate(good, anticanonical(s), s)
+
+
+def test_identity_check_reads_every_coordinate():
+    s, cd = _plane_cd(7, ["1/2", "1/3"])
+    cert = certificate(s, cd)
+    l = anticanonical(s) + F(1, 2) * basis_exceptional(s, 1) + F(1, 3) * basis_exceptional(s, 2)
+    verify_certificate(cert, l, s)
+    for i in range(s.r + 1):
+        step = [int(j == i) for j in range(s.r + 1)]
+        with pytest.raises(InvariantError):
+            verify_certificate(cert, l + div(step[0], step[1:]), s)
+    with pytest.raises(InvariantError):
+        verify_certificate(cert, F(1, 2) * l, s)
+    # a component over a denominator: 2 * (-K / 2) = -K
+    half = F(1, 2) * anticanonical(s)
+    verify_certificate(Certificate(((half, F(2)),), 0, F(1, 2)), anticanonical(s), s)
+    with pytest.raises(InvariantError):
+        verify_certificate(Certificate(((half, F(3)),), 0, F(1, 3)), anticanonical(s), s)
 
 
 def test_plane_degree7():
@@ -470,3 +491,142 @@ def test_pullback_and_second_ruling_must_be_integral():
     with pytest.raises(InvariantError) as err:
         certificate(s, cd)
     assert str(err.value) == "section curve is not integral"
+
+
+_ORACLE = {
+    KIND_TO_P2: fraction_parts._plane_parts,
+    KIND_CONIC_F1: fraction_parts._f1_parts,
+    KIND_CONIC_P1P1: fraction_parts._p1p1_parts,
+}
+
+
+def _oracle_parts(s, cd):
+    """The Fraction parts, after checking that the integer parts, read as
+    n / Q, equal them row for row."""
+    one, parts = _parts(s, cd)
+    assert one % 2 == 0
+    expected = _ORACLE[cd.kind](s, cd)
+    assert [(row, F(n, one)) for row, n in parts] == [(row, F(c)) for row, c in expected]
+    return expected
+
+
+def test_integer_parts_match_fraction_parts_on_the_grid():
+    # acceptance 5 builds the certificate of every grid item
+    seen = 0
+    for degree in (4, 5, 6, 7):
+        for s, cd in _grid_contractions(degree):
+            _oracle_parts(s, cd)
+            seen += 1
+    assert seen == 53469
+
+
+def _weight(rng):
+    # a rational in [0, 1) over its own denominator of up to 10^6
+    den = rng.randint(1, 10**6)
+    return F(rng.randrange(den), den)
+
+
+# a degree-4 weight solved from the others so that a four-case test or a
+# twelve- or five-sum lies exactly on its boundary: (index, value from a)
+_BOUNDARIES = (
+    (1, lambda a: 1 + a[3] - a[2]),  # a2 + a3 = 1 + a4
+    (3, lambda a: 1 - a[1]),  # a2 + a4 = 1
+    (3, lambda a: 1 - a[2]),  # a3 + a4 = 1
+    (2, lambda a: 1 - a[1]),  # a2 + a3 = 1
+    (3, lambda a: 1 - a[1] - a[2]),  # a2 + a3 + a4 = 1
+)
+
+
+def _seeded_faces(count, seed):
+    """count faces in degrees 4-7 of all three kinds, with weights and delta
+    of unrelated denominators up to 10^6; in degree 4 each draw is also
+    moved onto every boundary it can reach with sorted weights."""
+    rng = random.Random(seed)
+    builders = (
+        lambda d, a, delta: _plane_cd(d, a + (_weight(rng) * a[-1],)),
+        _f1_cd,
+        _p1p1_cd,
+    )
+    faces, hits = [], [0] * len(_BOUNDARIES)
+    while len(faces) < count:
+        degree = rng.choice((4, 5, 6, 7))
+        build = rng.choice(builders)
+        a = tuple(sorted((_weight(rng) for _ in range(8 - degree)), reverse=True))
+        delta = 2 * _weight(rng)
+        faces.append(build(degree, a, delta))
+        if degree != 4:
+            continue
+        for k, (i, solve) in enumerate(_BOUNDARIES):
+            b = list(a)
+            b[i] = solve(a)
+            if b[0] < 1 and b[-1] >= 0 and b == sorted(b, reverse=True):
+                faces.append(build(degree, tuple(b), delta))
+                hits[k] += 1
+    return faces, hits
+
+
+def test_integer_parts_match_fraction_parts_on_seeded_faces():
+    faces, hits = _seeded_faces(2400, seed=14)
+    assert len(faces) >= 2400
+    assert min(hits) >= 20  # every boundary is reached
+    for s, cd in faces:
+        expected = _oracle_parts(s, cd)
+        # the certificate keeps exactly the nonzero parts
+        lines = _line_index(s.degree)
+        cert = certificate(s, cd)
+        assert cert.divisor == tuple((lines[row], F(c)) for row, c in expected if c != 0)
+
+
+def test_boundary_faces_take_the_branch_of_the_equality():
+    # each equality sits on the near side of its test: a2 + a3 = 1 + a4
+    # picks all three, and a sum of exactly 1 is admissible
+    s, cd = _p1p1_cd(4, _fr(["9/10", "4/5", "3/5", "2/5"]), 0)
+    assert cd.a[1] + cd.a[2] == 1 + cd.a[3]
+    one, parts = _parts(s, cd)
+    assert len(parts) == 6  # no leftover E
+    s, cd = _p1p1_cd(4, _fr(["9/10", "4/5", "7/10", "1/5"]), 0)
+    assert cd.a[1] + cd.a[3] == 1
+    one, parts = _parts(s, cd)
+    assert parts[-1] == (cd.curveE[2].row, cd.a[2] * one)  # only E3 is left over
+    s, cd = _plane_cd(4, _fr(["1/2", "1/2", "1/3", "1/6", 0]))
+    one, parts = _parts(s, cd)
+    assert F(parts[1][1], one) == 0  # the conic's (1 - n) / 2 with n = 1
+    assert largest_admissible_sum(cd.a[1:], TWELVE_SUM_FAMILY) == 1
+
+
+def _fraction_builders(call):
+    """(call(), names): the name of the kstab.alphabound function behind
+    each Fraction built during call(): the first named function outside
+    the fractions module, so Fraction arithmetic and comprehensions count
+    as well."""
+    new = Fraction.__new__.__code__
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            caller = frame.f_back
+            while caller.f_code.co_filename == new.co_filename or caller.f_code.co_name[0] == "<":
+                caller = caller.f_back
+            if caller.f_globals.get("__name__") == "kstab.alphabound":
+                names.append(caller.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, names
+
+
+def test_certificate_builds_fractions_only_for_its_output():
+    items = [item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree)][::97]
+    items += _seeded_faces(60, seed=15)[0]
+    kinds = set()
+    for s, cd in items:
+        cert, names = _fraction_builders(lambda: certificate(s, cd))
+        # one Fraction per component and one for the bound, all in _finish;
+        # Certificate.__post_init__ builds its own for its bound check
+        counted = [name for name in names if name != "__post_init__"]
+        assert counted == ["_finish"] * (len(cert.divisor) + 1)
+        kinds.add((s.degree, cd.kind))
+    assert len(kinds) == 12

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -134,6 +135,47 @@ def test_componentwise_arithmetic():
     assert half == DivClass(Fraction(1, 2), (Fraction(2), Fraction(0)))
     assert hash(half) == hash(DivClass(Fraction(1, 2), (Fraction(2), Fraction(0))))
     assert (half.den, half.row) == (2, (1, 4, 0))
+
+
+def _builds_fraction(call):
+    """True when call() constructs a Fraction anywhere."""
+    new = Fraction.__new__.__code__
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            built.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return bool(built)
+
+
+def test_int_coordinates_stay_ints():
+    # div and scalar * keep an int as an int, with rational()'s checks
+    for h, e in [(3, [1, -2]), (0, [0, 0, 0]), (-7, [10**199, -(10**199)])]:
+        ints = div(h, e)
+        fractions = div(Fraction(h), [Fraction(x) for x in e])
+        assert (ints.den, ints.row) == (fractions.den, fractions.row) == (1, (h, *e))
+        assert (ints * 5).row == (fractions * Fraction(5)).row
+        assert not _builds_fraction(lambda: div(h, e))
+        assert not _builds_fraction(lambda: 5 * ints)
+    mixed = div(1, ["1/2", Fraction(2, 3)]) * -6
+    assert (mixed.den, mixed.row) == (1, (-6, -3, -4))
+    assert type(rational(5)) is Fraction
+    too_long = 10**MAX_DIGITS  # 201 digits
+    for bad in (True, False, too_long, -too_long):
+        with pytest.raises(DomainError):
+            div(bad, [0])
+        with pytest.raises(DomainError):
+            div(0, [bad])
+        with pytest.raises(DomainError):
+            basis_line(SurfaceModel(8)) * bad
+    with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+        div(too_long, [0])
 
 
 small_rationals = st.fractions(

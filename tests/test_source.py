@@ -169,3 +169,25 @@ def test_only_cones_imports_ratlp():
             if any(a.name.split(".")[-1] == "ratlp" for a in node.names):
                 importers.add(path.name)
     assert importers == {"cones.py"}
+
+
+_KERNEL = {"_five_point_parts", "_plane_parts", "_f1_parts", "_p1p1_parts", "_largest_subset_sum"}
+
+
+def test_certificate_kernel_stays_on_ints():
+    # the parts builders and the subset-sum helper compute every coefficient
+    # as an int over one denominator: they name no Fraction, and read
+    # neither the Fraction fields a and delta of the contraction data nor
+    # a class's Fraction coordinates h and e
+    path = Path(kstab.__file__).parent / "alphabound.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kernel = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in _KERNEL]
+    assert {fn.name for fn in kernel} == _KERNEL
+    found = []
+    for fn in kernel:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in ("Fraction", "Rational"):
+                found.append(f"{fn.name}:{node.lineno}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("a", "delta", "h", "e"):
+                found.append(f"{fn.name}:{node.lineno}: .{node.attr}")
+    assert found == []
