@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from . import appendix
 from .cones import (
@@ -41,6 +40,7 @@ from .lattice import (
     SurfaceModel,
     _anticanonical_row,
     _from_row,
+    _row_combination,
     _row_dot,
     _row_less,
     _row_sum,
@@ -109,7 +109,7 @@ class Certificate:
         top = max(coeffs)
         if coeffs[self.witness_index] != top:
             raise DomainError("witness must carry a maximal coefficient")
-        if self.bound != Fraction(1) / top:
+        if self.bound * top != 1:
             raise DomainError("bound must be the reciprocal of the top coefficient")
 
 
@@ -129,9 +129,7 @@ def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
 def _check_identity(terms, den: int, l: DivClass) -> None:
     """sum(n * row) / den over (integer row, int n) terms must equal the
     class l = l.row / l.den: one cross-multiplied integer sum."""
-    rows, ns = zip(*terms)
-    total = [l.den * sum(map(mul, ns, column)) for column in zip(*rows)]
-    if total != [den * x for x in l.row]:
+    if [l.den * x for x in _row_combination(terms)] != [den * x for x in l.row]:
         raise InvariantError("certificate divisor does not reconstruct the class")
 
 
@@ -148,12 +146,16 @@ def _finish(parts, one: int, l: DivClass, s) -> Certificate:
             )
         if n:
             kept.append((row, n))
+    if not kept:
+        raise InvariantError("certificate has no nonzero component")
     top = max(n for _, n in kept)
     witness = next(i for i, (_, n) in enumerate(kept) if n == top)
     _check_identity(kept, one, l)
-    return Certificate(
-        tuple((lines[row], Fraction(n, one)) for row, n in kept), witness, Fraction(one, top)
-    )
+    # every check of Certificate.__post_init__ holds here, so it is not rerun
+    cert = object.__new__(Certificate)
+    divisor = tuple((lines[row], Fraction(n, one)) for row, n in kept)
+    vars(cert).update(divisor=divisor, witness_index=witness, bound=Fraction(one, top))
+    return cert
 
 
 def _class_str(row) -> str:
@@ -382,18 +384,13 @@ def _parts(s: SurfaceModel, cd: ContractionData):
     """(Q, parts): the lemma's (integer row, n) parts, each standing for
     n / Q copies of the curve of the row.
 
-    Q = 2q for q the least common denominator of the a_i and delta, and
-    the builders take Q, Q * a_i and Q * delta.  Each of these is 2 times
-    the int q, q * a_i or q * delta, so every sum of them a builder halves
-    is even and each // 2 is exact.
+    Q = 2q for q the denominator of the contraction data's integer
+    weights, and the builders take Q, Q * a_i and Q * delta, twice those
+    ints, so every sum of them a builder halves is even and each // 2 is
+    exact.
     """
-    builder = _PARTS.get(cd.kind)
-    if builder is None:
-        raise DomainError(f"unknown contraction kind {cd.kind!r}")
-    one = 2 * lcm(*(x.denominator for x in cd.a), cd.delta.denominator)
-    a = tuple(x.numerator * (one // x.denominator) for x in cd.a)
-    delta = cd.delta.numerator * (one // cd.delta.denominator)
-    return one, builder(s, cd, a, delta, one)
+    q, delta, a = cd._weights
+    return 2 * q, _PARTS[cd.kind](s, cd, tuple(2 * x for x in a), 2 * delta, 2 * q)
 
 
 def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
@@ -413,13 +410,12 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     delegated to the standalone inequality module as an independent check
     and both routes must agree.
     """
-    # l = row / den, so -K.l = (-K.row) / den and l^2 = (row.row) / den^2
+    # l = row / den, so (2/3) * slope = 2 * den * (-K.row) / (3 * row.row), row.row > 0
     l = reconstruct(cd, s)
-    slope = Fraction(
-        2 * l.den * _row_dot(_anticanonical_row(s), l.row), 3 * _row_dot(l.row, l.row)
-    )
-    strict = cert.bound < slope
-    equality = cert.bound == slope
+    lhs = 3 * cert.bound.numerator * _row_dot(l.row, l.row)
+    rhs = 2 * cert.bound.denominator * l.den * _row_dot(_anticanonical_row(s), l.row)
+    strict = lhs < rhs
+    equality = lhs == rhs
     if s.degree == 4:
         padded = tuple(cd.a) + (Fraction(0),) * (5 - len(cd.a))
         checked = appendix.prop_a1(appendix.AppendixInput(padded, cd.delta))

@@ -12,9 +12,10 @@ face contracts onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .curves import (
     _disjoint_index_sets,
@@ -30,8 +31,8 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
-    _combine_rows,
     _from_row,
+    _row_combination,
     _row_dot,
     _row_sum,
     anticanonical,
@@ -189,22 +190,27 @@ class ContractionData:
     a: tuple[Rational, ...]
     curveE: tuple[DivClass, ...]
     curveC: DivClass | None
+    # (q, q * delta, (q * a_i, ...)), q the lcm of the weights' denominators
+    _weights: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown contraction kind {self.kind!r}")
-        if self.delta < 0:
+        q = lcm(self.delta.denominator, *(x.denominator for x in self.a))
+        delta, *a = (x.numerator * (q // x.denominator) for x in (self.delta, *self.a))
+        object.__setattr__(self, "_weights", (q, delta, tuple(a)))
+        if delta < 0:
             raise DomainError("delta must be nonnegative")
-        if len(self.a) != len(self.curveE):
+        if len(a) != len(self.curveE):
             raise DomainError("need one coefficient per contracted curve")
-        if any(x < 0 for x in self.a):
+        if any(x < 0 for x in a):
             raise DomainError("curve coefficients must be nonnegative")
-        if any(x < y for x, y in zip(self.a, self.a[1:])):
+        if any(x < y for x, y in zip(a, a[1:])):
             raise DomainError("curve coefficients must be sorted nonincreasing")
-        if self.a and self.a[0] >= 1:
+        if a and a[0] >= q:
             raise DomainError("leading curve coefficient must stay below 1")
         if self.kind == KIND_TO_P2:
-            if self.curveC is not None or self.delta != 0:
+            if self.curveC is not None or delta:
                 raise DomainError("a plane contraction carries no fiber part")
         elif self.curveC is None:
             raise DomainError("a conic-bundle contraction needs a fiber class")
@@ -232,16 +238,17 @@ class ContractionData:
 
 
 def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
-    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes,
-    summed as integer rows over a common denominator."""
-    terms = [(_anticanonical_row(s), 1)]
+    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes:
+    one integer combination of rows over the denominator of its weights."""
+    q, delta, a = data._weights
+    terms = [(_anticanonical_row(s), q)]
     if data.curveC is not None:
-        terms.append((data.curveC.row, data.delta))
-    terms += ((c.row, a) for c, a in zip(data.curveE, data.a))
+        terms.append((data.curveC.row, delta))
+    terms += zip((c.row for c in data.curveE), a)
     rank = len(terms[-1][0]) - 1  # the curves share one rank
     if rank != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {rank}")
-    return _from_row(*_combine_rows(terms))
+    return _from_row(q, _row_combination(terms))
 
 
 def _face_data(w, s):

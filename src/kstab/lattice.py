@@ -190,7 +190,10 @@ def _ratio_str(num: int, den: int) -> str:
 
 def div(h, e) -> DivClass:
     """Build a DivClass, coercing every coordinate."""
-    return DivClass(_exact(h), tuple(_exact(a) for a in e))
+    coords = (_exact(h), *map(_exact, e))
+    if all(type(x) is int for x in coords):
+        return _from_row(1, coords)
+    return DivClass(coords[0], coords[1:])
 
 
 def intersect(a: DivClass, b: DivClass, s: SurfaceModel) -> Fraction:
@@ -252,10 +255,7 @@ def _row_less(base, *rows) -> tuple[int, ...]:
     return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
 
 
-def _combine_rows(terms) -> tuple[int, tuple[int, ...]]:
-    """(D, D * sum(coeff * row)) over (integer row, rational coeff) terms,
-    with D > 0 the least common denominator of the coefficients."""
-    rows, coeffs = zip(*terms)
-    den = lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (den // c.denominator) for c in coeffs]
-    return den, tuple(sum(map(mul, scaled, column)) for column in zip(*rows))
+def _row_combination(terms) -> tuple[int, ...]:
+    """sum(n * row) over (integer row, int n) terms."""
+    rows, ns = zip(*terms)
+    return tuple(sum(map(mul, ns, column)) for column in zip(*rows))

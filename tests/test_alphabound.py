@@ -36,7 +36,9 @@ from kstab.lattice import (
     anticanonical,
     basis_exceptional,
     div,
+    intersect,
     rational_str,
+    square,
     zero_class,
 )
 
@@ -114,6 +116,11 @@ def test_certificate_record_validation():
         Certificate(((e1, F(2)),), 0, F(1, 3))
     with pytest.raises(DomainError):
         Certificate((), 0, F(1))
+    # an all-zero divisor has no reciprocal to bound by
+    for zero in (0, F(0)):
+        with pytest.raises(DomainError) as err:
+            Certificate(((e1, zero),), 0, 1)
+        assert str(err.value) == "bound must be the reciprocal of the top coefficient"
     good = Certificate(((e1, F(2)),), 0, F(1, 2))
     with pytest.raises(InvariantError):
         verify_certificate(good, anticanonical(s), s)
@@ -618,15 +625,46 @@ def _fraction_builders(call):
     return result, names
 
 
-def test_certificate_builds_fractions_only_for_its_output():
+def _path_items():
+    """Every 97th acceptance-5 grid item, then seeded faces in degrees 4-7
+    of all three kinds."""
     items = [item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree)][::97]
     items += _seeded_faces(60, seed=15)[0]
-    kinds = set()
-    for s, cd in items:
+    assert len({(s.degree, cd.kind) for s, cd in items}) == 12
+    return items
+
+
+def test_certificate_builds_fractions_only_for_its_output():
+    for s, cd in _path_items():
         cert, names = _fraction_builders(lambda: certificate(s, cd))
-        # one Fraction per component and one for the bound, all in _finish;
-        # Certificate.__post_init__ builds its own for its bound check
-        counted = [name for name in names if name != "__post_init__"]
-        assert counted == ["_finish"] * (len(cert.divisor) + 1)
-        kinds.add((s.degree, cd.kind))
-    assert len(kinds) == 12
+        # one Fraction per component and one for the bound, all in _finish
+        assert names == ["_finish"] * (len(cert.divisor) + 1)
+
+
+def test_certificates_pass_the_public_constructor():
+    # _finish builds its record without Certificate.__post_init__; the
+    # public constructor accepts each one as it is
+    for s, cd in _path_items():
+        cert = certificate(s, cd)
+        assert Certificate(cert.divisor, cert.witness_index, cert.bound) == cert
+        assert isinstance(cert.bound, Fraction)
+        assert all(isinstance(c, Fraction) for _, c in cert.divisor)
+
+
+def test_slope_flags_match_a_fraction_oracle():
+    # strict and equality compare the bound with (2/3) * (-K.L) / L^2, here
+    # in Fraction class arithmetic on the class summed from the face
+    zeros = [_plane_cd(4, [0] * 5), _f1_cd(4, [0] * 4, 0), _p1p1_cd(4, [0] * 4, 0)]
+    equal = 0
+    for s, cd in zeros + _path_items():
+        l = anticanonical(s)
+        if cd.curveC is not None:
+            l = l + cd.delta * cd.curveC
+        for x, c in zip(cd.a, cd.curveE):
+            l = l + x * c
+        limit = F(2, 3) * intersect(anticanonical(s), l, s) / square(l, s)
+        cert = certificate(s, cd)
+        flags = compare_with_slope(s, cd, cert)
+        assert flags == {"strict": cert.bound < limit, "equality": cert.bound == limit}
+        equal += flags["equality"]
+    assert equal >= 3  # the degree-4 zero point of each kind

@@ -1,6 +1,8 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -365,6 +367,93 @@ def test_contraction_data_messages():
         assert str(err.value) == message
     good = ContractionData(KIND_CONIC_F1, half, (half,), (e1,), h - e2)
     assert [c.row for c in good.curveE] == [(0, 1, 0)] and good.curveC.row == (1, 0, -1)
+
+
+def _weight_message(kind, delta, a, count):
+    """The weight checks of ContractionData as they ran on Fractions: the
+    message of the first that fails, or None."""
+    if delta < 0:
+        return "delta must be nonnegative"
+    if len(a) != count:
+        return "need one coefficient per contracted curve"
+    if any(x < 0 for x in a):
+        return "curve coefficients must be nonnegative"
+    if any(x < y for x, y in zip(a, a[1:])):
+        return "curve coefficients must be sorted nonincreasing"
+    if a and a[0] >= 1:
+        return "leading curve coefficient must stay below 1"
+    if kind == KIND_TO_P2 and delta != 0:
+        return "a plane contraction carries no fiber part"
+    return None
+
+
+def _weighted(kind, delta, a):
+    """(message or None, data or None): ContractionData on the five disjoint
+    E_i of degree 4, or on four of them and the fiber H - E5."""
+    s = SurfaceModel(4)
+    es = tuple(basis_exceptional(s, i) for i in range(1, 6))
+    curves = (es, None) if kind == KIND_TO_P2 else (es[:4], basis_line(s) - es[4])
+    try:
+        return None, ContractionData(kind, delta, a, *curves)
+    except DomainError as err:
+        return str(err), None
+
+
+def _check_weights(kind, delta, a):
+    count = 5 if kind == KIND_TO_P2 else 4
+    message, cd = _weighted(kind, delta, a)
+    assert message == _weight_message(kind, delta, a, count)
+    if cd is not None:
+        q = lcm(*(x.denominator for x in (delta, *a)))
+        assert cd._weights == (q, (delta * q).numerator, tuple((x * q).numerator for x in a))
+    return message
+
+
+def _near_unit(rng):
+    # a rational in [-1/20, 21/20] over its own denominator of up to 10^6
+    den = rng.randint(1, 10**6)
+    return Fraction(rng.randint(-den // 20, den + den // 20), den)
+
+
+def test_contraction_weights_checked_on_ints_match_fraction_checks():
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(2400):
+        kind = rng.choice((KIND_TO_P2, KIND_CONIC_F1))
+        count = (5 if kind == KIND_TO_P2 else 4) + rng.choice((0,) * 10 + (-1, 1))
+        a = [_near_unit(rng) for _ in range(count)]
+        if rng.random() < 0.8:
+            a.sort(reverse=True)
+        plane_zero = kind == KIND_TO_P2 and rng.random() < 0.7
+        delta = Fraction(0) if plane_zero else _near_unit(rng)
+        seen[_check_weights(kind, delta, tuple(a))] += 1
+    assert len(seen) == 7 and min(seen.values()) >= 20  # every outcome, acceptance too
+    # the boundaries: a_1 = 1 and just below it, equal weights written over
+    # different denominators, delta just below 0
+    tiny = Fraction(1, 10**6)
+    third = (Fraction(1, 3), Fraction(2, 6), Fraction(333333, 999999), Fraction(1, 7))
+    cases = [
+        (KIND_CONIC_F1, Fraction(0), (Fraction(1), 0, 0, 0), "leading"),
+        (KIND_CONIC_F1, Fraction(0), (1 - tiny, 0, 0, 0), None),
+        (KIND_TO_P2, Fraction(0), (1 - tiny, 1 - tiny, tiny, tiny, 0), None),
+        (KIND_CONIC_F1, Fraction(1, 2), third, None),
+        (KIND_TO_P2, Fraction(0), third + (0,), None),
+        (KIND_CONIC_F1, -tiny, third, "delta"),
+        (KIND_TO_P2, -tiny, third + (0,), "delta"),
+        (KIND_TO_P2, tiny, third + (0,), "a plane"),
+    ]
+    for kind, delta, a, start in cases:
+        message = _check_weights(kind, delta, a)
+        assert (message is None) if start is None else message.startswith(start)
+
+
+def test_contraction_weights_leave_equality_hash_and_repr_alone():
+    _, cd = _weighted(KIND_CONIC_F1, Fraction(1, 2), (Fraction(1, 3), Fraction(1, 6), 0, 0))
+    _, same = _weighted(KIND_CONIC_F1, Fraction(3, 6), (Fraction(2, 6), Fraction(1, 6), 0, 0))
+    assert cd == same and hash(cd) == hash(same)
+    assert "_weights" not in repr(cd)
+    assert repr(cd).startswith("ContractionData(kind='ConicBundleF1', delta=Fraction(1, 2), ")
+    assert cd._weights == (6, 3, (2, 1, 0, 0))
 
 
 def _random_class(rng, s, denom=6, lo=-3, hi=3):

@@ -165,6 +165,10 @@ def test_int_coordinates_stay_ints():
         assert not _builds_fraction(lambda: 5 * ints)
     mixed = div(1, ["1/2", Fraction(2, 3)]) * -6
     assert (mixed.den, mixed.row) == (1, (-6, -3, -4))
+    # an int subclass is stored as a plain int, as a Fraction's numerator is
+    small = type("Small", (int,), {})
+    sub = div(small(3), [small(1)])
+    assert sub == div(3, [1]) and [type(x) for x in sub.row] == [int, int]
     assert type(rational(5)) is Fraction
     too_long = 10**MAX_DIGITS  # 201 digits
     for bad in (True, False, too_long, -too_long):

@@ -129,7 +129,7 @@ def test_library_has_no_unused_private_definitions():
     assert [d for d in defined if d.split(": ")[1] not in used] == []
 
 
-_ROW_HELPERS = {"_row_dot", "_row_sum", "_row_less", "_combine_rows", "_anticanonical_row"}
+_ROW_HELPERS = {"_row_dot", "_row_sum", "_row_less", "_row_combination", "_anticanonical_row"}
 
 
 def test_row_helpers_live_only_in_lattice():
@@ -171,18 +171,32 @@ def test_only_cones_imports_ratlp():
     assert importers == {"cones.py"}
 
 
-_KERNEL = {"_five_point_parts", "_plane_parts", "_f1_parts", "_p1p1_parts", "_largest_subset_sum"}
+_KERNEL = {
+    "alphabound.py": {
+        "_parts",
+        "_five_point_parts",
+        "_plane_parts",
+        "_f1_parts",
+        "_p1p1_parts",
+        "_largest_subset_sum",
+    },
+    "cones.py": {"reconstruct"},
+}
 
 
 def test_certificate_kernel_stays_on_ints():
-    # the parts builders and the subset-sum helper compute every coefficient
-    # as an int over one denominator: they name no Fraction, and read
-    # neither the Fraction fields a and delta of the contraction data nor
-    # a class's Fraction coordinates h and e
-    path = Path(kstab.__file__).parent / "alphabound.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    kernel = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in _KERNEL]
-    assert {fn.name for fn in kernel} == _KERNEL
+    # the parts builders, the subset-sum helper and reconstruct compute
+    # every coefficient as an int over one denominator: they name no
+    # Fraction, and read neither the Fraction fields a and delta of the
+    # contraction data (its integer weights serve them) nor a class's
+    # Fraction coordinates h and e
+    kernel = []
+    for name, functions in _KERNEL.items():
+        path = Path(kstab.__file__).parent / name
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in functions]
+        assert {fn.name for fn in found} == functions
+        kernel += found
     found = []
     for fn in kernel:
         for node in ast.walk(fn):
