@@ -16,6 +16,13 @@ and delta go over one denominator Q, every coefficient, subset sum and
 case test is computed over ints, and the class identity is one
 cross-multiplied integer sum.  Only then are the certificate's rational
 coefficients n / Q and its bound built.
+
+There is one plane lemma: degree 4 takes a five-point pattern, and degrees
+5 to 7 one formula over per-degree line weights.  F1 is P2 blown up at one
+point, so an F1 face is a plane face over its curves and the section,
+which carries weight 0.  The builders work at delta = 0: on a conic face
+the fiber C = E1 + (C - E1) through point 1 carries delta, and _parts adds
+it to those two parts once the builder returns.
 """
 
 from __future__ import annotations
@@ -62,7 +69,6 @@ TWELVE_SUM_FAMILY = (
     (1, 2, 3),
     (0, 1, 2, 3),
 )
-FIVE_SUM_FAMILY = ((0,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
 
 def largest_admissible_sum(values, family) -> Fraction:
@@ -208,14 +214,12 @@ def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     return ell
 
 
-def _five_point_parts(s, ell, es5, a5, n_value, subset, delta, one):
+def _five_point_parts(s, ell, es5, a5, n_value, subset, one):
     """Shared degree-4 pattern over a plane model with five base points.
 
     es5/a5 hold the rows of the five contracted curves and their scaled
-    coefficients (the fifth may be a section curve with coefficient zero).
-    subset indexes (a2..a5) entries whose sum is n_value.  delta > 0 shifts
-    the E1 and L15 coefficients, absorbing delta copies of the fiber
-    C = E1 + L15.
+    coefficients (on F1 the fifth is the section, with coefficient zero).
+    subset indexes (a2..a5) entries whose sum is n_value.
     """
     z = _as_line(_row_less(tuple(2 * x for x in ell), *es5), s, "the five-point conic")
     lines = [
@@ -223,13 +227,11 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta, one):
         for j in range(1, 5)
     ]
     parts = [
-        (es5[0], (3 * one + 2 * a5[0] + 2 * delta + n_value) // 2),
+        (es5[0], (3 * one + 2 * a5[0] + n_value) // 2),
         (z, (one - n_value) // 2),
     ]
     for j in range(1, 5):
         coeff = (one + n_value - 2 * a5[j]) // 2 if j - 1 in subset else (one + n_value) // 2
-        if j == 4:
-            coeff = coeff + delta
         parts.append((lines[j - 1], coeff))
     for j in range(1, 5):
         if j - 1 not in subset:
@@ -237,68 +239,38 @@ def _five_point_parts(s, ell, es5, a5, n_value, subset, delta, one):
     return parts
 
 
-def _plane_parts(s, cd, a, delta, one):
-    es = tuple(e.row for e in cd.curveE)
+# the weights c_j of the lines through point 1 and point j = 2, ..., r
+_LINE_WEIGHTS = {7: (3,), 6: (2, 1), 5: (1, 1, 1)}
+
+
+def _plane_parts(s, es, a, one):
+    """The plane lemma over the contracted rows es with scaled weights a.
+
+    Degree 4 takes the five-point pattern.  In degrees 5 to 7 the line
+    through points 1 and j is weighted c_j, E1 is weighted 2 + a_1 and
+    each other E_j is weighted c_j - 1 + a_j.
+    """
     ell = _plane_pullback(s, es)
     if s.degree == 4:
         n_value, subset = _largest_subset_sum(a[1:], TWELVE_SUM_FAMILY, one)
-        return _five_point_parts(s, ell, es, a, n_value, subset, 0, one)
-    lines = [
-        _as_line(_row_less(ell, es[0], es[j]), s, f"the line through points 1,{j + 1}")
-        for j in range(1, s.r)
+        return _five_point_parts(s, ell, es, a, n_value, subset, one)
+    e1, *rest = es
+    c = _LINE_WEIGHTS[s.degree]
+    parts = [
+        (_as_line(_row_less(ell, e1, e), s, f"the line through points 1,{j}"), cj * one)
+        for j, (e, cj) in enumerate(zip(rest, c), 2)
     ]
-    if s.degree == 7:
-        return [(lines[0], 3 * one), (es[0], 2 * one + a[0]), (es[1], 2 * one + a[1])]
-    if s.degree == 6:
-        return [
-            (lines[0], 2 * one),
-            (lines[1], one),
-            (es[0], 2 * one + a[0]),
-            (es[1], one + a[1]),
-            (es[2], a[2]),
-        ]
-    # degree 5
-    return [
-        (lines[0], one),
-        (lines[1], one),
-        (lines[2], one),
-        (es[0], 2 * one + a[0]),
-        (es[1], a[1]),
-        (es[2], a[2]),
-        (es[3], a[3]),
-    ]
+    parts.append((e1, 2 * one + a[0]))
+    parts += [(e, (cj - 1) * one + x) for e, cj, x in zip(rest, c, a[1:])]
+    return parts
 
 
-def _f1_parts(s, cd, a, delta, one):
-    es = tuple(e.row for e in cd.curveE)
-    c = cd.curveC.row
+def _f1_parts(s, es, c, a, one):
+    """F1 is P2 blown up at one point, so its face is a plane face over es
+    and the section v = (M - 3C) / 2, which carries weight 0."""
     m = _row_sum(_anticanonical_row(s), *es)
     v = _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
-    ell = _plane_pullback(s, es + (v,))
-    if s.degree == 4:
-        n_value, subset = _largest_subset_sum(a[1:], FIVE_SUM_FAMILY, one)
-        return _five_point_parts(s, ell, es + (v,), a + (0,), n_value, subset, delta, one)
-    l1v = _as_line(_row_less(ell, es[0], v), s, "the line through point 1 and the section")
-    if s.degree == 7:
-        return [(l1v, 3 * one + delta), (es[0], 2 * one + delta + a[0]), (v, 2 * one)]
-    l12 = _as_line(_row_less(ell, es[0], es[1]), s, "the line through points 1,2")
-    if s.degree == 6:
-        return [
-            (l12, 2 * one),
-            (l1v, one + delta),
-            (es[0], 2 * one + delta + a[0]),
-            (es[1], one + a[1]),
-        ]
-    # degree 5
-    l13 = _as_line(_row_less(ell, es[0], es[2]), s, "the line through points 1,3")
-    return [
-        (l12, one),
-        (l13, one),
-        (l1v, one + delta),
-        (es[0], 2 * one + delta + a[0]),
-        (es[1], a[1]),
-        (es[2], a[2]),
-    ]
+    return _plane_parts(s, es + (v,), a + (0,), one)
 
 
 def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
@@ -313,22 +285,20 @@ def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
     return _as_fiber(g, s, "the second ruling")
 
 
-def _p1p1_parts(s, cd, a, delta, one):
-    es = tuple(e.row for e in cd.curveE)
-    c = cd.curveC.row
+def _p1p1_parts(s, es, c, a, one):
     g = _other_ruling(s, es, c)
     f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
     f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
     if s.degree == 7:
-        return [(es[0], 3 * one + a[0] + delta), (f1, 2 * one + delta), (f1p, 2 * one)]
+        return [(es[0], 3 * one + a[0]), (f1, 2 * one), (f1p, 2 * one)]
     if s.degree == 6:
         f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
         f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
         half = one // 2
         return [
-            (es[0], 2 * one + delta + a[0]),
+            (es[0], 2 * one + a[0]),
             (es[1], a[1]),
-            (f1, 3 * half + delta),
+            (f1, 3 * half),
             (f1p, 3 * half),
             (f2, half),
             (f2p, half),
@@ -339,10 +309,10 @@ def _p1p1_parts(s, cd, a, delta, one):
             _row_less(c_plus_g, es[0], es[1], es[2]), s, "the diagonal through points 1,2,3"
         )
         return [
-            (es[0], 2 * one + delta + a[0]),
+            (es[0], 2 * one + a[0]),
             (es[1], a[1]),
             (es[2], a[2]),
-            (f1, one + delta),
+            (f1, one),
             (f1p, one),
             (t, one),
         ]
@@ -359,8 +329,8 @@ def _p1p1_parts(s, cd, a, delta, one):
         chosen = (1,)
     s_value = sum(a[i] for i in chosen)
     parts = [
-        (es[0], (3 * one + 2 * a[0] + 2 * delta + s_value) // 2),
-        (f1, (one + 2 * delta + s_value) // 2),
+        (es[0], (3 * one + 2 * a[0] + s_value) // 2),
+        (f1, (one + s_value) // 2),
         (f1p, (one + s_value) // 2),
     ]
     for pair in ((1, 2), (1, 3), (2, 3)):
@@ -377,20 +347,29 @@ def _p1p1_parts(s, cd, a, delta, one):
     return parts
 
 
-_PARTS = {KIND_TO_P2: _plane_parts, KIND_CONIC_F1: _f1_parts, KIND_CONIC_P1P1: _p1p1_parts}
-
-
 def _parts(s: SurfaceModel, cd: ContractionData):
     """(Q, parts): the lemma's (integer row, n) parts, each standing for
     n / Q copies of the curve of the row.
 
     Q = 2q for q the denominator of the contraction data's integer
-    weights, and the builders take Q, Q * a_i and Q * delta, twice those
-    ints, so every sum of them a builder halves is even and each // 2 is
-    exact.
+    weights, and the builders take Q and Q * a_i, twice those ints, so
+    every sum of them a builder halves is even and each // 2 is exact.
+    The builders work at delta = 0.  On a conic face the fiber through
+    point 1 is C = E1 + (C - E1), where C - E1 is the line L1 sigma on F1
+    and the fiber f1 on P1 x P1, so delta copies of C add Q * delta to
+    those two parts; that shift is made here, after the builder's checks.
     """
     q, delta, a = cd._weights
-    return 2 * q, _PARTS[cd.kind](s, cd, tuple(2 * x for x in a), 2 * delta, 2 * q)
+    one = 2 * q
+    es = tuple(e.row for e in cd.curveE)
+    a = tuple(2 * x for x in a)
+    if cd.kind == KIND_TO_P2:
+        return one, _plane_parts(s, es, a, one)
+    c = cd.curveC.row
+    build = _f1_parts if cd.kind == KIND_CONIC_F1 else _p1p1_parts
+    parts = build(s, es, c, a, one)
+    fiber = (es[0], _row_less(c, es[0]))
+    return one, [(row, n + 2 * delta) if row in fiber else (row, n) for row, n in parts]
 
 
 def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:

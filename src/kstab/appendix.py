@@ -8,7 +8,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
@@ -27,17 +27,21 @@ class AppendixInput:
 
     a: tuple[Rational, ...]
     delta: Rational
+    # (q, q*a, q*delta) from _scaled, q the lcm of the denominators
+    _weights: tuple[int, tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a) != 5:
             raise DomainError("exactly five coefficients required")
-        if self.a[0] > 1:
+        q, a, d = weights = _scaled(self)
+        object.__setattr__(self, "_weights", weights)
+        if a[0] > q:
             raise DomainError("leading coefficient must not exceed 1")
-        if self.a[4] < 0:
+        if a[4] < 0:
             raise DomainError("coefficients must be nonnegative")
-        if any(x < y for x, y in zip(self.a, self.a[1:])):
+        if any(x < y for x, y in zip(a, a[1:])):
             raise DomainError("coefficients must be sorted nonincreasing")
-        if self.delta < 0:
+        if d < 0:
             raise DomainError("delta must be nonnegative")
 
 
@@ -109,7 +113,7 @@ def _margin(q: int, d: int, a1: int, t: int, s: int, big_s: int) -> int:
 
 def alpha_piecewise(inp: AppendixInput) -> Fraction:
     """The four-case piecewise value, cases tested in order."""
-    q, a, d = _scaled(inp)
+    q, a, d = inp._weights
     return Fraction(2 * q, 3 * q + 2 * a[0] + 2 * d + _case_sum(q, *a[1:4]))
 
 
@@ -121,7 +125,7 @@ def prop_a1(inp: AppendixInput) -> dict:
     Both inequalities hold on the whole domain, strictly away from the
     all-zero point.
     """
-    q, a, d = _scaled(inp)
+    q, a, d = inp._weights
     m1, m2 = (_margin(q, d, *side) for side in _sides(q, a))
     return {
         "ineq1": m1 >= 0,

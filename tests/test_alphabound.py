@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstab.alphabound import (
-    FIVE_SUM_FAMILY,
     TWELVE_SUM_FAMILY,
     Certificate,
     _as_fiber,
     _as_line,
+    _largest_subset_sum,
     _parts,
     certificate,
     compare_with_slope,
@@ -44,6 +44,7 @@ from kstab.lattice import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 import fraction_parts  # noqa: E402
+from fraction_parts import FIVE_SUM_FAMILY  # noqa: E402
 from test_acceptance import _grid_contractions  # noqa: E402
 
 F = Fraction
@@ -103,6 +104,21 @@ def test_largest_admissible_sum():
     assert largest_admissible_sum(_fr([0, 0, 0, 0]), TWELVE_SUM_FAMILY) == 0
     with pytest.raises(DomainError):
         largest_admissible_sum(_fr(["-1/2", 0, 0]), FIVE_SUM_FAMILY)
+
+
+def test_twelve_sums_with_a_zero_fourth_entry_pick_as_the_five_sums():
+    # an F1 face hands the plane builder its section as a fourth entry of
+    # weight 0: every twelve-family subset naming it sums to what an
+    # earlier subset without it sums to (or to at most a2), so the first
+    # largest admissible subset is the one the five-sum family picks
+    ties = at_one = 0
+    for one in (1, 2, 3, 4, 6, 7, 10, 12):
+        for a4, a3, a2 in combinations_with_replacement(range(one), 3):
+            got = _largest_subset_sum((a2, a3, a4, 0), TWELVE_SUM_FAMILY, one)
+            assert got == _largest_subset_sum((a2, a3, a4), FIVE_SUM_FAMILY, one)
+            ties += a2 == a3 or a3 == a4
+            at_one += got[0] == one
+    assert ties and at_one  # equal weights and sums of exactly 1 are covered
 
 
 def test_certificate_record_validation():
@@ -508,12 +524,15 @@ _ORACLE = {
 
 
 def _oracle_parts(s, cd):
-    """The Fraction parts, after checking that the integer parts, read as
-    n / Q, equal them row for row."""
+    """The Fraction parts, after checking that the nonzero integer parts,
+    read as n / Q, equal the nonzero Fraction parts in order.  Only the
+    nonzero parts are compared: the F1 parts in degrees 5 and 6 now carry
+    the section with coefficient 0, which _finish drops."""
     one, parts = _parts(s, cd)
     assert one % 2 == 0
     expected = _ORACLE[cd.kind](s, cd)
-    assert [(row, F(n, one)) for row, n in parts] == [(row, F(c)) for row, c in expected]
+    got = [(row, F(n, one)) for row, n in parts if n]
+    assert got == [(row, F(c)) for row, c in expected if c]
     return expected
 
 

@@ -32,6 +32,50 @@ def test_input_validation():
     _inp(0, 0, 0, 0, 0, delta=Fraction(7, 2))
 
 
+def _fraction_message(a, delta):
+    # the input checks as they read on the Fraction weights
+    if a[0] > 1:
+        return "leading coefficient must not exceed 1"
+    if a[4] < 0:
+        return "coefficients must be nonnegative"
+    if any(x < y for x, y in zip(a, a[1:])):
+        return "coefficients must be sorted nonincreasing"
+    if delta < 0:
+        return "delta must be nonnegative"
+    return None
+
+
+def test_input_checks_on_ints_match_fraction_checks():
+    rng = random.Random(16)
+    for _ in range(3000):
+        a = [Fraction(rng.randint(-1, 9), rng.randint(1, 8)) for _ in range(5)]
+        if rng.random() < 0.7:
+            a.sort(reverse=True)
+        delta = Fraction(rng.randint(-1, 6), rng.randint(1, 6))
+        try:
+            message = None
+            AppendixInput(tuple(a), delta)
+        except DomainError as err:
+            message = str(err)
+        assert message == _fraction_message(a, delta), (a, delta)
+
+
+def test_input_weights_are_scaled_once(monkeypatch):
+    inp = _inp(Fraction(1, 2), Fraction(1, 3), 0, 0, 0, delta=Fraction(3, 4))
+    same = _inp(Fraction(2, 4), Fraction(2, 6), 0, 0, 0, delta=Fraction(3, 4))
+    assert inp == same and hash(inp) == hash(same)
+    assert "_weights" not in repr(inp)
+    assert inp._weights == appendix._scaled(inp) == (12, (6, 4, 0, 0, 0), 9)
+    expected = prop_a1(inp)
+
+    def scaled_again(_):
+        raise AssertionError("the weights were scaled again")
+
+    monkeypatch.setattr(appendix, "_scaled", scaled_again)
+    assert prop_a1(inp) == expected
+    assert alpha_piecewise(inp) == expected["piecewise"]
+
+
 def test_piecewise_at_zero():
     assert alpha_piecewise(_inp(0, 0, 0, 0, 0)) == Fraction(2, 3)
 

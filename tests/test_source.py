@@ -205,3 +205,26 @@ def test_certificate_kernel_stays_on_ints():
             elif isinstance(node, ast.Attribute) and node.attr in ("a", "delta", "h", "e"):
                 found.append(f"{fn.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def test_the_fiber_shift_has_one_home():
+    # the parts builders work at delta = 0 on integer rows: none takes
+    # delta or the contraction data, and F1 defers to the plane builder
+    # instead of branching on the degree, so _parts alone adds delta
+    path = Path(kstab.__file__).parent / "alphabound.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    builders = {"_five_point_parts", "_plane_parts", "_f1_parts", "_p1p1_parts"}
+    found = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in builders}
+    assert set(found) == builders
+    params = {name: {a.arg for a in fn.args.args} for name, fn in found.items()}
+    assert all(p and p.isdisjoint({"delta", "cd"}) for p in params.values()), params
+    degree_tests = [
+        node.lineno
+        for node in ast.walk(found["_f1_parts"])
+        if isinstance(node, ast.Attribute) and node.attr == "degree"
+    ]
+    assert degree_tests == []
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == "degree"
+        for node in ast.walk(found["_p1p1_parts"])
+    )  # the scan sees a degree test where there is one
