@@ -10,8 +10,9 @@ and the bound are all re-verified exactly before it is returned.
 Every named auxiliary curve (lines through two of the blown-down points,
 the conic through five of them, fiber and section classes, the diagonal
 type curves) is realized as an explicit integer row (h, e_1, ..., e_r) and
-looked up among the enumerated curves before use; the lookup hands back
-the curve's class for the output.  The coefficients are ints too: the a_i
+looked up among the enumerated curves before use, once per ordered face,
+in the cached tables of named curves; the lookup hands back the curve's
+class for the output.  The coefficients are ints too: the a_i
 and delta go over one denominator Q, every coefficient, subset sum and
 case test is computed over ints, and the class identity is one
 cross-multiplied integer sum.  Only then are the certificate's rational
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import appendix
@@ -214,21 +216,80 @@ def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
     return ell
 
 
-def _five_point_parts(s, ell, es5, a5, n_value, subset, one):
+# The named curves of a face depend on its ordered contracted rows (and
+# fiber row) alone, so each is derived and checked once per ordered face,
+# in the cached tables below; a face whose curves fail a check raises
+# before its entry is stored, so it raises on every call.  The tables are
+# bounded by the ordered faces of degrees 4 to 7: |W(E_r)| = 1920, 120, 12
+# and 2 plane faces, and 3840, 240, 24 and 4 conic faces (r - 1 ordered
+# lines and a fiber), 6162 entries in all.
+
+
+@lru_cache(maxsize=None)
+def _plane_curves(s: SurfaceModel, es):
+    """(lines, conic) of the plane face contracting the ordered rows es:
+    the lines through point 1 and point j = 2, ..., r, and the conic
+    through the five points in degree 4 (None in degrees 5 to 7)."""
+    ell = _plane_pullback(s, es)
+    conic = None
+    if s.degree == 4:
+        conic = _as_line(_row_less(tuple(2 * x for x in ell), *es), s, "the five-point conic")
+    lines = tuple(
+        _as_line(_row_less(ell, es[0], e), s, f"the line through points 1,{j}")
+        for j, e in enumerate(es[1:], 2)
+    )
+    return lines, conic
+
+
+@lru_cache(maxsize=None)
+def _section(s: SurfaceModel, es, c):
+    """The section (M - 3C) / 2 of the F1 face contracting es with fiber c."""
+    m = _row_sum(_anticanonical_row(s), *es)
+    return _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
+
+
+# the diagonals of a P1 x P1 face through point 1 and points j + 1, k + 1,
+# as (j, k) indexes into its contracted rows
+_DIAGONALS = {7: (), 5: ((1, 2),), 4: ((1, 2), (1, 3), (2, 3))}
+
+
+@lru_cache(maxsize=None)
+def _ruling_curves(s: SurfaceModel, es, c):
+    """(f1, f1', more) of the P1 x P1 face contracting es with fiber c: the
+    fibers of the two rulings through point 1, then the two through point
+    2 in degree 6, the diagonal through points 1, 2, 3 in degree 5, and in
+    degree 4 the diagonals through points 1, j, k for (j, k) = (2, 3),
+    (2, 4), (3, 4)."""
+    g = _other_ruling(s, es, c)
+    f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
+    f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
+    if s.degree == 6:
+        f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
+        f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
+        return f1, f1p, (f2, f2p)
+    c_plus_g = _row_sum(c, g)
+    diagonals = tuple(
+        _as_line(
+            _row_less(c_plus_g, es[0], es[j], es[k]),
+            s,
+            f"the diagonal through points 1,{j + 1},{k + 1}",
+        )
+        for j, k in _DIAGONALS[s.degree]
+    )
+    return f1, f1p, diagonals
+
+
+def _five_point_parts(es5, a5, lines, conic, n_value, subset, one):
     """Shared degree-4 pattern over a plane model with five base points.
 
     es5/a5 hold the rows of the five contracted curves and their scaled
-    coefficients (on F1 the fifth is the section, with coefficient zero).
+    coefficients (on F1 the fifth is the section, with coefficient zero);
+    lines and conic are the face's named curves from _plane_curves.
     subset indexes (a2..a5) entries whose sum is n_value.
     """
-    z = _as_line(_row_less(tuple(2 * x for x in ell), *es5), s, "the five-point conic")
-    lines = [
-        _as_line(_row_less(ell, es5[0], es5[j]), s, f"the line through points 1,{j + 1}")
-        for j in range(1, 5)
-    ]
     parts = [
         (es5[0], (3 * one + 2 * a5[0] + n_value) // 2),
-        (z, (one - n_value) // 2),
+        (conic, (one - n_value) // 2),
     ]
     for j in range(1, 5):
         coeff = (one + n_value - 2 * a5[j]) // 2 if j - 1 in subset else (one + n_value) // 2
@@ -250,27 +311,21 @@ def _plane_parts(s, es, a, one):
     through points 1 and j is weighted c_j, E1 is weighted 2 + a_1 and
     each other E_j is weighted c_j - 1 + a_j.
     """
-    ell = _plane_pullback(s, es)
+    lines, conic = _plane_curves(s, es)
     if s.degree == 4:
         n_value, subset = _largest_subset_sum(a[1:], TWELVE_SUM_FAMILY, one)
-        return _five_point_parts(s, ell, es, a, n_value, subset, one)
-    e1, *rest = es
+        return _five_point_parts(es, a, lines, conic, n_value, subset, one)
     c = _LINE_WEIGHTS[s.degree]
-    parts = [
-        (_as_line(_row_less(ell, e1, e), s, f"the line through points 1,{j}"), cj * one)
-        for j, (e, cj) in enumerate(zip(rest, c), 2)
-    ]
-    parts.append((e1, 2 * one + a[0]))
-    parts += [(e, (cj - 1) * one + x) for e, cj, x in zip(rest, c, a[1:])]
+    parts = [(line, cj * one) for line, cj in zip(lines, c)]
+    parts.append((es[0], 2 * one + a[0]))
+    parts += [(e, (cj - 1) * one + x) for e, cj, x in zip(es[1:], c, a[1:])]
     return parts
 
 
 def _f1_parts(s, es, c, a, one):
     """F1 is P2 blown up at one point, so its face is a plane face over es
     and the section v = (M - 3C) / 2, which carries weight 0."""
-    m = _row_sum(_anticanonical_row(s), *es)
-    v = _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
-    return _plane_parts(s, es + (v,), a + (0,), one)
+    return _plane_parts(s, es + (_section(s, es, c),), a + (0,), one)
 
 
 def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
@@ -286,14 +341,11 @@ def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
 
 
 def _p1p1_parts(s, es, c, a, one):
-    g = _other_ruling(s, es, c)
-    f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
-    f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
+    f1, f1p, more = _ruling_curves(s, es, c)
     if s.degree == 7:
         return [(es[0], 3 * one + a[0]), (f1, 2 * one), (f1p, 2 * one)]
     if s.degree == 6:
-        f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
-        f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
+        f2, f2p = more
         half = one // 2
         return [
             (es[0], 2 * one + a[0]),
@@ -303,18 +355,14 @@ def _p1p1_parts(s, es, c, a, one):
             (f2, half),
             (f2p, half),
         ]
-    c_plus_g = _row_sum(c, g)
     if s.degree == 5:
-        t = _as_line(
-            _row_less(c_plus_g, es[0], es[1], es[2]), s, "the diagonal through points 1,2,3"
-        )
         return [
             (es[0], 2 * one + a[0]),
             (es[1], a[1]),
             (es[2], a[2]),
             (f1, one),
             (f1p, one),
-            (t, one),
+            (more[0], one),
         ]
     # degree 4: four-case split, tested in order; the chosen subset's sum
     # joins the E1 coefficient and the leftover E's keep their own terms
@@ -333,12 +381,7 @@ def _p1p1_parts(s, es, c, a, one):
         (f1, (one + s_value) // 2),
         (f1p, (one + s_value) // 2),
     ]
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        t = _as_line(
-            _row_less(c_plus_g, es[0], es[pair[0]], es[pair[1]]),
-            s,
-            f"the diagonal through points 1,{pair[0] + 1},{pair[1] + 1}",
-        )
+    for pair, t in zip(_DIAGONALS[4], more):
         signed = sum(-a[i] if i in pair else a[i] for i in chosen)
         parts.append((t, (one + signed) // 2))
     for i in (1, 2, 3):

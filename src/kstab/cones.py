@@ -22,6 +22,7 @@ from .curves import (
     _disjoint_masks,
     _fiber_index,
     _line_index,
+    _line_numbers,
     _line_rows,
     pairings,
 )
@@ -192,6 +193,8 @@ class ContractionData:
     curveC: DivClass | None
     # (q, q * delta, (q * a_i, ...)), q the lcm of the weights' denominators
     _weights: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # q * (-K + delta*C + sum(a_i * E_i)) as an integer row; None with no curves
+    _row: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -199,6 +202,7 @@ class ContractionData:
         q = lcm(self.delta.denominator, *(x.denominator for x in self.a))
         delta, *a = (x.numerator * (q // x.denominator) for x in (self.delta, *self.a))
         object.__setattr__(self, "_weights", (q, delta, tuple(a)))
+        object.__setattr__(self, "_row", None)
         if delta < 0:
             raise DomainError("delta must be nonnegative")
         if len(a) != len(self.curveE):
@@ -222,33 +226,46 @@ class ContractionData:
         degree = 9 - classes[0].rank
         if not 1 <= degree <= 8:
             raise DomainError("contraction data has an invalid rank")
-        # membership is a lookup of the class by its integer row: a class
-        # row / D with D > 1 shares its row with an integral class
-        lines, fibers = _line_index(degree), _fiber_index(degree)
+        # membership is a lookup of an integral class's row: a class row / D
+        # with D > 1 shares its row with an integral class
+        lines = _line_numbers(degree)
+        indexes = []
         for c in self.curveE:
-            if lines.get(c.row) != c:
+            i = lines.get(c.row) if c.den == 1 else None
+            if i is None:
                 raise DomainError(f"{c} is not an exceptional curve class")
-        if self.curveC is not None and fibers.get(self.curveC.row) != self.curveC:
-            raise DomainError(f"{self.curveC} is not a fiber class")
-        rows = [c.row for c in classes]
-        for i, u in enumerate(rows):
-            for v in rows[i + 1 :]:
-                if _row_dot(u, v) != 0:
-                    raise DomainError("contracted curves must be pairwise disjoint")
+            indexes.append(i)
+        fiber = self.curveC
+        if fiber is not None and (fiber.den != 1 or fiber.row not in _fiber_index(degree)):
+            raise DomainError(f"{fiber} is not a fiber class")
+        # line i misses every earlier line when its mask holds their bits; a
+        # repeated line meets itself, as bit i of mask i is clear
+        masks, earlier = _disjoint_masks(degree), 0
+        for i in indexes:
+            if earlier & ~masks[i]:
+                raise DomainError("contracted curves must be pairwise disjoint")
+            earlier |= 1 << i
+        terms = [(_anticanonical_row(SurfaceModel(degree)), q)]
+        if fiber is not None:
+            if any(_row_dot(fiber.row, c.row) for c in self.curveE):
+                raise DomainError("contracted curves must be pairwise disjoint")
+            terms.append((fiber.row, delta))
+        terms += zip((c.row for c in self.curveE), a)
+        object.__setattr__(self, "_row", _row_combination(terms))
 
 
 def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
-    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes:
-    one integer combination of rows over the denominator of its weights."""
-    q, delta, a = data._weights
-    terms = [(_anticanonical_row(s), q)]
-    if data.curveC is not None:
-        terms.append((data.curveC.row, delta))
-    terms += zip((c.row for c in data.curveE), a)
-    rank = len(terms[-1][0]) - 1  # the curves share one rank
+    """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes: its
+    integer row, combined once when the data was built, over the
+    denominator of its weights."""
+    q = data._weights[0]
+    row = data._row
+    if row is None:  # no curves: the class is -K
+        row = _row_combination([(_anticanonical_row(s), q)])
+    rank = len(row) - 1
     if rank != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {rank}")
-    return _from_row(q, _row_combination(terms))
+    return _from_row(q, row)
 
 
 def _face_data(w, s):

@@ -10,8 +10,9 @@ and a failure raises InvariantError.  The rows are sorted as their classes
 sort, and only then is each turned into a DivClass over denominator 1.  A
 fiber candidate that is the sum of two (-1)-curves meeting once is nef
 without a scan of the curve table.  One cached index per list maps each
-row to its class in sorted order, and the public lists read it; the table
-of disjoint pairs of (-1)-curves is built from it too, and pairings signs
+row to its class in sorted order, and the public lists read it; another
+maps each line's row to its index, and the table of disjoint pairs of
+(-1)-curves holds one bit per pair of those indexes; pairings signs
 a class's own integer row against such rows.
 """
 
@@ -115,6 +116,12 @@ def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
     """Each (-1)-curve, keyed by its integer row, in the order of _line_rows."""
     return {row: _from_row(1, row) for row in _line_rows(degree)}
+
+
+@lru_cache(maxsize=None)
+def _line_numbers(degree: int) -> dict[tuple[int, ...], int]:
+    """Each (-1)-curve's index in _line_rows, keyed by its integer row."""
+    return {row: i for i, row in enumerate(_line_rows(degree))}
 
 
 @lru_cache(maxsize=None)

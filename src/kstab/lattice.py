@@ -189,7 +189,11 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def div(h, e) -> DivClass:
-    """Build a DivClass, coercing every coordinate."""
+    """Build a DivClass, coercing every coordinate; a row of ints within
+    the digit bound is taken as it is."""
+    coords = (h, *e)
+    if all(type(x) is int and -_TOO_LARGE < x < _TOO_LARGE for x in coords):
+        return _from_row(1, coords)
     coords = (_exact(h), *map(_exact, e))
     if all(type(x) is int for x in coords):
         return _from_row(1, coords)
@@ -252,7 +256,9 @@ def _row_sum(*rows) -> tuple[int, ...]:
 
 def _row_less(base, *rows) -> tuple[int, ...]:
     """base minus every one of rows."""
-    return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
+    if not rows:
+        return tuple(base)
+    return tuple(map(sub, base, map(sum, zip(*rows))))
 
 
 def _row_combination(terms) -> tuple[int, ...]:

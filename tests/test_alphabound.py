@@ -2,7 +2,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,9 @@ from kstab.alphabound import (
     _as_line,
     _largest_subset_sum,
     _parts,
+    _plane_curves,
+    _ruling_curves,
+    _section,
     certificate,
     compare_with_slope,
     largest_admissible_sum,
@@ -29,10 +32,21 @@ from kstab.cones import (
     ContractionData,
     face_decompose,
 )
-from kstab.curves import _line_index, fiber_classes, minus_one_curves
+from kstab.curves import (
+    _disjoint_index_sets,
+    _disjoint_masks,
+    _fiber_index,
+    _line_index,
+    _line_rows,
+    fiber_classes,
+    minus_one_curves,
+)
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
+    _anticanonical_row,
+    _row_dot,
+    _row_sum,
     anticanonical,
     basis_exceptional,
     div,
@@ -514,6 +528,104 @@ def test_pullback_and_second_ruling_must_be_integral():
     with pytest.raises(InvariantError) as err:
         certificate(s, cd)
     assert str(err.value) == "section curve is not integral"
+
+
+def _ordered_faces(s):
+    """(plane, f1, p1p1): every ordered plane face of s as a tuple of line
+    rows, and every ordered conic face as (line rows, fiber row), split by
+    the parity of M = -K + sum(E_i)."""
+    rows, masks = _line_rows(s.degree), _disjoint_masks(s.degree)
+    every = (1 << len(rows)) - 1
+    plane = [
+        face
+        for chosen in _disjoint_index_sets(every, masks, s.r)
+        for face in permutations(rows[i] for i in chosen)
+    ]
+    f1, p1p1 = [], []
+    for chosen in _disjoint_index_sets(every, masks, s.r - 1):
+        es = [rows[i] for i in chosen]
+        odd = any(x % 2 for x in _row_sum(_anticanonical_row(s), *es))
+        for c in _fiber_index(s.degree):
+            if not any(_row_dot(c, e) for e in es):
+                (f1 if odd else p1p1).extend((face, c) for face in permutations(es))
+    return plane, f1, p1p1
+
+
+# ordered (plane, conic) faces: |W(E_r)| plane faces, twice as many conic
+_ORDERED_FACES = {4: (1920, 3840), 5: (120, 240), 6: (12, 24), 7: (2, 4)}
+_TABLES = (_plane_curves, _section, _ruling_curves)
+
+
+def _meets(row, rows):
+    return [_row_dot(row, e) for e in rows]
+
+
+def test_named_curve_tables_hold_one_entry_per_ordered_face():
+    total = 0
+    for degree, (plane_count, conic_count) in _ORDERED_FACES.items():
+        for table in _TABLES:
+            table.cache_clear()
+        s = SurfaceModel(degree)
+        plane, f1, p1p1 = _ordered_faces(s)
+        assert (len(plane), len(f1) + len(p1p1)) == (plane_count, conic_count)
+        lines, fibers = _line_index(degree), _fiber_index(degree)
+        for es in plane:
+            named, conic = _plane_curves(s, es)
+            # the line through points 1 and j meets E1 and Ej once each
+            for j, line in enumerate(named, 1):
+                assert line in lines
+                assert _meets(line, es) == [int(i in (0, j)) for i in range(s.r)]
+            if degree == 4:
+                assert conic in lines and _meets(conic, es) == [1] * 5
+            else:
+                assert conic is None
+        faces = set(plane)
+        for es, c in f1:
+            v = _section(s, es, c)
+            assert v in lines and _row_dot(v, c) == 1 and _meets(v, es) == [0] * len(es)
+            assert es + (v,) in faces
+            _plane_curves(s, es + (v,))
+        for es, c in p1p1:
+            f, fp, more = _ruling_curves(s, es, c)
+            assert f in lines and fp in lines and _row_sum(fp, es[0]) in fibers
+            assert _row_sum(f, es[0]) == c and _row_dot(f, fp) == 0
+            assert _meets(f, es[:1]) == _meets(fp, es[:1]) == [1]
+            if degree == 6:
+                assert all(g in lines and _meets(g, es) == [0, 1] for g in more)
+            else:
+                pairs = {7: [], 5: [(1, 2)], 4: [(1, 2), (1, 3), (2, 3)]}[degree]
+                assert len(more) == len(pairs)
+                for t, (j, k) in zip(more, pairs):
+                    on = (0, j, k)
+                    assert t in lines and _meets(t, es) == [int(i in on) for i in range(len(es))]
+        assert _plane_curves.cache_info().currsize == plane_count
+        assert _section.cache_info().currsize == len(f1)
+        assert _ruling_curves.cache_info().currsize == len(p1p1)
+        total += plane_count + conic_count
+    assert total == 6162
+
+
+def test_a_face_that_fails_its_checks_raises_on_each_call_and_is_not_stored():
+    s7, s5 = SurfaceModel(7), SurfaceModel(5)
+    # F1 data whose lines contract onto P1 x P1 (see the test above)
+    es = ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 0, -1, -1))
+    cases = [
+        (_plane_curves, (s7, ((0, 1, 0),)), "plane hyperplane class is not integral"),
+        (_ruling_curves, (s7, (), (1, -1, 0)), "second ruling class is not integral"),
+        (_section, (s5, es, (1, 0, 0, -1, 0)), "section curve is not integral"),
+    ]
+    for table, args, message in cases:
+        before = table.cache_info()
+        for _ in range(3):
+            with pytest.raises(InvariantError) as err:
+                table(*args)
+            assert str(err.value) == message
+        after = table.cache_info()
+        assert after.currsize == before.currsize and after.misses == before.misses + 3
+    cd = ContractionData(KIND_TO_P2, F(0), (F(0),), (basis_exceptional(s7, 1),), None)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="plane hyperplane class is not integral"):
+            certificate(s7, cd)
 
 
 _ORACLE = {

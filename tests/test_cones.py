@@ -25,10 +25,17 @@ from kstab.cones import (
     mu_bisect,
     reconstruct,
 )
-from kstab.curves import disjoint_sets, fiber_classes, minus_one_curves
+from kstab.curves import (
+    _fiber_index,
+    _line_index,
+    disjoint_sets,
+    fiber_classes,
+    minus_one_curves,
+)
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
+    _row_dot,
     anticanonical,
     basis_exceptional,
     basis_line,
@@ -454,6 +461,157 @@ def test_contraction_weights_leave_equality_hash_and_repr_alone():
     assert "_weights" not in repr(cd)
     assert repr(cd).startswith("ContractionData(kind='ConicBundleF1', delta=Fraction(1, 2), ")
     assert cd._weights == (6, 3, (2, 1, 0, 0))
+
+
+def _row_checked_message(curveE, curveC):
+    """The curve checks of ContractionData as they ran before the line
+    indexes: each class looked up by its row and compared with the class
+    found, then every pair of rows paired; the first message, or None."""
+    classes = [*curveE, *([] if curveC is None else [curveC])]
+    if not classes:
+        return None
+    degree = 9 - classes[0].rank
+    lines, fibers = _line_index(degree), _fiber_index(degree)
+    for c in curveE:
+        if lines.get(c.row) != c:
+            return f"{c} is not an exceptional curve class"
+    if curveC is not None and fibers.get(curveC.row) != curveC:
+        return f"{curveC} is not a fiber class"
+    rows = [c.row for c in classes]
+    for i, u in enumerate(rows):
+        for v in rows[i + 1 :]:
+            if _row_dot(u, v) != 0:
+                return "contracted curves must be pairwise disjoint"
+    return None
+
+
+def _curve_message(kind, curveE, curveC):
+    """ContractionData's message for the curves at zero weights, or None."""
+    zero = Fraction(0)
+    try:
+        ContractionData(kind, zero, (zero,) * len(curveE), tuple(curveE), curveC)
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+_LINE_FAULTS = ("non-line", "half line", "repeated line", "meeting lines")
+_FIBER_FAULTS = ("fiber meets a line", "non-fiber")
+
+
+def _random_fiber_face(rng, s):
+    while True:
+        es = _random_disjoint(rng, s, s.r - 1)
+        fibers = [f for f in fiber_classes(s) if all(intersect(f, c, s) == 0 for c in es)]
+        if fibers:
+            return es, rng.choice(fibers)
+
+
+def _faulty_face(rng, s, faults):
+    """(kind, curveE, curveC): a random boundary face of s, then each fault
+    of faults made in a random place."""
+    if any(f in _FIBER_FAULTS for f in faults) or rng.random() < 0.5:
+        kind = rng.choice((KIND_CONIC_F1, KIND_CONIC_P1P1))
+        es, fib = _random_fiber_face(rng, s)
+    else:
+        kind, es, fib = KIND_TO_P2, _random_disjoint(rng, s, s.r), None
+    lines, fibers = minus_one_curves(s), fiber_classes(s)
+    for fault in faults:
+        i = rng.randrange(len(es))
+        if fault == "non-line":
+            es[i] = rng.choice((basis_line(s), rng.choice(fibers), es[i] + es[i], -es[i]))
+        elif fault == "half line":
+            es[i] = Fraction(1, 2) * es[i]
+        elif fault == "repeated line":
+            es.insert(rng.randrange(len(es) + 1), es[i])
+        elif fault == "meeting lines":
+            meets = [c for c in lines if c != es[i] and intersect(c, es[i], s) != 0]
+            es.insert(rng.randrange(len(es) + 1), rng.choice(meets))
+        elif fault == "fiber meets a line":
+            meets = [c for c in lines if intersect(c, fib, s) != 0]
+            es.insert(rng.randrange(len(es) + 1), rng.choice(meets))
+        else:
+            fib = rng.choice((rng.choice(lines), basis_line(s), Fraction(1, 2) * fib, 2 * fib))
+    return kind, es, fib
+
+
+def test_contraction_curve_checks_match_the_row_checks():
+    # the index lookups and mask tests accept and reject as the row lookups
+    # and pairwise products did, with the same first message
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(1200):
+        s = SurfaceModel(rng.choice((3, 4, 5, 6, 7)))
+        count = rng.choice((0, 1, 1, 1, 2))
+        faults = rng.sample(_LINE_FAULTS + _FIBER_FAULTS, count)
+        kind, es, fib = _faulty_face(rng, s, faults)
+        message = _curve_message(kind, es, fib)
+        assert message == _row_checked_message(es, fib), (faults, kind, es, fib)
+        seen[message and message.split(" is ")[-1]] += 1
+    assert set(seen) == {
+        None,
+        "not an exceptional curve class",
+        "not a fiber class",
+        "contracted curves must be pairwise disjoint",
+    }
+    assert min(seen.values()) >= 100
+
+
+def test_contraction_curve_messages_keep_their_order():
+    # every curveE is checked for membership, then the fiber, and only then
+    # is disjointness tested, whatever faults coincide
+    s = SurfaceModel(6)
+    e1, e2, e3 = (basis_exceptional(s, i) for i in (1, 2, 3))
+    h = basis_line(s)
+    meets = h - e1 - e2  # meets E1 and E2
+    half = Fraction(1, 2) * e3
+    no_line = "is not an exceptional curve class"
+    cases = [
+        ((e1, meets, h), None, f"(1; 0, 0, 0) {no_line}"),
+        ((e1, e1, half), None, f"(0; 0, 0, 1/2) {no_line}"),
+        ((e1, meets), h, "(1; 0, 0, 0) is not a fiber class"),
+        ((e1, h), h, f"(1; 0, 0, 0) {no_line}"),
+        ((e1, meets, e3), None, "contracted curves must be pairwise disjoint"),
+        ((e1, e1), h - e1, "contracted curves must be pairwise disjoint"),
+        ((half, e1), 2 * (h - e3), f"(0; 0, 0, 1/2) {no_line}"),
+        ((e1, e2), Fraction(1, 2) * (h - e3), "(1/2; 0, 0, -1/2) is not a fiber class"),
+    ]
+    for curves, fib, message in cases:
+        kind = KIND_TO_P2 if fib is None else KIND_CONIC_F1
+        assert _curve_message(kind, curves, fib) == message
+        assert _row_checked_message(curves, fib) == message
+
+
+def test_reconstruct_reads_the_row_combined_once(monkeypatch):
+    # ContractionData combines its class's row once; reconstruct only
+    # checks the rank and builds the class, so it combines no rows
+    rng = random.Random(29)
+    data = []
+    for _ in range(120):
+        s = SurfaceModel(rng.choice((4, 5, 6, 7)))
+        dens = rng.choices((1, 6, 7), k=s.r)
+        a = sorted((Fraction(rng.randrange(d), d) for d in dens), reverse=True)
+        if rng.random() < 0.5:
+            kind, delta, (es, fib) = KIND_TO_P2, Fraction(0), (_random_disjoint(rng, s, s.r), None)
+        else:
+            kind, delta = KIND_CONIC_F1, Fraction(rng.randrange(5), 3)
+            (es, fib), a = _random_fiber_face(rng, s), a[1:]
+        cd = ContractionData(kind, delta, tuple(a), tuple(es), fib)
+        expected = anticanonical(s) + sum((x * c for x, c in zip(a, es)), zero_class(s))
+        data.append((s, cd, expected if fib is None else expected + delta * fib))
+    monkeypatch.setattr(
+        "kstab.cones._row_combination", lambda terms: pytest.fail("rows combined again")
+    )
+    for s, cd, expected in data:
+        assert reconstruct(cd, s) == expected
+        with pytest.raises(DomainError, match=f"rank mismatch: {s.r + 1} vs {s.r}"):
+            reconstruct(cd, SurfaceModel(s.degree - 1))
+    monkeypatch.undo()
+    # with no curves the class is -K, combined when it is asked for
+    empty = ContractionData(KIND_TO_P2, Fraction(0), (), (), None)
+    assert empty._row is None
+    for d in range(1, 9):
+        assert reconstruct(empty, SurfaceModel(d)) == anticanonical(SurfaceModel(d))
 
 
 def _random_class(rng, s, denom=6, lo=-3, hi=3):

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -10,6 +11,7 @@ from kstab.lattice import (
     MAX_DIGITS,
     DivClass,
     SurfaceModel,
+    _row_less,
     anticanonical,
     basis_exceptional,
     basis_line,
@@ -180,6 +182,32 @@ def test_int_coordinates_stay_ints():
             basis_line(SurfaceModel(8)) * bad
     with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
         div(too_long, [0])
+    # one long coordinate among ints is rejected wherever it stands
+    for bad in (too_long, -too_long):
+        for i in range(4):
+            coords = [3, 0, -1, 2]
+            coords[i] = bad
+            with pytest.raises(DomainError, match=f"more than {MAX_DIGITS} digits"):
+                div(coords[0], coords[1:])
+
+
+def _generator_row_less(base, *rows):
+    # the form _row_less had before it mapped sub over column sums
+    return tuple(x - sum(xs) for x, *xs in zip(base, *rows))
+
+
+def test_row_less_matches_the_generator_form():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        base = tuple(rng.randint(-9, 9) for _ in range(n))
+        for k in (0, 1, 3):
+            rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k)]
+            got = _row_less(base, *rows)
+            assert got == _generator_row_less(base, *rows)
+            assert type(got) is tuple and all(type(x) is int for x in got)
+    assert _row_less([1, -2]) == (1, -2)
+    assert _row_less(()) == ()
 
 
 small_rationals = st.fractions(

@@ -179,13 +179,17 @@ _KERNEL = {
         "_f1_parts",
         "_p1p1_parts",
         "_largest_subset_sum",
+        "_plane_curves",
+        "_section",
+        "_ruling_curves",
     },
     "cones.py": {"reconstruct"},
 }
 
 
 def test_certificate_kernel_stays_on_ints():
-    # the parts builders, the subset-sum helper and reconstruct compute
+    # the parts builders, the subset-sum helper, the named-curve tables and
+    # reconstruct compute
     # every coefficient as an int over one denominator: they name no
     # Fraction, and read neither the Fraction fields a and delta of the
     # contraction data (its integer weights serve them) nor a class's
@@ -228,3 +232,23 @@ def test_the_fiber_shift_has_one_home():
         isinstance(node, ast.Attribute) and node.attr == "degree"
         for node in ast.walk(found["_p1p1_parts"])
     )  # the scan sees a degree test where there is one
+
+
+def test_named_curves_are_derived_only_in_the_tables():
+    # a face's named curves are derived and checked once, in the cached
+    # tables: no parts builder takes a row difference or looks a row up,
+    # and only the tables call the line lookup and the two class solvers
+    path = Path(kstab.__file__).parent / "alphabound.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    derive = {"_row_less", "_as_line", "_as_fiber", "_divided", "_plane_pullback", "_other_ruling"}
+    used = {
+        fn.name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & derive
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    builders = {"_five_point_parts", "_plane_parts", "_f1_parts", "_p1p1_parts"}
+    assert builders <= set(used)
+    assert {name: used[name] for name in builders} == dict.fromkeys(builders, set())
+    checks = {"_as_line", "_plane_pullback", "_other_ruling"}
+    callers = {name for name, names in used.items() if names & checks}
+    assert callers == {"_plane_curves", "_section", "_ruling_curves"}
