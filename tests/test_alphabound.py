@@ -553,7 +553,6 @@ def _ordered_faces(s):
 
 # ordered (plane, conic) faces: |W(E_r)| plane faces, twice as many conic
 _ORDERED_FACES = {4: (1920, 3840), 5: (120, 240), 6: (12, 24), 7: (2, 4)}
-_TABLES = (_plane_curves, _section, _ruling_curves)
 
 
 def _meets(row, rows):
@@ -563,7 +562,7 @@ def _meets(row, rows):
 def test_named_curve_tables_hold_one_entry_per_ordered_face():
     total = 0
     for degree, (plane_count, conic_count) in _ORDERED_FACES.items():
-        for table in _TABLES:
+        for table in (_plane_curves, _section, _ruling_curves):
             table.cache_clear()
         s = SurfaceModel(degree)
         plane, f1, p1p1 = _ordered_faces(s)
@@ -571,7 +570,7 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
         lines, fibers = _line_index(degree), _fiber_index(degree)
         for es in plane:
             named, conic = _plane_curves(s, es)
-            # the line through points 1 and j meets E1 and Ej once each
+            # the line through points 1 and j + 1 meets es[0] and es[j] once each
             for j, line in enumerate(named, 1):
                 assert line in lines
                 assert _meets(line, es) == [int(i in (0, j)) for i in range(s.r)]

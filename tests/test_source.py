@@ -189,8 +189,7 @@ _KERNEL = {
 
 def test_certificate_kernel_stays_on_ints():
     # the parts builders, the subset-sum helper, the named-curve tables and
-    # reconstruct compute
-    # every coefficient as an int over one denominator: they name no
+    # reconstruct compute every coefficient and row as ints: they name no
     # Fraction, and read neither the Fraction fields a and delta of the
     # contraction data (its integer weights serve them) nor a class's
     # Fraction coordinates h and e
