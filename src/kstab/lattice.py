@@ -194,9 +194,7 @@ def div(h, e) -> DivClass:
     coords = (h, *e)
     if all(type(x) is int and -_TOO_LARGE < x < _TOO_LARGE for x in coords):
         return _from_row(1, coords)
-    coords = (_exact(h), *map(_exact, e))
-    if all(type(x) is int for x in coords):
-        return _from_row(1, coords)
+    coords = tuple(map(_exact, coords))
     return DivClass(coords[0], coords[1:])
 
 

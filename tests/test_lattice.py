@@ -171,6 +171,11 @@ def test_int_coordinates_stay_ints():
     small = type("Small", (int,), {})
     sub = div(small(3), [small(1)])
     assert sub == div(3, [1]) and [type(x) for x in sub.row] == [int, int]
+    # e is read once, so an iterator gives the same class as a list
+    for e in ([Fraction(1, 2), 3], ["1/2", 3], [small(1), 3], [1, 3]):
+        from_iter = div(Fraction(1, 2), (x for x in e))
+        assert from_iter.rank == 2 and from_iter == div(Fraction(1, 2), list(e))
+        assert div(1, iter(e)) == div(1, e)
     assert type(rational(5)) is Fraction
     too_long = 10**MAX_DIGITS  # 201 digits
     for bad in (True, False, too_long, -too_long):
