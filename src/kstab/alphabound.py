@@ -84,12 +84,14 @@ def _largest_subset_sum(values, family, one):
     """(best, subset) for the int values: the largest family subset-sum not
     exceeding one, from the earliest subset reaching it ((0, ()) if none
     is positive)."""
-    if any(v < 0 for v in values):
+    if min(values, default=0) < 0:
         raise DomainError("subset-sum values must be nonnegative")
     best, best_subset = 0, ()
     for subset in family:
-        total = sum(values[i] for i in subset)
-        if total <= one and total > best:
+        total = 0
+        for i in subset:
+            total += values[i]
+        if best < total <= one:
             best, best_subset = total, subset
     return best, best_subset
 

@@ -24,7 +24,10 @@ from .curves import (
     _line_index,
     _line_numbers,
     _line_rows,
-    pairings,
+    _line_table,
+    _packed,
+    _table_pairings,
+    _zeros,
 )
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -36,10 +39,10 @@ from .lattice import (
     _row_combination,
     _row_dot,
     _row_sum,
+    _scaled_square,
     anticanonical,
     canonical,
     intersect,
-    square,
 )
 from .ratlp import Optimal, cone_member, lp, solve
 
@@ -57,6 +60,12 @@ def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _mori_table(degree: int) -> tuple:
+    """_mori_rows(degree), packed for curves._table_pairings."""
+    return _packed(_mori_rows(degree))
+
+
+@lru_cache(maxsize=None)
 def _mori_generators(degree: int) -> tuple[DivClass, ...]:
     """The classes of _mori_rows: the lines' own classes from _line_index,
     and in degree 8 the ruling H - E1."""
@@ -71,7 +80,7 @@ def mori_generators(s: SurfaceModel) -> list[DivClass]:
 
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
     """True when dv pairs nonnegatively with every curve-cone generator."""
-    return min(pairings(dv, _mori_rows(s.degree), s)) >= 0
+    return min(_table_pairings(dv, _mori_table(s.degree), s)) >= 0
 
 
 def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
@@ -100,9 +109,11 @@ def is_ample(dv: DivClass, s: SurfaceModel) -> bool:
 
 def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     """Reason dv fails the ampleness test, or None when ample."""
-    if square(dv, s) <= 0:
+    if _scaled_square(dv, s) <= 0:
         return f"self-intersection of {dv} is not positive"
-    signs = pairings(dv, _mori_rows(s.degree), s)
+    signs = _table_pairings(dv, _mori_table(s.degree), s)
+    if min(signs) > 0:
+        return None
     for g, p in zip(_mori_generators(s.degree), signs):
         if p <= 0:
             return f"pairing of {dv} with the curve class {g} is not positive"
@@ -274,12 +285,12 @@ def _face_data(w, s):
     (conic bundle), or None.  By negative_curves, each set is the curves
     with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0,
     taken in index-lex order.  The search runs over indexes into the line
-    rows, on the integers D * w.E of one pairings call.
+    rows, on the integers D * w.E of one packed product with the line table.
     """
-    if square(w, s) > 0:
+    if _scaled_square(w, s) > 0:
         return None  # a face has w^2 = -sum(a_i^2) <= 0
     rows = _line_rows(s.degree)
-    signs = pairings(w, rows, s)
+    signs = _table_pairings(w, _line_table(s.degree), s)
     support = tuple(i for i, p in enumerate(signs) if p < 0)
     if len(support) > s.r:
         return None  # at most r (-1)-curves are pairwise disjoint
@@ -287,7 +298,7 @@ def _face_data(w, s):
     resid = _row_sum(w.row, *([signs[i] * x for x in rows[i]] for i in support))
     den = w.den
     masks = _disjoint_masks(s.degree)
-    allowed = sum(1 << j for j, p in enumerate(signs) if p == 0)
+    allowed = _zeros(signs)
     for i in support:
         allowed &= masks[i]
     if not any(resid):

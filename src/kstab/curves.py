@@ -14,10 +14,24 @@ row to its class in sorted order, and the public lists read it; another
 maps each line's row to its index, and the table of disjoint pairs of
 (-1)-curves holds one bit per pair of those indexes; pairings signs
 a class's own integer row against such rows.
+
+The sign tests against a whole per-degree table run on one packed integer
+product.  Column k of the table, negated for k >= 1 as pairings pairs it,
+is packed once per degree into one int with row j's entry in the signed
+64-bit slot j.  For a class row w the int N = sum(w_k * column_k) then
+holds D * (w.c_j) in slot j, so r + 1 big-int products pair w with every
+row.  Adding B, bit 63 of every slot, leaves each slot in [0, 2^64) with
+no carry between slots, and XOR with B turns it back into the entry's
+64-bit two's complement, read as an array('q').  This is exact when
+sum(|w_k| * max_j |row_j[k]|) < 2^63, which each call checks; a class past
+that bound takes the per-row loop of pairings, which also serves any other
+list of rows.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from operator import mul, neg
 
@@ -149,12 +163,59 @@ def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
     the row (m_c = 1 for integral classes, as in the curve tables; c.row is
     the row of any class), so each sign and each zero is exactly that of
     the rational w.c.
+
+    This is the per-row loop, one sum of products a row, for any list of
+    rows.  The per-degree curve tables are paired by _table_pairings
+    instead: one packed product sum(w_k * column_k), each row's entry in a
+    signed 64-bit slot, read out exactly while sum(|w_k| * max_j
+    |row_j[k]|) < 2^63 and through this loop past that bound.
     """
     if w.rank != s.r:
         raise DomainError(f"class rank does not match surface: {w.rank} vs r={s.r}")
     h, *e = w.row
     dual = (h, *map(neg, e))
     return [sum(map(mul, dual, row)) for row in rows]
+
+
+def _packed(rows) -> tuple:
+    """The int rows (h, e_1, ..., e_r) packed for _table_pairings, as
+    (rows, columns, reach, bias, size).  columns[k] is sum(x_j << 64 * j)
+    over the k-th entries x_j of the rows, negated for k >= 1; reach[k] is
+    max_j |x_j|; bias holds bit 63 of every slot; size is 8 bytes a row.
+    Each column packs its positive and its negative parts through bytes,
+    in time linear in the number of rows."""
+    order = sys.byteorder
+    columns, reach = [], []
+    for k, column in enumerate(zip(*rows)):
+        if k:
+            column = tuple(map(neg, column))
+        up = array("q", [max(x, 0) for x in column]).tobytes()
+        down = array("q", [max(-x, 0) for x in column]).tobytes()
+        columns.append(int.from_bytes(up, order) - int.from_bytes(down, order))
+        reach.append(max(map(abs, column)))
+    bias = int.from_bytes(array("Q", [1 << 63] * len(rows)).tobytes(), order)
+    return tuple(rows), tuple(columns), tuple(reach), bias, 8 * len(rows)
+
+
+@lru_cache(maxsize=None)
+def _line_table(degree: int) -> tuple:
+    """_line_rows(degree), packed for _table_pairings."""
+    return _packed(_line_rows(degree))
+
+
+def _table_pairings(w: DivClass, table, s: SurfaceModel):
+    """pairings(w, rows, s) for the rows of a _packed table of the degree
+    of s, as a sequence of ints: one packed product when every slot stays
+    within 64 bits, the row loop of pairings otherwise (which raises on a
+    class of another rank)."""
+    rows, columns, reach, bias, size = table
+    row = w.row
+    # |D * (w.c_j)| <= sum(|w_k| * reach[k]) < 2^63 keeps each slot exact
+    if len(row) != len(columns) or sum(map(mul, map(abs, row), reach)) >> 63:
+        return pairings(w, rows, s)
+    products = array("q")
+    products.frombytes(((sum(map(mul, row, columns)) + bias) ^ bias).to_bytes(size, sys.byteorder))
+    return products
 
 
 def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
@@ -169,22 +230,20 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
     sum of nonnegative terms, so the E_j are pairwise disjoint.
     """
-    lines = _line_index(s.degree)
-    return [c for c, p in zip(lines.values(), pairings(w, lines, s)) if p < 0]
+    signs = _table_pairings(w, _line_table(s.degree), s)
+    return [c for c, p in zip(_line_index(s.degree).values(), signs) if p < 0]
 
 
-def _zero_masks(classes, s: SurfaceModel) -> tuple[int, ...]:
-    """Bit j of entry i is set when classes i and j pair to zero."""
-    rows = [c.row for c in classes]
-    return tuple(
-        sum(1 << j for j, p in enumerate(pairings(c, rows, s)) if p == 0) for c in classes
-    )
+def _zeros(products) -> int:
+    """The int with bit j set where products[j] is zero."""
+    return sum(1 << j for j, p in enumerate(products) if p == 0)
 
 
 @lru_cache(maxsize=None)
 def _disjoint_masks(degree: int) -> tuple[int, ...]:
     """Bit j of entry i is set when lines i and j of _line_rows are disjoint."""
-    return _zero_masks(_line_index(degree).values(), SurfaceModel(degree))
+    s, table = SurfaceModel(degree), _line_table(degree)
+    return tuple(_zeros(_table_pairings(c, table, s)) for c in _line_index(degree).values())
 
 
 def _disjoint_index_sets(allowed: int, masks, k: int):
@@ -212,7 +271,8 @@ def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]
         raise DomainError("curves must be pairwise distinct")
     if k < 0:
         raise DomainError("k must be >= 0")
-    masks = _zero_masks(curves, s)
+    rows = [c.row for c in curves]
+    masks = [_zeros(pairings(c, rows, s)) for c in curves]
     return [
         tuple(curves[i] for i in chosen)
         for chosen in _disjoint_index_sets((1 << len(curves)) - 1, masks, k)

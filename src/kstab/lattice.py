@@ -198,16 +198,27 @@ def div(h, e) -> DivClass:
     return DivClass(coords[0], coords[1:])
 
 
-def intersect(a: DivClass, b: DivClass, s: SurfaceModel) -> Fraction:
+def _check_ranks(s: SurfaceModel, a: DivClass, b: DivClass) -> None:
     if len(a.row) != s.r + 1 or len(b.row) != s.r + 1:
         raise DomainError(
             f"class rank does not match surface: {a.rank}, {b.rank} vs r={s.r}"
         )
+
+
+def intersect(a: DivClass, b: DivClass, s: SurfaceModel) -> Fraction:
+    _check_ranks(s, a, b)
     return Fraction(_row_dot(a.row, b.row), a.den * b.den)
 
 
 def square(a: DivClass, s: SurfaceModel) -> Fraction:
     return intersect(a, a, s)
+
+
+def _scaled_square(a: DivClass, s: SurfaceModel) -> int:
+    """den^2 * a^2 as an int, which has the sign of square(a, s); the rank
+    is checked as square checks it."""
+    _check_ranks(s, a, a)
+    return _row_dot(a.row, a.row)
 
 
 def canonical(s: SurfaceModel) -> DivClass:

@@ -135,6 +135,33 @@ def test_twelve_sums_with_a_zero_fourth_entry_pick_as_the_five_sums():
     assert ties and at_one  # equal weights and sums of exactly 1 are covered
 
 
+def _largest_subset_sum_oracle(values, family, one):
+    """The generator form _largest_subset_sum replaced, kept as its reference."""
+    best, best_subset = 0, ()
+    for subset in family:
+        total = sum(values[i] for i in subset)
+        if total <= one and total > best:
+            best, best_subset = total, subset
+    return best, best_subset
+
+
+def test_subset_sums_match_the_generator_form():
+    # random and tied values on both families: the same best sum and the
+    # earliest subset reaching it
+    rng = random.Random(18)
+    ties = 0
+    for family, n in ((TWELVE_SUM_FAMILY, 4), (FIVE_SUM_FAMILY, 3)):
+        for _ in range(3000):
+            one = rng.randint(1, 60)
+            values = tuple(rng.randint(0, rng.choice((3, one))) for _ in range(n))
+            got = _largest_subset_sum(values, family, one)
+            assert got == _largest_subset_sum_oracle(values, family, one)
+            ties += len(set(values)) < n
+    assert ties > 100
+    with pytest.raises(DomainError, match="nonnegative"):
+        _largest_subset_sum((3, -1, 0, 0), TWELVE_SUM_FAMILY, 4)
+
+
 def test_certificate_record_validation():
     s = SurfaceModel(7)
     e1 = basis_exceptional(s, 1)

@@ -5,19 +5,25 @@ denominators.  The oracles below are the per-curve ``Fraction`` loops the
 library used before; each kernel caller must agree with its oracle on
 random rational classes in every degree, including classes with large and
 mixed denominators and classes on which some pairings are exactly zero.
+The packed product over a per-degree table must agree with the per-row
+loop of ``pairings`` on both sides of its 2^63 slot bound.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from kstab import curves
 from kstab.alphabound import _divided
 from kstab.cones import (
     KIND_CONIC_F1,
     KIND_CONIC_P1P1,
     _face_data,
+    _mori_rows,
+    _mori_table,
     ample_violation,
     is_nef,
     mori_generators,
@@ -27,7 +33,10 @@ from kstab.curves import (
     _disjoint_index_sets,
     _disjoint_masks,
     _fiber_index,
+    _line_index,
     _line_rows,
+    _line_table,
+    _table_pairings,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -252,6 +261,100 @@ def test_sign_tests_reject_rank_mismatch():
         disjoint_sets(minus_one_curves(s)[:3] + [wrong], 2, s)
     with pytest.raises(DomainError):
         pairings(wrong, [c.row for c in minus_one_curves(s)], s)
+
+
+_SLOT_MAX = 2**63 - 1
+
+
+def _wide_classes(rng, s, rows, count):
+    """Classes of the surface whose rows reach across the packed product's
+    slot bound: random rows with coordinates of 1 to 70 bits and both
+    signs, coordinates of +-(2^63 - 1), and for each coordinate k the rows
+    +-floor((2^63 - 1) / m_k) e_k and +-ceil(2^63 / m_k) e_k, m_k the
+    largest |row[k]| of the table (or 1 where the column is 0), which put
+    pairings just inside and just outside the signed 64-bit slots."""
+    r = s.r
+    out = []
+    for _ in range(count):
+        row = tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 70)) for _ in range(r + 1))
+        if rng.random() < 0.25:
+            row = tuple(rng.choice((x, _SLOT_MAX, -_SLOT_MAX)) for x in row)
+        out.append(_from_row(rng.choice((1, 1, 7, 2**61 - 1)), row))
+    for k in range(r + 1):
+        m = max(abs(row[k]) for row in rows) or 1
+        for x in (_SLOT_MAX // m, -(-(2**63) // m), _SLOT_MAX):
+            for sign in (1, -1):
+                out.append(_from_row(1, tuple(sign * x * (j == k) for j in range(r + 1))))
+    return out
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_packed_product_matches_the_row_loop(degree, monkeypatch):
+    # the line table and the curve-cone table, on classes on both sides of
+    # the slot bound: the packed product must equal the loop, and a class
+    # past the bound must take the loop
+    s = SurfaceModel(degree)
+    rng = random.Random(1800 + degree)
+    loop = curves.pairings
+    calls = []
+    monkeypatch.setattr(curves, "pairings", lambda *args: calls.append(1) or loop(*args))
+    tables = ((_line_rows(degree), _line_table(degree)), (_mori_rows(degree), _mori_table(degree)))
+    branches = {"packed": 0, "loop": 0}
+    extremes = set()
+    for rows, table in tables:
+        reach = [max(abs(row[k]) for row in rows) for k in range(s.r + 1)]
+        for w in _wide_classes(rng, s, rows, 60):
+            before = len(calls)
+            got = _table_pairings(w, table, s)
+            want = loop(w, rows, s)
+            assert list(got) == want
+            packed = len(calls) == before
+            assert packed == (sum(abs(x) * m for x, m in zip(w.row, reach)) < 2**63)
+            branches["packed" if packed else "loop"] += 1
+            if packed:
+                extremes.update(p for p in want if abs(p) == _SLOT_MAX)
+            assert is_nef(w, s) == (min(loop(w, _mori_rows(degree), s)) >= 0)
+            lines = _line_index(degree).values()
+            assert negative_curves(w, s) == [c for c in lines if _row_dot(w.row, c.row) < 0]
+    assert all(n >= 20 for n in branches.values()), branches
+    if degree >= 3:  # some column of every table has largest entry 1 there
+        assert extremes == {_SLOT_MAX, -_SLOT_MAX}
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_disjoint_masks_match_the_row_loop(degree):
+    # the cold build of the line disjointness table, against the loop
+    s = SurfaceModel(degree)
+    rows = _line_rows(degree)
+    classes = minus_one_curves(s)
+    masks = tuple(
+        sum(1 << j for j, p in enumerate(pairings(c, rows, s)) if p == 0) for c in classes
+    )
+    assert _disjoint_masks.__wrapped__(degree) == masks == _disjoint_masks(degree)
+
+
+def test_packed_product_rejects_rank_mismatch():
+    # on both sides of the slot bound, with the message of pairings; the
+    # square test of ample_violation and _face_data keeps the message of
+    # intersect
+    s = SurfaceModel(4)
+    for degree in (3, 5):
+        r = 9 - degree
+        for x in (1, 2**70):
+            wrong = _from_row(1, (x,) * (r + 1))
+            message = re.escape(f"class rank does not match surface: {r} vs r=5")
+            for table in (_line_table(4), _mori_table(4)):
+                with pytest.raises(DomainError, match=message):
+                    _table_pairings(wrong, table, s)
+            message = re.escape(f"class rank does not match surface: {r}, {r} vs r=5")
+            with pytest.raises(DomainError, match=message):
+                ample_violation(wrong, s)
+            with pytest.raises(DomainError, match=message):
+                _face_data(wrong, s)
+            with pytest.raises(DomainError):
+                is_nef(wrong, s)
+            with pytest.raises(DomainError):
+                negative_curves(wrong, s)
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

@@ -251,3 +251,46 @@ def test_named_curves_are_derived_only_in_the_tables():
     checks = {"_as_line", "_plane_pullback", "_other_ruling"}
     callers = {name for name, names in used.items() if names & checks}
     assert callers == {"_plane_curves", "_section", "_ruling_curves"}
+
+
+def _functions(name):
+    path = Path(kstab.__file__).parent / name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def _called(fn):
+    return {
+        n.func.id
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def test_sign_tests_read_the_packed_tables():
+    # the sign tests against a per-degree curve table pair the class with
+    # the whole table in one packed product, from a table cached on the
+    # degree; pairings, for any list of rows, keeps its per-row loop, and
+    # the packed product falls back to it past the slot bound
+    sign_tests = {
+        "cones.py": {"is_nef": "_mori_table", "ample_violation": "_mori_table", "_face_data": "_line_table"},
+        "curves.py": {"negative_curves": "_line_table", "_disjoint_masks": "_line_table"},
+    }
+    for name, tests in sign_tests.items():
+        functions = _functions(name)
+        for test, table in tests.items():
+            called = _called(functions[test])
+            assert {"_table_pairings", table} <= called, test
+            assert "pairings" not in called, test
+    curves = _functions("curves.py")
+    for table in ("_line_table", "_mori_table"):
+        fn = curves.get(table) or _functions("cones.py")[table]
+        assert [d.func.id for d in fn.decorator_list] == ["lru_cache"]
+        assert [a.arg for a in fn.args.args] == ["degree"]
+        assert "_packed" in _called(fn)
+    loop = curves["pairings"]
+    assert any(isinstance(n, ast.ListComp) for n in ast.walk(loop))
+    names = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)}
+    assert names.isdisjoint({"_table_pairings", "_packed", "array", "_line_table"})
+    assert "pairings" in _called(curves["_table_pairings"])
+    assert "pairings" in _called(curves["disjoint_sets"])
