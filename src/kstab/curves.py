@@ -182,18 +182,18 @@ def _packed(rows) -> tuple:
     (rows, columns, reach, bias, size).  columns[k] is sum(x_j << 64 * j)
     over the k-th entries x_j of the rows, negated for k >= 1; reach[k] is
     max_j |x_j|; bias holds bit 63 of every slot; size is 8 bytes a row.
-    Each column packs its positive and its negative parts through bytes,
-    in time linear in the number of rows."""
+    Each column is read from the bytes of its array('q'), in time linear in
+    the number of rows."""
     order = sys.byteorder
+    bias = int.from_bytes(array("Q", [1 << 63] * len(rows)).tobytes(), order)
     columns, reach = [], []
     for k, column in enumerate(zip(*rows)):
         if k:
             column = tuple(map(neg, column))
-        up = array("q", [max(x, 0) for x in column]).tobytes()
-        down = array("q", [max(-x, 0) for x in column]).tobytes()
-        columns.append(int.from_bytes(up, order) - int.from_bytes(down, order))
+        # a slot read as two's complement t holds t - 2^64 when bit 63 is set
+        t = int.from_bytes(array("q", column).tobytes(), order)
+        columns.append(t - ((t & bias) << 1))
         reach.append(max(map(abs, column)))
-    bias = int.from_bytes(array("Q", [1 << 63] * len(rows)).tobytes(), order)
     return tuple(rows), tuple(columns), tuple(reach), bias, 8 * len(rows)
 
 
