@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import lcm
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
@@ -27,10 +28,8 @@ from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
     SurfaceModel,
+    _from_row,
     _ratio_str,
-    anticanonical,
-    basis_exceptional,
-    basis_line,
     div,
     rational,
     rational_str,
@@ -75,11 +74,7 @@ def _expand_family(doc, s: SurfaceModel) -> DivClass:
             raise DomainError('family "six-line" needs degree 3')
         if set(doc) != {"degree", "family", "x"}:
             raise DomainError('family "six-line" takes exactly "x"')
-        x = rational(doc["x"])
-        l = anticanonical(s)
-        for i in range(1, s.r + 1):
-            l = l + x * basis_exceptional(s, i)
-        return l
+        return _anticanonical_plus(s, 0, [rational(doc["x"])] * s.r)
     if family == "anticanonical-plus":
         if set(doc) != {"degree", "family", "delta", "a"}:
             raise DomainError('family "anticanonical-plus" takes "delta" and "a"')
@@ -91,12 +86,19 @@ def _expand_family(doc, s: SurfaceModel) -> DivClass:
         cap = s.r - 1 if delta > 0 else s.r
         if not isinstance(doc["a"], list) or len(doc["a"]) > cap:
             raise DomainError(f'"a" must be a list of at most {cap} rationals here')
-        fiber = basis_line(s) - basis_exceptional(s, s.r)
-        l = anticanonical(s) + delta * fiber
-        for i, raw in enumerate(doc["a"], start=1):
-            l = l + rational(raw) * basis_exceptional(s, i)
-        return l
+        return _anticanonical_plus(s, delta, [rational(raw) for raw in doc["a"]])
     raise DomainError(f"unknown family {family!r}")
+
+
+def _anticanonical_plus(s: SurfaceModel, delta, a) -> DivClass:
+    """-K + delta*(H - E_r) + sum(a_i * E_i) over i <= len(a), built as one
+    integer row over the lcm q of the weights' denominators."""
+    q = lcm(delta.denominator, *(x.denominator for x in a))
+    d = delta.numerator * (q // delta.denominator)
+    row = [3 * q + d, *(x.numerator * (q // x.denominator) - q for x in a)]
+    row += [-q] * (s.r - len(a))
+    row[-1] -= d
+    return _from_row(q, tuple(row))
 
 
 def parse_input(document) -> tuple[SurfaceModel, DivClass]:

@@ -3,11 +3,17 @@ contraction classification.
 
 The curve cone of every model here is spanned by finitely many explicit
 classes, so nefness and ampleness reduce to exact sign checks against that
-list, and the normalization constant (the smallest lambda with K + lambda*L
-effective along the cone) to one small linear program.  ``face_decompose``
-then rewrites a normalized ample class as -K + delta*C + sum a_i E_i with
-pairwise disjoint contracted curves and classifies which minimal model the
-face contracts onto.
+list.  The normalization constant (the smallest lambda with K + lambda*L
+effective along the cone) is found two ways.  ``mu`` solves one small
+linear program, whose checked optimal point writes K + mu*L in the curve
+cone.  ``_chamber_mu`` reflects L into the dominant Weyl chamber and reads
+mu off the nef rays H and H - E1 there, with no program; ``check`` and
+``alpha-bound`` take it so, and the face below certifies it.
+``face_decompose`` rewrites a normalized ample class as
+-K + delta*C + sum a_i E_i with pairwise disjoint contracted curves,
+classifies which minimal model the face contracts onto, and proves mu = 1
+by a nef class dual to the face.  The simplex serves ``kstab mu`` and the
+cross-checks (``mu_bisect``, ``is_nef_lp``).
 """
 
 from __future__ import annotations
@@ -148,6 +154,30 @@ def _mu(l: DivClass, s: SurfaceModel) -> Rational:
     if not isinstance(res, Optimal):
         raise InvariantError("the normalization program must have a finite optimum")
     return res.value * l.den
+
+
+def _chamber_mu(l: DivClass, s: SurfaceModel) -> Rational:
+    """mu for an ample class, read off the dominant Weyl chamber.
+
+    W(E_r) keeps K, the form and both cones, so mu(l) = mu(wl) for every
+    w.  Sorting the multiplicities b_i = -e_i descending, and the Cremona
+    step (h, b1, b2, b3) += h - b1 - b2 - b3 while that is negative, bring
+    the row into the chamber h >= b1 + b2 + b3 with b sorted.  There the
+    nef rays H and H - E1 bind, so mu of the row is max(3/h, 2/(h - b1)),
+    and mu(row / D) is D times it.  Each step lowers h, which stays
+    positive on an ample class.  Nothing here certifies the value: callers
+    prove it by the face of K + mu*l (_face_decompose).  Takes (l, s) as
+    _mu does, and holds in degrees 1-8.
+    """
+    h, *b = l.row
+    b = sorted((-x for x in b), reverse=True)
+    while (d := h - sum(b[:3])) < 0:  # an ample row has h > b1 + b2 when r <= 2
+        h += d
+        b[:3] = (x + d for x in b[:3])
+        b.sort(reverse=True)
+    if 3 * (h - b[0]) >= 2 * h:
+        return Fraction(3 * l.den, h)
+    return Fraction(2 * l.den, h - b[0])
 
 
 def mu_bisect(
@@ -341,7 +371,9 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     a full-rank disjoint set of exceptional curves (plane contraction),
     then a corank-one set together with a fiber class (conic bundle),
     taking the lexicographically first valid choice in each pass.  A face
-    found proves mu(l) = 1; mu is solved only when there is none.
+    found proves mu(l) = 1.  Only when there is none is mu solved, by the
+    linear program, to tell an input that is not normalized (DomainError)
+    from a failed invariant.
     """
     if s.degree > 7:
         raise DomainError("face decomposition is defined for degree at most 7")
@@ -349,16 +381,23 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise DomainError(
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
-    return _face_decompose(l, s)
+    try:
+        return _face_decompose(l, s)
+    except InvariantError:
+        if _mu(l, s) != 1:
+            msg = "face decomposition needs a normalized class (mu = 1)"
+            raise DomainError(msg) from None
+        raise
 
 
 def _face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
-    """face_decompose for an ample class in degree at most 7."""
+    """face_decompose for an ample class in degree at most 7, which also
+    certifies mu(l) = 1: the face is found and checked, or InvariantError
+    is raised.  So a caller that scaled l by a mu it did not solve for
+    (stability._upper_bound, by _chamber_mu) gets that mu proved here."""
     w = l + canonical(s)
     data = _face_data(w, s)
     if data is None:
-        if _mu(l, s) != 1:
-            raise DomainError("face decomposition needs a normalized class (mu = 1)")
         raise InvariantError(f"no boundary-face decomposition found for {l}")
     # K + l is effective by the decomposition, so mu(l) <= 1; a nef class D
     # with D.(K + l) = 0 and D.l > 0 is negative on K + x*l for x < 1, so

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional
 
 from .alphabound import Certificate, certificate, compare_with_slope
-from .cones import _face_decompose, _mu, ample_violation, is_nef
+from .cones import _chamber_mu, _face_decompose, ample_violation, is_nef
 from .curves import minus_one_curves  # noqa: F401  re-exported
 from .curves import negative_curves
 from .errors import DomainError, InvariantError
@@ -133,10 +133,13 @@ def _six_line_parameter(l: DivClass, s: SurfaceModel):
 def _upper_bound(s: SurfaceModel, l: DivClass):
     """(mu, face, certificate, comparison) for an ample l in degree 4 to 7.
 
-    l is ample, and so is mu * l: the cores of mu and face_decompose skip
-    the repeat ampleness test.
+    mu is read off the Weyl chamber, with no linear program, and the face
+    of K + mu*l certifies it: the decomposition shows mu(mu*l) <= 1, and
+    the face's nef dual class shows mu(mu*l) >= 1.  A wrong mu finds no
+    checked face and raises InvariantError.  l is ample, and so is mu * l:
+    the cores skip the repeat ampleness test.
     """
-    scale = _mu(l, s)
+    scale = _chamber_mu(l, s)
     cd = _face_decompose(scale * l, s)
     cert = certificate(s, cd)
     return scale, cd, cert, compare_with_slope(s, cd, cert)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -307,18 +308,20 @@ def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
         assert len(calls) == 1, command
 
 
-def test_each_request_solves_one_integer_program(monkeypatch, capsys):
-    # mu is the one linear program on the request path, posed on int rows
-    from kstab import cones
+def test_only_mu_requests_solve_an_integer_program(monkeypatch, capsys):
+    # check and alpha-bound take mu from the Weyl chamber and certify it by
+    # the face, so they solve no program; kstab mu solves one, on int rows
+    from kstab import cones, ratlp
 
     programs = []
-    original = cones.solve
+    original = ratlp.solve
 
     def recorded(prog):
         programs.append(prog)
         return original(prog)
 
-    monkeypatch.setattr(cones, "solve", recorded)
+    for module in (cones, ratlp):
+        monkeypatch.setattr(module, "solve", recorded)
     requests = []
     for d in range(1, 9):
         s = SurfaceModel(d)
@@ -327,7 +330,7 @@ def test_each_request_solves_one_integer_program(monkeypatch, capsys):
             F(5, 3) * (anticanonical(s) + F(1, 4) * basis_exceptional(s, 1)),
             F(2, 7) * (anticanonical(s) + F(1, 2) * fiber),
         )
-        commands = ("check", "alpha-bound", "mu") if 4 <= d <= 7 else ("mu",)
+        commands = ("check", "alpha-bound", "mu") if 4 <= d <= 7 else ("check", "mu")
         for l in classes:
             doc = json.dumps({"degree": d, "L": cli._class_to_json(l)})
             requests += [(command, doc) for command in commands]
@@ -335,10 +338,75 @@ def test_each_request_solves_one_integer_program(monkeypatch, capsys):
         programs.clear()
         assert cli.main([command, "--json", "--L", doc]) == 0
         capsys.readouterr()
-        assert len(programs) == 1, (command, doc)
-        (prog,) = programs
-        entries = [*prog.objective, *prog.rhs, *(a for row in prog.lhs for a in row)]
-        assert all(type(a) is int for a in entries), (command, doc)
+        assert len(programs) == (command == "mu"), (command, doc)
+        for prog in programs:
+            entries = [*prog.objective, *prog.rhs, *(a for row in prog.lhs for a in row)]
+            assert all(type(a) is int for a in entries), (command, doc)
+
+
+@pytest.mark.parametrize("factor", [F(6, 7), F(8, 7)])
+def test_a_wrong_chamber_mu_is_an_internal_error(monkeypatch, capsys, factor):
+    # the face of K + mu*L certifies mu: scaled by too little, K + mu*L is
+    # not effective, and by too much it has no face, so neither command may
+    # print a report (exit 0) or blame the input (exit 1)
+    from kstab import cones, stability
+
+    monkeypatch.setattr(
+        stability, "_chamber_mu", lambda l, s: factor * cones._chamber_mu(l, s)
+    )
+    for d in range(4, 8):
+        s = SurfaceModel(d)
+        fiber = basis_line(s) - basis_exceptional(s, s.r)
+        for l in (
+            anticanonical(s),
+            F(5, 3) * (anticanonical(s) + F(1, 4) * basis_exceptional(s, 1)),
+            F(2, 7) * (anticanonical(s) + F(1, 2) * fiber),
+        ):
+            doc = json.dumps({"degree": d, "L": cli._class_to_json(l)})
+            for command in ("check", "alpha-bound"):
+                assert cli.main([command, "--L", doc]) == 2, (command, doc)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("internal invariant violated: "), captured.err
+
+
+def _family_by_sums(doc, s):
+    # the family classes as sums of DivClass terms, one basis curve at a time
+    if doc["family"] == "six-line":
+        l = anticanonical(s)
+        for i in range(1, s.r + 1):
+            l = l + F(doc["x"]) * basis_exceptional(s, i)
+        return l
+    l = anticanonical(s) + F(doc["delta"]) * (basis_line(s) - basis_exceptional(s, s.r))
+    for i, raw in enumerate(doc["a"], start=1):
+        l = l + F(raw) * basis_exceptional(s, i)
+    return l
+
+
+def test_family_rows_match_the_class_sums():
+    rng = random.Random(48)
+
+    def weight(lo=-5):
+        return str(F(rng.randint(lo, 30), rng.choice([1, 2, 3, 4, 6, 7, 10, 12, 35])))
+
+    docs = []
+    for _ in range(60):
+        docs.append({"degree": 3, "family": "six-line", "x": weight()})
+    for d in range(3, 8):
+        r = 9 - d
+        for _ in range(60):
+            delta = rng.choice(["0", weight(0)])
+            cap = r - 1 if F(delta) > 0 else r
+            a = [weight() for _ in range(rng.randint(0, cap))]
+            docs.append({"degree": d, "family": "anticanonical-plus", "delta": delta, "a": a})
+    dens = set()
+    for doc in docs:
+        s = SurfaceModel(doc["degree"])
+        l = cli._expand_family(doc, s)
+        expected = _family_by_sums(doc, s)
+        assert (l.den, l.row) == (expected.den, expected.row), doc
+        dens.add(l.den)
+    assert len(dens) >= 20
 
 
 def test_main_example_cubic(capsys):

@@ -14,7 +14,9 @@ from kstab.cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
+    _chamber_mu,
     _face_data,
+    _mu,
     ample_violation,
     face_decompose,
     is_ample,
@@ -187,6 +189,38 @@ def test_mu_matches_the_weyl_chamber_oracle():
                 l = _random_ample(rng, s, spread)
                 assert l.den > 1 and is_ample(l, s)
                 assert mu(l, s) == _weyl_mu(l), (d, l)
+
+
+def _dominant(l):
+    # b_1 >= ... >= b_r and h >= b_1 + b_2 + b_3, for b_i = -e_i
+    h, *b = l.row
+    b = [-x for x in b]
+    return b == sorted(b, reverse=True) and h >= sum(b[:3])
+
+
+def test_chamber_mu_matches_the_linear_program():
+    # the oracle's classes, then W(E_r) images of each, which leave the
+    # dominant chamber; _chamber_mu needs no LP, _mu solves one
+    from test_equivariance import _reflected, _simple_roots
+
+    rng = random.Random(20261019)
+    words = random.Random(19)
+    outside = 0
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        roots = _simple_roots(s)
+        for spread in (3, 10, 40):
+            for _ in range(16):
+                l = _random_ample(rng, s, spread)
+                value = _mu(l, s)
+                assert _chamber_mu(l, s) == value, (d, l)
+                if not roots:
+                    continue
+                word = [words.choice(roots) for _ in range(words.randint(1, 30))]
+                wl = _reflected(l, word, s)
+                outside += not _dominant(wl)
+                assert _chamber_mu(wl, s) == _mu(wl, s) == value, (d, l, wl)
+    assert outside >= 250, outside
 
 
 def test_mu_tight_and_bracketed():
