@@ -19,10 +19,11 @@ import os
 import sys
 from functools import lru_cache
 from math import lcm
+from operator import neg
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import _mu, ample_violation
+from .cones import _ample_pairings, _mu, ample_violation
 from .curves import fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -30,7 +31,7 @@ from .lattice import (
     SurfaceModel,
     _from_row,
     _ratio_str,
-    div,
+    _rational_row,
     rational,
     rational_str,
 )
@@ -64,7 +65,8 @@ def _class_from_json(obj, s: SurfaceModel) -> DivClass:
         raise DomainError(
             f'"e" must have length {s.r} for degree {s.degree}, got {len(obj["e"])}'
         )
-    return div(rational(obj["h"]), [-rational(x) for x in obj["e"]])
+    den, (h, *e) = _rational_row([obj["h"], *obj["e"]])
+    return _from_row(den, (h, *map(neg, e)))
 
 
 def _expand_family(doc, s: SurfaceModel) -> DivClass:
@@ -74,11 +76,12 @@ def _expand_family(doc, s: SurfaceModel) -> DivClass:
             raise DomainError('family "six-line" needs degree 3')
         if set(doc) != {"degree", "family", "x"}:
             raise DomainError('family "six-line" takes exactly "x"')
-        return _anticanonical_plus(s, 0, [rational(doc["x"])] * s.r)
+        q, (x,) = _rational_row([doc["x"]])
+        return _anticanonical_plus(s, (1, 0), (q, (x,) * s.r))
     if family == "anticanonical-plus":
         if set(doc) != {"degree", "family", "delta", "a"}:
             raise DomainError('family "anticanonical-plus" takes "delta" and "a"')
-        delta = rational(doc["delta"])
+        p, (delta,) = _rational_row([doc["delta"]])
         if delta < 0:
             raise DomainError('"delta" must be nonnegative')
         # with a fiber term the last basis curve is taken by the fiber, so
@@ -86,16 +89,19 @@ def _expand_family(doc, s: SurfaceModel) -> DivClass:
         cap = s.r - 1 if delta > 0 else s.r
         if not isinstance(doc["a"], list) or len(doc["a"]) > cap:
             raise DomainError(f'"a" must be a list of at most {cap} rationals here')
-        return _anticanonical_plus(s, delta, [rational(raw) for raw in doc["a"]])
+        return _anticanonical_plus(s, (p, delta), _rational_row(doc["a"]))
     raise DomainError(f"unknown family {family!r}")
 
 
 def _anticanonical_plus(s: SurfaceModel, delta, a) -> DivClass:
     """-K + delta*(H - E_r) + sum(a_i * E_i) over i <= len(a), built as one
-    integer row over the lcm q of the weights' denominators."""
-    q = lcm(delta.denominator, *(x.denominator for x in a))
-    d = delta.numerator * (q // delta.denominator)
-    row = [3 * q + d, *(x.numerator * (q // x.denominator) - q for x in a)]
+    integer row over the lcm q of the weights' denominators.  delta is a
+    (denominator, numerator) pair and a a (denominator, row) pair, as
+    lattice._rational_row gives them."""
+    (p, d), (m, a) = delta, a
+    q = lcm(p, m)
+    d *= q // p
+    row = [3 * q + d, *(x * (q // m) - q for x in a)]
     row += [-q] * (s.r - len(a))
     row[-1] -= d
     return _from_row(q, tuple(row))
@@ -103,6 +109,13 @@ def _anticanonical_plus(s: SurfaceModel, delta, a) -> DivClass:
 
 def parse_input(document) -> tuple[SurfaceModel, DivClass]:
     """Validate a JSON input document and expand it to an explicit class."""
+    s, l, _ = _parse_ample(document)
+    return s, l
+
+
+def _parse_ample(document):
+    """parse_input, and the pairings of the class with the curve-cone
+    generators that its ampleness test read, for the verdict."""
     if isinstance(document, str):
         document = _parse_json(document)
     if not isinstance(document, dict):
@@ -118,10 +131,10 @@ def parse_input(document) -> tuple[SurfaceModel, DivClass]:
         l = _class_from_json(document["L"], s)
     else:
         raise DomainError('input needs either "L" or "family"')
-    violation = ample_violation(l, s)
-    if violation is not None:
-        raise DomainError(f"class is not ample: {violation}")
-    return s, l
+    signs = _ample_pairings(l, s)
+    if signs is None:
+        raise DomainError(f"class is not ample: {ample_violation(l, s)}")
+    return s, l, signs
 
 
 def _class_to_json(c: DivClass) -> dict:
@@ -230,19 +243,18 @@ def _read_file(path: str) -> str:
 
 def _cmd_check(args) -> str:
     doc = _load_document(args)
-    s, l = parse_input(doc)
-    v = _verdict(s, l)  # parse_input has tested ampleness
+    s, l, signs = _parse_ample(doc)
+    v = _verdict(s, l, signs)
     fmt = "json" if args.json else "text"
     return render_report(v, fmt, echo=_echo(s, l))
 
 
 def _cmd_alpha_bound(args) -> str:
     doc = _load_document(args)
-    s, l = parse_input(doc)
+    s, l, signs = _parse_ample(doc)
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
-    # parse_input has tested ampleness
-    scale, cd, cert, comparison = _upper_bound(s, l)
+    scale, cd, cert, comparison = _upper_bound(s, l, signs)
     if args.json:
         return _dumps(
             {

@@ -30,7 +30,6 @@ from .curves import (
     _line_index,
     _line_numbers,
     _line_rows,
-    _line_table,
     _packed,
     _table_pairings,
     _zeros,
@@ -46,9 +45,7 @@ from .lattice import (
     _row_dot,
     _row_sum,
     _scaled_square,
-    anticanonical,
     canonical,
-    intersect,
 )
 from .ratlp import Optimal, cone_member, lp, solve
 
@@ -124,6 +121,17 @@ def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
         if p <= 0:
             return f"pairing of {dv} with the curve class {g} is not positive"
     return None
+
+
+def _ample_pairings(dv: DivClass, s: SurfaceModel):
+    """The packed pairings D * (dv.G) with the curve-cone generators G of
+    _mori_rows, when dv is ample (each positive, and dv**2 > 0); else None,
+    and ample_violation gives the reason.  The verdict reads its slope,
+    condition A and the face's signs off them."""
+    if _scaled_square(dv, s) <= 0:
+        return None
+    signs = _table_pairings(dv, _mori_table(s.degree), s)
+    return signs if min(signs) > 0 else None
 
 
 @lru_cache(maxsize=None)
@@ -309,18 +317,18 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     return _from_row(q, row)
 
 
-def _face_data(w, s):
+def _face_data(w, s, signs):
     """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
     contraction), else the first disjoint (r-1)-set with a fiber class
     (conic bundle), or None.  By negative_curves, each set is the curves
     with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0,
     taken in index-lex order.  The search runs over indexes into the line
-    rows, on the integers D * w.E of one packed product with the line table.
+    rows, on signs: the integers D * w.E, D = w.den, in the order of
+    _line_rows, which the caller derives from its own product.
     """
     if _scaled_square(w, s) > 0:
         return None  # a face has w^2 = -sum(a_i^2) <= 0
     rows = _line_rows(s.degree)
-    signs = _table_pairings(w, _line_table(s.degree), s)
     support = tuple(i for i, p in enumerate(signs) if p < 0)
     if len(support) > s.r:
         return None  # at most r (-1)-curves are pairwise disjoint
@@ -377,12 +385,13 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     """
     if s.degree > 7:
         raise DomainError("face decomposition is defined for degree at most 7")
-    if not is_ample(l, s):
+    signs = _ample_pairings(l, s)
+    if signs is None:
         raise DomainError(
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
     try:
-        return _face_decompose(l, s)
+        return _face_decompose(l, s, 1, signs)
     except InvariantError:
         if _mu(l, s) != 1:
             msg = "face decomposition needs a normalized class (mu = 1)"
@@ -390,21 +399,34 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise
 
 
-def _face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
-    """face_decompose for an ample class in degree at most 7, which also
-    certifies mu(l) = 1: the face is found and checked, or InvariantError
-    is raised.  So a caller that scaled l by a mu it did not solve for
-    (stability._upper_bound, by _chamber_mu) gets that mu proved here."""
-    w = l + canonical(s)
-    data = _face_data(w, s)
+def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> ContractionData:
+    """face_decompose of scale * l, for an ample class l in degree at most
+    7 whose packed pairings with the curve-cone generators (there the
+    lines, in the order of _line_rows) are signs, and a rational scale > 0.
+    It also certifies mu(scale * l) = 1: the face is found and checked, or
+    InvariantError is raised.  So a caller that scaled l by a mu it did not
+    solve for (stability._upper_bound, by _chamber_mu) gets that mu proved
+    here.  Every test runs on integer rows: with scale = p / q and
+    l = row / D, w = K + scale * l is (p * row + q * D * K) / (q * D), which
+    pairs to p * P_E - q * D with a line E of pairing P_E in signs."""
+    p, q = scale.numerator, scale.denominator
+    den = q * l.den
+    w = _from_row(den, _row_combination([(l.row, p), (_anticanonical_row(s), -den)]))
+    g = den // w.den  # w's row is that over den divided by g
+    data = _face_data(w, s, [(p * x - den) // g for x in signs])
     if data is None:
-        raise InvariantError(f"no boundary-face decomposition found for {l}")
-    # K + l is effective by the decomposition, so mu(l) <= 1; a nef class D
-    # with D.(K + l) = 0 and D.l > 0 is negative on K + x*l for x < 1, so
-    # mu(l) = 1.  D is the fiber, or -K + sum(E_i) = 3 * (line) for a plane.
-    dual = data.curveC if data.curveC is not None else sum(data.curveE, anticanonical(s))
-    if not is_nef(dual, s) or intersect(dual, w, s) != 0 or intersect(dual, l, s) <= 0:
+        raise InvariantError(f"no boundary-face decomposition found for {scale * l}")
+    # w = K + scale*l is effective by the decomposition, so mu(scale*l) <= 1;
+    # a nef class D with D.w = 0 and D.l > 0 is negative on K + x*scale*l
+    # for x < 1, so mu(scale*l) = 1.  D is the fiber, or -K + sum(E_i) =
+    # 3 * (line) for a plane.
+    dual = data.curveC
+    if dual is None:
+        dual = _from_row(1, _row_sum(_anticanonical_row(s), *(c.row for c in data.curveE)))
+    if not is_nef(dual, s) or _row_dot(dual.row, w.row) or _row_dot(dual.row, l.row) <= 0:
         raise InvariantError("face decomposition has no nef class dual to its face")
-    if reconstruct(data, s) != l:
+    # reconstruct(data) = row' / q' equals p * row / den, cross-multiplied
+    back = reconstruct(data, s)
+    if any(x * den != p * y * back.den for x, y in zip(back.row, l.row)):
         raise InvariantError("face decomposition failed the reconstruction check")
     return data

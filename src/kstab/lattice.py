@@ -76,9 +76,42 @@ def _exact(value):
     return rational(value)
 
 
+def _rational_row(values) -> tuple[int, tuple[int, ...]]:
+    """(D, row) with row[i] / D the rational rational(values[i]), in order,
+    and D the lcm of their denominators.
+
+    A str that is an optional sign and ASCII digits, with an optional "/"
+    and ASCII digits after it, is read as two ints, reduced and bounded as
+    rational() bounds it.  Every other value (decimals, exponents, "_",
+    other digits, a zero denominator, a value past the bound, a non-str)
+    goes through rational(), so the values accepted, the messages and the
+    order of the checks are rational()'s.
+    """
+    nums, dens = [], []
+    for value in values:
+        if type(value) is str and len(value) <= 3 * MAX_DIGITS and value.isascii():
+            p, slash, q = value.strip().partition("/")
+            digits = p[1:] if p[:1] in ("+", "-") else p
+            if digits.isdigit() and (q.isdigit() if slash else True):
+                n, d = int(p), int(q) if slash else 1
+                if d:
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                    if -_TOO_LARGE < n < _TOO_LARGE and d < _TOO_LARGE:
+                        nums.append(n)
+                        dens.append(d)
+                        continue
+        x = rational(value)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    den = lcm(*dens)
+    return den, tuple(n * (den // d) for n, d in zip(nums, dens))
+
+
 def rational_str(q: Fraction) -> str:
     """Serialize as "p/q", or "n" when integral."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return _ratio_str(q.numerator, q.denominator)
 
 

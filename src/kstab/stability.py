@@ -16,14 +16,16 @@ from functools import partial
 from typing import Optional
 
 from .alphabound import Certificate, certificate, compare_with_slope
-from .cones import _chamber_mu, _face_decompose, ample_violation, is_nef
+from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
+from .curves import _line_index
 from .curves import minus_one_curves  # noqa: F401  re-exported
-from .curves import negative_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
     Rational,
     SurfaceModel,
+    _anticanonical_row,
+    _row_dot,
     anticanonical,
     intersect,
     rational_str,
@@ -114,51 +116,66 @@ def _gamma(s: SurfaceModel, residual: DivClass) -> Fraction:
     return gamma
 
 
-def _six_line_parameter(l: DivClass, s: SurfaceModel):
-    """Match l + K against x times a disjoint six-line sum.
+def _six_line_parameter(l: DivClass, s: SurfaceModel, signs):
+    """Match l + K against x times a disjoint six-line sum, for l = row / D
+    whose packed pairings with the lines are signs.
 
     By negative_curves, the only possible sextet is the curves pairing
-    negatively with l + K, and matching it forces them disjoint.
+    negatively with w = l + K, and matching it forces them disjoint.  A line
+    E has -K.E = 1, so w.E = (P_E - D) / D is negative when P_E < D.
     """
     w = l - anticanonical(s)
     if w == zero_class(s):
         return Fraction(0)
-    sextet = negative_curves(w, s)
+    sextet = [c for c, p in zip(_line_index(s.degree).values(), signs) if p < l.den]
     x = intersect(anticanonical(s), w, s) / 6
     if len(sextet) == 6 and x > 0 and w == x * sum(sextet[1:], sextet[0]):
         return x
     return None
 
 
-def _upper_bound(s: SurfaceModel, l: DivClass):
-    """(mu, face, certificate, comparison) for an ample l in degree 4 to 7.
+def _upper_bound(s: SurfaceModel, l: DivClass, signs):
+    """(mu, face, certificate, comparison) for an ample l in degree 4 to 7,
+    whose packed pairings with the curve-cone generators are signs.
 
     mu is read off the Weyl chamber, with no linear program, and the face
     of K + mu*l certifies it: the decomposition shows mu(mu*l) <= 1, and
     the face's nef dual class shows mu(mu*l) >= 1.  A wrong mu finds no
     checked face and raises InvariantError.  l is ample, and so is mu * l:
-    the cores skip the repeat ampleness test.
+    the face reads its signs off those of l instead of pairing again.
     """
     scale = _chamber_mu(l, s)
-    cd = _face_decompose(scale * l, s)
+    cd = _face_decompose(l, s, scale, signs)
     cert = certificate(s, cd)
     return scale, cd, cert, compare_with_slope(s, cd, cert)
 
 
 def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
     """Top-level decision for a polarized surface in the supported range."""
-    violation = ample_violation(l, s)
-    if violation is not None:
-        raise DomainError(f"verdict needs an ample class: {violation}")
-    return _verdict(s, l)
+    signs = _ample_pairings(l, s)
+    if signs is None:
+        raise DomainError(f"verdict needs an ample class: {ample_violation(l, s)}")
+    return _verdict(s, l, signs)
 
 
-def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
-    """verdict for a class already known to be ample; the slope and the
-    residual are computed once, for condition A and for gamma."""
-    slope = nu(l, s)
-    residual = _residual(s, l, slope)
-    cond = is_nef(residual, s)
+def _verdict(s: SurfaceModel, l: DivClass, signs) -> Verdict:
+    """verdict for an ample class l = row / D, read off signs, its packed
+    pairings P_G = row.G with the curve-cone generators G.
+
+    With a = -K.row and b = row.row > 0, the slope is nu = a * D / b, and
+    3b * (residual.G) = 3b * (-K.G) - 2a * P_G for the residual
+    -K - (2/3) nu l, so condition A is 2a * P_G <= 3b * (-K.G) for every G.
+    -K.G is 1 on each (-1)-curve and 2 on the ruling H - E1, the last
+    generator in degree 8.  The residual class is built only for gamma.
+    """
+    a = _row_dot(_anticanonical_row(s), l.row)
+    b = _row_dot(l.row, l.row)
+    slope = Fraction(a * l.den, b)
+    if s.degree == 8:
+        line, ruling = signs
+        cond = 2 * a * line <= 3 * b and a * ruling <= 3 * b
+    else:
+        cond = 2 * a * max(signs) <= 3 * b
     reply = partial(
         Verdict, condition_a=cond, nu=slope, alpha_lower=None, certificate=None
     )
@@ -175,7 +192,7 @@ def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
                 notes="the nef residual condition fails, so the low-degree "
                 "criterion does not apply",
             )
-        gamma = _gamma(s, residual)
+        gamma = _gamma(s, _residual(s, l, slope))
         rescaled = gamma * Fraction(2, 3) * slope
         return reply(
             status=STATUS_MAIN,
@@ -184,7 +201,7 @@ def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
             f"input class it rescales to {rational_str(rescaled)}",
         )
     if s.degree == 3:
-        x = _six_line_parameter(l, s)
+        x = _six_line_parameter(l, s, signs)
         if x == 0:
             return reply(
                 status=STATUS_UNKNOWN,
@@ -211,7 +228,7 @@ def _verdict(s: SurfaceModel, l: DivClass) -> Verdict:
         )
     # degree 4 to 7: produce the upper-bound certificate on the normalized
     # class; it rules out the nef-residual route instead of applying it.
-    scale, _, cert, comparison = _upper_bound(s, l)
+    scale, _, cert, comparison = _upper_bound(s, l, signs)
     upper = scale * cert.bound
     notes = (
         f"alpha upper bound {rational_str(cert.bound)} for the input scaled "

@@ -242,7 +242,7 @@ def test_main_rejects_huge_json_integers(capsys):
 
 
 def test_main_invariant_error_exit_code(monkeypatch, capsys):
-    def boom(s, l):
+    def boom(*args):
         raise InvariantError("forced for the exit-code contract")
 
     monkeypatch.setattr(cli, "_verdict", boom)
@@ -279,18 +279,27 @@ def test_main_alpha_bound(capsys):
 
 
 def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
-    # parse_input tests the class; the commands then call the cores that skip it
+    # parse_input tests the class on one product with the curve-cone
+    # generators; the commands then call the cores that skip the test, and
+    # ample_violation runs only to word a rejection
     from kstab import cones, stability
 
     calls = []
-    original = cones.ample_violation
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(name):
+        original = getattr(cones, name)
 
-    for module in (cli, cones, stability):
-        monkeypatch.setattr(module, "ample_violation", counted)
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_ample_pairings", "ample_violation"):
+        wrapper = counted(name)
+        for module in (cli, cones, stability):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     docs = [
         '{"degree": 4, "family": "anticanonical-plus", "delta": "0", "a": ["1/2", "1/3"]}',
         '{"degree": 5, "family": "anticanonical-plus", "delta": "1/2", "a": ["1/2", "1/3"]}',
@@ -305,7 +314,7 @@ def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
         calls.clear()
         assert cli.main([command, "--json", "--L", doc]) == 0
         assert "input" in json.loads(capsys.readouterr().out)
-        assert len(calls) == 1, command
+        assert calls == ["_ample_pairings"], command
 
 
 def test_only_mu_requests_solve_an_integer_program(monkeypatch, capsys):

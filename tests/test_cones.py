@@ -30,6 +30,8 @@ from kstab.cones import (
 from kstab.curves import (
     _fiber_index,
     _line_index,
+    _line_table,
+    _table_pairings,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -302,10 +304,12 @@ def test_face_data_rejects_fiber_residuals_that_do_not_fit():
     h = basis_line(s)
     # support H - E1 - E2; the residual -(1/3)(H - E1) is a negative
     # multiple of the one fiber that misses the support
-    assert _face_data(Fraction(1, 2) * (h - e1 - e2) - Fraction(1, 3) * (h - e1), s) is None
+    w = Fraction(1, 2) * (h - e1 - e2) - Fraction(1, 3) * (h - e1)
+    assert _face_data(w, s, _table_pairings(w, _line_table(7), s)) is None
     # support E2; the residual (1/3)(H - E1) + (1/5)E1 is no multiple of a
     # fiber missing E2
-    assert _face_data(Fraction(1, 2) * e2 + Fraction(1, 3) * (h - e1) + Fraction(1, 5) * e1, s) is None
+    w = Fraction(1, 2) * e2 + Fraction(1, 3) * (h - e1) + Fraction(1, 5) * e1
+    assert _face_data(w, s, _table_pairings(w, _line_table(7), s)) is None
 
 
 _NOT_NORMALIZED = "face decomposition needs a normalized class"

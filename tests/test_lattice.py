@@ -1,7 +1,9 @@
+import json
 import random
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from kstab.lattice import (
     MAX_DIGITS,
     DivClass,
     SurfaceModel,
+    _rational_row,
     _row_less,
     anticanonical,
     basis_exceptional,
@@ -64,6 +67,106 @@ def test_rational_digit_bound():
             rational(value)
     # a Fraction the library computed is taken as it is
     assert rational(Fraction(big + 1, 3)) == Fraction(big + 1, 3)
+
+
+def _outcome(parse, value):
+    """(numerator, denominator) of a parse, or the message it raised."""
+    try:
+        return parse(value)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _int_parse(value):
+    den, (num,) = _rational_row([value])
+    return num, den
+
+
+def _fraction_parse(value):
+    q = rational(value)
+    return q.numerator, q.denominator
+
+
+_PLAIN = ["3", "-4/6", " +7/21 ", "0/5", " " * 597 + "7/3"]
+_PARSE_CORPUS = _PLAIN + [
+    "1/0",
+    "1/00",
+    "0.5",
+    "1e3",
+    "1e999999999",
+    "1_000",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE
+    "\u0661/\u0664",
+    " " * 598 + "7/3",  # 601 characters
+    "1" * 600,
+    "1" * 601,
+    10**200 - 1,
+    10**200,
+    str(10**200 - 1),
+    str(10**200),
+    str(10**201) + "/10",
+    "4/-6",
+    "--4",
+    "+",
+    "/5",
+    "",
+    True,
+    1.5,
+    None,
+]
+
+
+def test_int_parse_matches_rational():
+    # the int parse gives rational()'s value in lowest terms, or raises its
+    # message
+    for value in _PARSE_CORPUS:
+        assert _outcome(_int_parse, value) == _outcome(_fraction_parse, value), value
+    assert _outcome(_int_parse, "\u0663") == (3, 1)
+    assert "more than" in _outcome(_int_parse, "1" * 601)
+    assert _outcome(_int_parse, "1/0") == "not a rational: '1/0'"
+
+
+def test_int_parse_reads_plain_strings_without_rational(monkeypatch):
+    # a sign, ASCII digits and one "/" are read as ints, with no Fraction
+    from kstab import lattice
+
+    expected = [_fraction_parse(value) for value in _PLAIN]
+
+    def refuse(value):
+        raise AssertionError(f"rational({value!r})")
+
+    monkeypatch.setattr(lattice, "rational", refuse)
+    assert [_int_parse(value) for value in _PLAIN] == expected
+
+
+def test_int_parse_builds_one_row_over_the_lcm():
+    assert _rational_row(["1/2", "-2/6", "5", 4]) == (6, (3, -2, 30, 24))
+    assert _rational_row([]) == (1, ())
+    # values are read in order: the first bad one names the error
+    with pytest.raises(DomainError, match="not a rational: 'x'"):
+        _rational_row(["1/2", "x", 1.5])
+
+
+def test_int_parse_matches_rational_on_the_check_stream():
+    # every coordinate the benchmark's check-stream generator emits
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(workloads.DEFAULT_SEED)
+    values = []
+    for index in range(50):
+        for text in workloads.check_round(rng, index):
+            doc = json.loads(text)
+            if "L" in doc:
+                values += [doc["L"]["h"], *doc["L"]["e"]]
+            else:
+                values += [doc[key] for key in ("x", "delta") if key in doc]
+                values += doc.get("a", [])
+    assert len(values) > 1000 and any("/" in v for v in values)
+    for value in values:
+        assert _int_parse(value) == _fraction_parse(value), value
 
 
 def test_surface_model_range():

@@ -336,7 +336,7 @@ def test_disjoint_masks_match_the_row_loop(degree):
 def test_packed_product_rejects_rank_mismatch():
     # on both sides of the slot bound, with the message of pairings; the
     # square test of ample_violation and _face_data keeps the message of
-    # intersect
+    # intersect, and _face_data makes it before it reads its signs
     s = SurfaceModel(4)
     for degree in (3, 5):
         r = 9 - degree
@@ -350,7 +350,7 @@ def test_packed_product_rejects_rank_mismatch():
             with pytest.raises(DomainError, match=message):
                 ample_violation(wrong, s)
             with pytest.raises(DomainError, match=message):
-                _face_data(wrong, s)
+                _face_data(wrong, s, ())
             with pytest.raises(DomainError):
                 is_nef(wrong, s)
             with pytest.raises(DomainError):
@@ -433,7 +433,8 @@ def test_conic_kind_and_section_match_the_line_scan(degree):
         assert (None if oracle is None else oracle.row) == scan
         terms = [tuple(s.r * x for x in fib)]
         terms += (tuple((i + 1) * x for x in row) for i, row in enumerate(curves))
-        data = _face_data(_from_row(2 * s.r, _row_sum(*terms)), s)
+        w = _from_row(2 * s.r, _row_sum(*terms))
+        data = _face_data(w, s, _table_pairings(w, _line_table(s.degree), s))
         assert (data.curveC, set(data.curveE)) == (fib_class, {lines[i] for i in chosen})
         assert data.kind == (KIND_CONIC_F1 if odd else KIND_CONIC_P1P1)
     assert kinds == {True, False}

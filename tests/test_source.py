@@ -273,7 +273,7 @@ def test_sign_tests_read_the_packed_tables():
     # degree; pairings, for any list of rows, keeps its per-row loop, and
     # the packed product falls back to it past the slot bound
     sign_tests = {
-        "cones.py": {"is_nef": "_mori_table", "ample_violation": "_mori_table", "_face_data": "_line_table"},
+        "cones.py": {"is_nef": "_mori_table", "ample_violation": "_mori_table", "_ample_pairings": "_mori_table"},
         "curves.py": {"negative_curves": "_line_table", "_disjoint_masks": "_line_table"},
     }
     for name, tests in sign_tests.items():
@@ -294,3 +294,25 @@ def test_sign_tests_read_the_packed_tables():
     assert names.isdisjoint({"_table_pairings", "_packed", "array", "_line_table"})
     assert "pairings" in _called(curves["_table_pairings"])
     assert "pairings" in _called(curves["disjoint_sets"])
+    # the verdict and the face search read the signs of the product their
+    # caller made, and pair the class with no table again
+    readers = {"cones.py": ("_face_data",), "stability.py": ("_verdict", "_six_line_parameter")}
+    pairing = {"_table_pairings", "pairings", "negative_curves", "is_nef", "ample_violation", "nu"}
+    for name, names in readers.items():
+        functions = _functions(name)
+        for reader in names:
+            assert "signs" in [a.arg for a in functions[reader].args.args], reader
+            assert _called(functions[reader]).isdisjoint(pairing), reader
+
+
+def test_request_coordinates_parse_on_ints():
+    # an explicit class and the family classes are parsed by
+    # lattice._rational_row into one integer row over the lcm: the builders
+    # call neither rational nor Fraction themselves
+    functions = _functions("cli.py")
+    builders = ("_class_from_json", "_expand_family", "_anticanonical_plus")
+    called = {name: _called(functions[name]) for name in builders}
+    assert "_rational_row" in called["_class_from_json"] | called["_expand_family"]
+    assert {name: names & {"rational", "Fraction"} for name, names in called.items()} == dict.fromkeys(
+        builders, set()
+    )

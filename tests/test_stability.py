@@ -9,16 +9,18 @@ from kstab.alphabound import certificate, verify_certificate
 from kstab.cones import (
     ContractionData,
     KIND_TO_P2,
+    _mori_table,
     face_decompose,
     is_ample,
     mu,
     reconstruct,
 )
-from kstab.curves import disjoint_sets, minus_one_curves
+from kstab.curves import _table_pairings, disjoint_sets, minus_one_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
+    canonical,
     basis_exceptional,
     basis_line,
     div,
@@ -42,6 +44,12 @@ from kstab.stability import (
 )
 
 F = Fraction
+
+
+def _signs(l, s):
+    """The packed pairings of l with the curve-cone generators, as the
+    verdict reads them."""
+    return _table_pairings(l, _mori_table(s.degree), s)
 
 
 def _sum_exceptional(s):
@@ -168,48 +176,60 @@ def test_verdict_main_theorem():
     assert "12/17" in v.notes  # rescaled bound (18/17)(2/3)
 
 
+def _count_products(monkeypatch):
+    """The list that records each packed product of a class with a curve
+    table, in every module that makes one."""
+    from kstab import cones, curves, stability
+
+    calls = []
+    original = curves._table_pairings
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cones, curves, stability):
+        if hasattr(module, "_table_pairings"):
+            monkeypatch.setattr(module, "_table_pairings", counted)
+    return calls
+
+
+# warm packed products per verdict, by degree: the class once (ampleness,
+# the slope, condition A and the six-line sextet read it), and in degrees
+# 4-7 the nef test of the face's dual class
+_PRODUCTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1}
+
+
 def test_low_degree_verdict_tests_ampleness_and_residual_once(monkeypatch):
-    from kstab import stability
-
-    calls = {"ample_violation": 0, "is_nef": 0}
-
-    def counted(name):
-        original = getattr(stability, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(stability, name, counted(name))
+    calls = _count_products(monkeypatch)
     rng = random.Random(13)
     for d in (1, 2):
         s = SurfaceModel(d)
         l = anticanonical(s)
         for i in range(1, s.r + 1):
             l = l + F(rng.randrange(0, 4), 32) * basis_exceptional(s, i)
-        for name in calls:
-            calls[name] = 0
+        verdict(s, l)  # warm the per-degree tables
+        calls.clear()
         v = verdict(s, l)
-        assert calls == {"ample_violation": 1, "is_nef": 1}
+        assert len(calls) == _PRODUCTS[d] == 1
+        assert v.condition_a == condition_a(l, s)
         if v.condition_a:
             assert v.alpha_lower == gamma_lower_bound(s, l)
 
 
 def test_verdict_computes_the_slope_once(monkeypatch):
-    # one residual -K - (2/3) nu(l) l serves condition A and gamma's epsilon
+    # the slope is read off the one product, with no call to nu
     from kstab import stability
 
-    calls = []
+    slopes = []
     original = stability.nu
 
     def counted(*args):
-        calls.append(args)
+        slopes.append(args)
         return original(*args)
 
     monkeypatch.setattr(stability, "nu", counted)
+    calls = _count_products(monkeypatch)
     rng = random.Random(31)
     statuses = set()
     for d in range(1, 9):
@@ -218,26 +238,33 @@ def test_verdict_computes_the_slope_once(monkeypatch):
             l = anticanonical(s)
             for i in range(1, s.r + 1):
                 l = l + F(rng.randrange(0, 4) * trial, 32) * basis_exceptional(s, i)
+            l = F(3, 4) * l
+            verdict(s, l)  # warm the per-degree tables
             calls.clear()
-            statuses.add(stability._verdict(s, F(3, 4) * l).status)
-            assert len(calls) == 1, d
+            v = verdict(s, l)
+            statuses.add(v.status)
+            assert (len(calls), slopes) == (_PRODUCTS[d], []), d
+            assert v.nu == original(l, s)
+            slopes.clear()
     assert STATUS_MAIN in statuses and STATUS_INAPPLICABLE in statuses
 
 
 def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
-    # verdict has tested l, and mu(l) * l is ample with it, so the cores of
-    # mu and face_decompose it calls skip the repeat test
+    # verdict tests l on its product, and mu(l) * l is ample with it, so
+    # the face reads its signs off that product: the class is paired once,
+    # and the face's dual class once; ample_violation only words a rejection
     from kstab import cones, stability
 
-    calls = []
+    rejections = []
     original = cones.ample_violation
 
     def counted(*args):
-        calls.append(args)
+        rejections.append(args)
         return original(*args)
 
     monkeypatch.setattr(stability, "ample_violation", counted)
     monkeypatch.setattr(cones, "ample_violation", counted)
+    calls = _count_products(monkeypatch)
     rng = random.Random(47)
     for d in (4, 5, 6, 7):
         s = SurfaceModel(d)
@@ -247,12 +274,85 @@ def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
             for i in range(1, s.r + (trial % 3 == 0)):
                 l = l + F(rng.randrange(0, 6), 7) * basis_exceptional(s, i)
             l = F(rng.randint(1, 5), rng.randint(1, 5)) * l
+            verdict(s, l)  # warm the per-degree tables
             calls.clear()
+            rejections.clear()
             v = verdict(s, l)
-            assert len(calls) == 1
+            assert (len(calls), rejections) == (_PRODUCTS[d], [])
             assert v.status == STATUS_INAPPLICABLE
             scale = mu(l, s)
             assert v.certificate == certificate(s, face_decompose(scale * l, s))
+
+
+def _seeded_ample(rng, s, cap=1):
+    """c * (-K + delta * (H - E_r) + sum(a_i * E_i)) with 0 <= a_i < cap <= 1
+    and delta >= 0, which is ample in every degree."""
+    fiber = basis_line(s) - basis_exceptional(s, s.r)
+    l = anticanonical(s) + F(rng.randrange(0, 3), rng.randint(1, 6)) * cap * fiber
+    for i in range(1, s.r + 1):
+        den = rng.randint(1, 12)
+        l = l + F(rng.randrange(0, den), den) * cap * basis_exceptional(s, i)
+    return F(rng.randint(1, 9), rng.randint(1, 9)) * l
+
+
+def _condition_a_cases():
+    rng = random.Random(61)
+    for d in range(1, 9):
+        s = SurfaceModel(d)
+        for trial in range(40):
+            yield s, _seeded_ample(rng, s, F(1, 8) if trial % 2 else 1)
+    # the cubic family -K + x*E1 at its boundary x = 3/5, where the residual
+    # pairs to 0 with the lines H - E1 - Ej, and on both sides of it
+    s = SurfaceModel(3)
+    for x in (F(3, 5), F(3, 5) - F(1, 1000), F(3, 5) + F(1, 1000)):
+        yield s, anticanonical(s) + x * basis_exceptional(s, 1)
+    # degree 8: hH - mE1 has condition A for m/h <= 2*sqrt(3) - 3 < 0.47,
+    # where the ruling H - E1, with -K.(H - E1) = 2, still holds and would
+    # fail if it were weighted as a (-1)-curve (that needs m/h >= 3/5)
+    s = SurfaceModel(8)
+    for m in range(1, 20):
+        yield s, div(20, [-m])
+
+
+def test_verdict_condition_a_matches_the_residual_route():
+    seen = set()
+    for s, l in _condition_a_cases():
+        assert is_ample(l, s)
+        v = verdict(s, l)
+        assert v.condition_a == condition_a(l, s), (s, l)
+        assert v.nu == nu(l, s)
+        seen.add((s.degree, v.condition_a))
+    # both outcomes occur in the low degrees, the cubic and degree 8
+    assert {(d, c) for d in (1, 2, 3, 8) for c in (True, False)} <= seen
+    s = SurfaceModel(3)
+    assert verdict(s, anticanonical(s) + F(3, 5) * basis_exceptional(s, 1)).condition_a
+
+
+def test_face_signs_match_the_line_table(monkeypatch):
+    # the face of K + mu*l reads its signs off the product of l: they equal
+    # the pairings of K + mu*l with the line table
+    from kstab import cones
+    from kstab.curves import _line_table
+
+    seen = []
+    original = cones._face_data
+
+    def recorded(w, s, signs):
+        seen.append((w, s, list(signs)))
+        return original(w, s, signs)
+
+    monkeypatch.setattr(cones, "_face_data", recorded)
+    rng = random.Random(67)
+    for d in (4, 5, 6, 7):
+        s = SurfaceModel(d)
+        for _ in range(25):
+            l = _seeded_ample(rng, s)
+            seen.clear()
+            v = verdict(s, l)
+            ((w, _, signs),) = seen
+            assert w == mu(l, s) * l + canonical(s)
+            assert signs == list(_table_pairings(w, _line_table(d), s))
+            assert v.certificate == certificate(s, face_decompose(mu(l, s) * l, s))
 
 
 def test_verdict_low_degree_unknown_when_residual_fails():
@@ -391,7 +491,7 @@ def test_six_line_parameter_matches_scan_on_every_sextet(cubic_sextets):
     for sextet in cubic_sextets:
         for x in (F(1, 60), F(1, 10), F(1, 3), F(9, 10)):
             l = anticanonical(s) + x * sum(sextet[1:], sextet[0])
-            assert _six_line_parameter(l, s) == x
+            assert _six_line_parameter(l, s, _signs(l, s)) == x
             assert _six_line_scan(l, s, cubic_sextets) == x
 
 
@@ -416,7 +516,7 @@ def test_six_line_parameter_matches_scan_off_the_family(cubic_sextets):
         cases.append(mk + sum((F(rng.randrange(0, 4), 4) * c for c in e), zero_class(s)))
     misses = 0
     for l in cases:
-        x = _six_line_parameter(l, s)
+        x = _six_line_parameter(l, s, _signs(l, s))
         assert x == _six_line_scan(l, s, cubic_sextets)
         misses += x is None
     assert misses > len(cases) // 2
