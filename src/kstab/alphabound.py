@@ -11,19 +11,28 @@ Every named auxiliary curve (lines through two of the blown-down points,
 the conic through five of them, fiber and section classes, the diagonal
 type curves) is realized as an explicit integer row (h, e_1, ..., e_r) and
 looked up among the enumerated curves before use, once per ordered face,
-in the cached tables of named curves; the lookup hands back the curve's
-class for the output.  The coefficients are ints too: the a_i
-and delta go over one denominator Q, every coefficient, subset sum and
-case test is computed over ints, and the class identity is one
-cross-multiplied integer sum.  Only then are the certificate's rational
-coefficients n / Q and its bound built.
+in the cached tables of named curves, keyed on the degree; the lookup
+hands back the curve's class for the output.  The coefficients are ints
+too: the a_i and delta go over one denominator Q, every coefficient,
+subset sum and case test is computed over ints, and the class identity is
+one cross-multiplied integer sum.  Only then are the certificate's
+rational coefficients n / Q and its bound built.
+
+The builders read a face as ints: its kind, its ordered line rows, its
+fiber row and its integer weights.  The public ``certificate`` and
+``compare_with_slope`` take them from a ``ContractionData`` and rebuild
+its class with ``reconstruct``.  A ``check`` reads them, and the class
+row, off the face record ``cones._Face`` in ``_face_certificate``, so
+its face is never converted to Fractions and back; the class identity
+and, in degree 4, the independent ``appendix`` cross-check still run.
 
 There is one plane lemma: degree 4 takes a five-point pattern, and degrees
 5 to 7 one formula over per-degree line weights.  F1 is P2 blown up at one
 point, so an F1 face is a plane face over its curves and the section,
 which carries weight 0.  The builders work at delta = 0: on a conic face
 the fiber C = E1 + (C - E1) through point 1 carries delta, and _parts adds
-it to those two parts once the builder returns.
+it to those two parts once the builder returns, reading C - E1 from the
+face's named curves.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from .cones import (
     ContractionData,
     reconstruct,
 )
-from .curves import _fiber_index, _line_index
+from .curves import _fiber_index, _line_index, _line_rows
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -54,6 +63,8 @@ from .lattice import (
     _row_less,
     _row_sum,
 )
+
+_ZERO = Fraction(0)
 
 # subset families for the improvement step, as index tuples into
 # (a2, a3, a4[, a5]); order matters: ties resolve to the earliest entry
@@ -133,20 +144,20 @@ def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     terms = [
         (cls.row, c.numerator * (den // (c.denominator * cls.den))) for cls, c in cert.divisor
     ]
-    _check_identity(terms, den, l)
+    _check_identity(terms, den, l.row, l.den)
 
 
-def _check_identity(terms, den: int, l: DivClass) -> None:
+def _check_identity(terms, den: int, l_row, l_den: int) -> None:
     """sum(n * row) / den over (integer row, int n) terms must equal the
-    class l = l.row / l.den: one cross-multiplied integer sum."""
-    if [l.den * x for x in _row_combination(terms)] != [den * x for x in l.row]:
+    class l_row / l_den: one cross-multiplied integer sum."""
+    if [l_den * x for x in _row_combination(terms)] != [den * x for x in l_row]:
         raise InvariantError("certificate divisor does not reconstruct the class")
 
 
-def _finish(parts, one: int, l: DivClass, s) -> Certificate:
+def _finish(parts, one: int, l_row, l_den: int, degree: int) -> Certificate:
     """The certificate of (integer row, n) parts, each row a (-1)-curve with
-    coefficient n / one; l is the class they must sum to."""
-    lines = _line_index(s.degree)
+    coefficient n / one; l_row / l_den is the class they must sum to."""
+    lines = _line_index(degree)
     kept = []
     for row, n in parts:
         if n < 0:
@@ -160,7 +171,7 @@ def _finish(parts, one: int, l: DivClass, s) -> Certificate:
         raise InvariantError("certificate has no nonzero component")
     top = max(n for _, n in kept)
     witness = next(i for i, (_, n) in enumerate(kept) if n == top)
-    _check_identity(kept, one, l)
+    _check_identity(kept, one, l_row, l_den)
     # every check of Certificate.__post_init__ holds here, so it is not rerun
     cert = object.__new__(Certificate)
     divisor = tuple((lines[row], Fraction(n, one)) for row, n in kept)
@@ -228,13 +239,14 @@ def _plane_pullback(s: SurfaceModel, points) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _plane_curves(s: SurfaceModel, es):
+def _plane_curves(degree: int, es):
     """(lines, conic) of the plane face contracting the ordered rows es:
     the lines through point 1 and point j = 2, ..., r, and the conic
     through the five points in degree 4 (None in degrees 5 to 7)."""
+    s = SurfaceModel(degree)
     ell = _plane_pullback(s, es)
     conic = None
-    if s.degree == 4:
+    if degree == 4:
         conic = _as_line(_row_less(tuple(2 * x for x in ell), *es), s, "the five-point conic")
     lines = tuple(
         _as_line(_row_less(ell, es[0], e), s, f"the line through points 1,{j}")
@@ -244,8 +256,9 @@ def _plane_curves(s: SurfaceModel, es):
 
 
 @lru_cache(maxsize=None)
-def _section(s: SurfaceModel, es, c):
+def _section(degree: int, es, c):
     """The section (M - 3C) / 2 of the F1 face contracting es with fiber c."""
+    s = SurfaceModel(degree)
     m = _row_sum(_anticanonical_row(s), *es)
     return _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
 
@@ -256,16 +269,17 @@ _DIAGONALS = {7: (), 5: ((1, 2),), 4: ((1, 2), (1, 3), (2, 3))}
 
 
 @lru_cache(maxsize=None)
-def _ruling_curves(s: SurfaceModel, es, c):
+def _ruling_curves(degree: int, es, c):
     """(f1, f1', more) of the P1 x P1 face contracting es with fiber c: the
     fibers of the two rulings through point 1, then the two through point
     2 in degree 6, the diagonal through points 1, 2, 3 in degree 5, and in
     degree 4 the diagonals through points 1, j, k for (j, k) = (2, 3),
     (2, 4), (3, 4)."""
+    s = SurfaceModel(degree)
     g = _other_ruling(s, es, c)
     f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
     f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
-    if s.degree == 6:
+    if degree == 6:
         f2 = _as_line(_row_less(c, es[1]), s, "the first-ruling fiber through point 2")
         f2p = _as_line(_row_less(g, es[1]), s, "the second-ruling fiber through point 2")
         return f1, f1p, (f2, f2p)
@@ -276,7 +290,7 @@ def _ruling_curves(s: SurfaceModel, es, c):
             s,
             f"the diagonal through points 1,{j + 1},{k + 1}",
         )
-        for j, k in _DIAGONALS[s.degree]
+        for j, k in _DIAGONALS[degree]
     )
     return f1, f1p, diagonals
 
@@ -306,28 +320,28 @@ def _five_point_parts(es5, a5, lines, conic, n_value, subset, one):
 _LINE_WEIGHTS = {7: (3,), 6: (2, 1), 5: (1, 1, 1)}
 
 
-def _plane_parts(s, es, a, one):
+def _plane_parts(degree, es, a, one):
     """The plane lemma over the contracted rows es with scaled weights a.
 
     Degree 4 takes the five-point pattern.  In degrees 5 to 7 the line
     through points 1 and j is weighted c_j, E1 is weighted 2 + a_1 and
     each other E_j is weighted c_j - 1 + a_j.
     """
-    lines, conic = _plane_curves(s, es)
-    if s.degree == 4:
+    lines, conic = _plane_curves(degree, es)
+    if degree == 4:
         n_value, subset = _largest_subset_sum(a[1:], TWELVE_SUM_FAMILY, one)
         return _five_point_parts(es, a, lines, conic, n_value, subset, one)
-    c = _LINE_WEIGHTS[s.degree]
+    c = _LINE_WEIGHTS[degree]
     parts = [(line, cj * one) for line, cj in zip(lines, c)]
     parts.append((es[0], 2 * one + a[0]))
     parts += [(e, (cj - 1) * one + x) for e, cj, x in zip(es[1:], c, a[1:])]
     return parts
 
 
-def _f1_parts(s, es, c, a, one):
+def _f1_parts(degree, es, c, a, one):
     """F1 is P2 blown up at one point, so its face is a plane face over es
     and the section v = (M - 3C) / 2, which carries weight 0."""
-    return _plane_parts(s, es + (_section(s, es, c),), a + (0,), one)
+    return _plane_parts(degree, es + (_section(degree, es, c),), a + (0,), one)
 
 
 def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
@@ -343,7 +357,7 @@ def _other_ruling(s: SurfaceModel, es, c) -> tuple[int, ...]:
 
 
 def _p1p1_parts(s, es, c, a, one):
-    f1, f1p, more = _ruling_curves(s, es, c)
+    f1, f1p, more = _ruling_curves(s.degree, es, c)
     if s.degree == 7:
         return [(es[0], 3 * one + a[0]), (f1, 2 * one), (f1p, 2 * one)]
     if s.degree == 6:
@@ -392,28 +406,34 @@ def _p1p1_parts(s, es, c, a, one):
     return parts
 
 
-def _parts(s: SurfaceModel, cd: ContractionData):
+def _parts(s: SurfaceModel, kind: str, es, c, weights):
     """(Q, parts): the lemma's (integer row, n) parts, each standing for
-    n / Q copies of the curve of the row.
+    n / Q copies of the curve of the row, for the face of the given kind
+    contracting the ordered line rows es, with fiber row c (None on a
+    plane face) and the integer weights (q, q * delta, (q * a_i, ...)) of
+    ContractionData._weights.
 
-    Q = 2q for q the denominator of the contraction data's integer
-    weights, and the builders take Q and Q * a_i, twice those ints, so
+    Q = 2q, and the builders take Q and Q * a_i, twice those ints, so
     every sum of them a builder halves is even and each // 2 is exact.
     The builders work at delta = 0.  On a conic face the fiber through
     point 1 is C = E1 + (C - E1), where C - E1 is the line L1 sigma on F1
     and the fiber f1 on P1 x P1, so delta copies of C add Q * delta to
-    those two parts; that shift is made here, after the builder's checks.
+    those two parts; that shift is made here, after the builder's checks,
+    with C - E1 read from the face's named curves.
     """
-    q, delta, a = cd._weights
-    one = 2 * q
-    es = tuple(e.row for e in cd.curveE)
+    q, delta, a = weights
+    one, degree = 2 * q, s.degree
     a = tuple(2 * x for x in a)
-    if cd.kind == KIND_TO_P2:
-        return one, _plane_parts(s, es, a, one)
-    c = cd.curveC.row
-    build = _f1_parts if cd.kind == KIND_CONIC_F1 else _p1p1_parts
-    parts = build(s, es, c, a, one)
-    fiber = (es[0], _row_less(c, es[0]))
+    if kind == KIND_TO_P2:
+        return one, _plane_parts(degree, es, a, one)
+    if kind == KIND_CONIC_F1:
+        parts = _f1_parts(degree, es, c, a, one)
+        # the line through point 1 and the section's point
+        fiber = _plane_curves(degree, es + (_section(degree, es, c),))[0][-1]
+    else:
+        parts = _p1p1_parts(s, es, c, a, one)
+        fiber = _ruling_curves(degree, es, c)[0]
+    fiber = (es[0], fiber)
     return one, [(row, n + 2 * delta) if row in fiber else (row, n) for row, n in parts]
 
 
@@ -422,8 +442,10 @@ def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
     l = reconstruct(cd, s)
-    one, parts = _parts(s, cd)
-    return _finish(parts, one, l, s)
+    es = tuple(e.row for e in cd.curveE)
+    c = None if cd.curveC is None else cd.curveC.row
+    one, parts = _parts(s, cd.kind, es, c, cd._weights)
+    return _finish(parts, one, l.row, l.den, s.degree)
 
 
 def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) -> dict:
@@ -434,16 +456,46 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     delegated to the standalone inequality module as an independent check
     and both routes must agree.
     """
-    # l = row / den, so (2/3) * slope = 2 * den * (-K.row) / (3 * row.row), row.row > 0
     l = reconstruct(cd, s)
-    lhs = 3 * cert.bound.numerator * _row_dot(l.row, l.row)
-    rhs = 2 * cert.bound.denominator * l.den * _row_dot(_anticanonical_row(s), l.row)
+    inp = _appendix_input(cd.a, cd.delta) if s.degree == 4 else None
+    return _compare(s, cd.kind, cert, l.row, l.den, inp)
+
+
+def _face_certificate(s: SurfaceModel, face) -> tuple[Certificate, dict]:
+    """certificate and compare_with_slope for a cones._Face that
+    cones._face_decompose has checked, read off its integer record: the
+    line rows by index, the fiber row, the weights over q and the class
+    row / q, with no ContractionData and no reconstruct.  The callers,
+    stability._upper_bound's, take degrees 4 to 7 only."""
+    rows = _line_rows(s.degree)
+    es = tuple(rows[i] for i in face.lines)
+    q, delta, a = face.weights
+    one, parts = _parts(s, face.kind, es, face.fiber, face.weights)
+    cert = _finish(parts, one, face.row, q, s.degree)
+    inp = None
+    if s.degree == 4:
+        inp = _appendix_input([Fraction(x, q) for x in a], Fraction(delta, q))
+    return cert, _compare(s, face.kind, cert, face.row, q, inp)
+
+
+def _appendix_input(a, delta) -> appendix.AppendixInput:
+    """The degree-4 cross-check's input: the face's weights a, padded to
+    five with zeros, and delta."""
+    return appendix.AppendixInput(tuple(a) + (_ZERO,) * (5 - len(a)), delta)
+
+
+def _compare(s: SurfaceModel, kind: str, cert: Certificate, l_row, l_den: int, inp) -> dict:
+    """compare_with_slope for a face of the given kind whose class is
+    l_row / l_den; inp is the degree-4 cross-check's AppendixInput (None
+    in degrees 5 to 7)."""
+    # (2/3) * slope = 2 * l_den * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0
+    lhs = 3 * cert.bound.numerator * _row_dot(l_row, l_row)
+    rhs = 2 * cert.bound.denominator * l_den * _row_dot(_anticanonical_row(s), l_row)
     strict = lhs < rhs
     equality = lhs == rhs
     if s.degree == 4:
-        padded = tuple(cd.a) + (Fraction(0),) * (5 - len(cd.a))
-        checked = appendix.prop_a1(appendix.AppendixInput(padded, cd.delta))
-        if cd.kind == KIND_CONIC_P1P1:
+        checked = appendix.prop_a1(inp)
+        if kind == KIND_CONIC_P1P1:
             agree = checked["ineq2"] and (checked["strict2"] == strict)
             if checked["piecewise"] != cert.bound:
                 raise InvariantError("piecewise value disagrees with the certificate")
@@ -451,7 +503,7 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
             agree = checked["ineq1"] and (checked["strict1"] == strict)
         if not agree:
             raise InvariantError("independent inequality check disagrees")
-        expect_equality = cd.delta == 0 and all(x == 0 for x in cd.a)
+        expect_equality = inp.delta == 0 and not any(inp.a)
         if equality != expect_equality or strict == equality:
             raise InvariantError("equality characterization violated")
     else:

@@ -23,8 +23,8 @@ from operator import neg
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import _ample_pairings, _mu, ample_violation
-from .curves import fiber_classes, minus_one_curves
+from .cones import _ample_pairings, _contraction_data, _mu, ample_violation
+from .curves import _line_index, fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -142,6 +142,25 @@ def _class_to_json(c: DivClass) -> dict:
     return {"h": _ratio_str(h, c.den), "e": [_ratio_str(-x, c.den) for x in e]}
 
 
+@lru_cache(maxsize=None)
+def _line_json(degree: int) -> dict:
+    """_class_to_json of each (-1)-curve of the degree, keyed by its row.
+    The rendered payload is only read, so one dict serves every report."""
+    return {row: _class_to_json(c) for row, c in _line_index(degree).items()}
+
+
+def _component_json(c: DivClass) -> dict:
+    """_class_to_json(c), from _line_json when c is a (-1)-curve: a
+    certificate's components are, though the public Certificate may hold
+    any class."""
+    degree = 10 - len(c.row)
+    if c.den == 1 and 1 <= degree <= 8:
+        found = _line_json(degree).get(c.row)
+        if found is not None:
+            return found
+    return _class_to_json(c)
+
+
 def _fmt_class(c: DivClass) -> str:
     h, *e = c.row
     return f"({_ratio_str(h, c.den)}; {', '.join(_ratio_str(-x, c.den) for x in e)})"
@@ -154,7 +173,7 @@ def _echo(s: SurfaceModel, l: DivClass) -> dict:
 def _certificate_to_json(cert: Certificate) -> dict:
     return {
         "divisor": [
-            {"class": _class_to_json(cls), "coefficient": rational_str(coeff)}
+            {"class": _component_json(cls), "coefficient": rational_str(coeff)}
             for cls, coeff in cert.divisor
         ],
         "witness_index": cert.witness_index,
@@ -162,8 +181,8 @@ def _certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+# json.dumps(payload, sort_keys=True, separators=(", ", ": ")), built once
+_dumps = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
 def _opt(value) -> str:
@@ -254,7 +273,8 @@ def _cmd_alpha_bound(args) -> str:
     s, l, signs = _parse_ample(doc)
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
-    scale, cd, cert, comparison = _upper_bound(s, l, signs)
+    scale, face, cert, comparison = _upper_bound(s, l, signs)
+    cd = _contraction_data(face, s.degree)
     if args.json:
         return _dumps(
             {

@@ -14,6 +14,16 @@ mu off the nef rays H and H - E1 there, with no program; ``check`` and
 classifies which minimal model the face contracts onto, and proves mu = 1
 by a nef class dual to the face.  The simplex serves ``kstab mu`` and the
 cross-checks (``mu_bisect``, ``is_nef_lp``).
+
+The face is found and checked once, on ints, as one record (``_Face``):
+its kind, the indexes of its lines into the line table sorted by weight,
+the weights over their least common denominator, the fiber row and the
+class row.  ``check`` builds its certificate, comparison and report from
+that record (``alphabound._face_certificate``).  ``face_decompose`` and
+``alpha-bound`` return it as a ``ContractionData`` built by a private
+constructor, which skips the checks the search has already made; the
+public ``ContractionData`` constructor keeps every check, for faces from
+anywhere else.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .curves import (
     _disjoint_index_sets,
@@ -317,14 +328,31 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     return _from_row(q, row)
 
 
+class _Face(NamedTuple):
+    """A boundary face as _face_data finds it: l == -K + delta*C + sum(a_i
+    * E_i) on integer rows.  lines holds the indexes into _line_rows of the
+    contracted curves, sorted by decreasing weight, then by index; weights
+    is ContractionData._weights, (q, q * delta, (q * a_i, ...)) for q the
+    least common denominator; fiber is C's row (None on a plane face); row
+    is q * l."""
+
+    kind: str
+    lines: tuple[int, ...]
+    weights: tuple[int, int, tuple[int, ...]]
+    fiber: tuple[int, ...] | None
+    row: tuple[int, ...]
+
+
 def _face_data(w, s, signs):
     """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
     contraction), else the first disjoint (r-1)-set with a fiber class
-    (conic bundle), or None.  By negative_curves, each set is the curves
-    with w.E < 0, weighted -w.E, completed by disjoint curves with w.E = 0,
-    taken in index-lex order.  The search runs over indexes into the line
-    rows, on signs: the integers D * w.E, D = w.den, in the order of
-    _line_rows, which the caller derives from its own product.
+    (conic bundle), as a _Face, or None.  By negative_curves, each set is
+    the curves with w.E < 0, weighted -w.E, completed by disjoint curves
+    with w.E = 0, taken in index-lex order.  The search runs over indexes
+    into the line rows, on signs: the integers D * w.E, D = w.den, in the
+    order of _line_rows, which the caller derives from its own product.  A
+    conic face's fiber is fixed by the residual when that is nonzero; only
+    at delta = 0 are the fibers tried in order.
     """
     if _scaled_square(w, s) > 0:
         return None  # a face has w^2 = -sum(a_i^2) <= 0
@@ -342,34 +370,79 @@ def _face_data(w, s, signs):
     if not any(resid):
         plane = next(_disjoint_index_sets(allowed, masks, s.r - len(support)), None)
         if plane is not None:
-            return _contraction(KIND_TO_P2, Fraction(0), signs, den, support + plane, None, s)
+            return _contraction(KIND_TO_P2, signs, den, support + plane, None, 0, s)
     if len(support) == s.r:
         return None  # no disjoint (r-1)-set contains them all
+    fibers = _fiber_index(s.degree)
+    if any(resid):
+        # resid = D * delta * C with delta > 0 leaves one candidate: C is
+        # primitive (C^2 = 0 and K.C = -2, while X^2 = K.X mod 2 for every
+        # integral X), so it is resid over its gcd; when that row is no
+        # fiber (a negative multiple among them, as every fiber has h > 0),
+        # there is no face
+        g = gcd(*resid)
+        fib = tuple(x // g for x in resid)
+        if fib not in fibers:
+            return None
+        fibers = (fib,)
     for completion in _disjoint_index_sets(allowed, masks, s.r - 1 - len(support)):
         chosen = support + completion
         curves = [rows[i] for i in chosen]
-        for fib, fib_class in _fiber_index(s.degree).items():
+        for fib in fibers:
             if any(_row_dot(fib, x) for x in curves):
                 continue
-            # resid = D * delta * fib with delta >= 0; every fiber has h > 0
-            if resid[0] < 0 or any(x * fib[0] != resid[0] * y for x, y in zip(resid, fib)):
-                continue
-            delta = Fraction(resid[0], den * fib[0])
             # M = -K + sum(E_i) has an odd entry exactly over F1 (alphabound._divided)
             odd = any(x % 2 for x in _row_sum(_anticanonical_row(s), *curves))
             kind = KIND_CONIC_F1 if odd else KIND_CONIC_P1P1
-            return _contraction(kind, delta, signs, den, chosen, fib_class, s)
+            return _contraction(kind, signs, den, chosen, fib, resid[0], s)
     return None
 
 
-def _contraction(kind, delta, signs, den, chosen, fib, s):
-    """ContractionData for the lines of index chosen, each weighted
-    -signs[i] / D, and the fiber class fib (or None).  The face is sorted by
-    decreasing weight, then by index: lines are indexed in sorted order."""
-    order = sorted(chosen, key=lambda i: (signs[i], i))
-    a = tuple(Fraction(-signs[i], den) for i in order)
-    rows, lines = _line_rows(s.degree), _line_index(s.degree)
-    return ContractionData(kind, delta, a, tuple(lines[rows[i]] for i in order), fib)
+def _contraction(kind, signs, den, chosen, fib, d, s) -> _Face:
+    """The _Face of the lines of index chosen, each weighted -signs[i] / D,
+    and the fiber row fib (or None) weighted delta = d / (D * fib[0]).  The
+    face is sorted by decreasing weight, then by index: lines are indexed
+    in sorted order.  Over Q = D * fib[0] the weights are d and
+    -signs[i] * fib[0]; their least common denominator is Q / g for g the
+    gcd of Q and all of them."""
+    order = tuple(sorted(chosen, key=lambda i: (signs[i], i)))
+    m = 1 if fib is None else fib[0]
+    q, a = den * m, [-signs[i] * m for i in order]
+    g = gcd(q, d, *a)
+    if g != 1:
+        q, d, a = q // g, d // g, [x // g for x in a]
+    rows = _line_rows(s.degree)
+    terms = [(_anticanonical_row(s), q)]
+    if fib is not None:
+        terms.append((fib, d))
+    terms += ((rows[i], x) for i, x in zip(order, a))
+    return _Face(kind, order, (q, d, tuple(a)), fib, _row_combination(terms))
+
+
+def _contraction_data(face: _Face, degree: int) -> ContractionData:
+    """The ContractionData of a face _face_decompose has checked, built
+    without __post_init__, as alphabound._finish builds a Certificate.
+    Each check the constructor would make holds already: each curve is an
+    index into the line table and the fiber a key of _fiber_index; the
+    lines are pairwise disjoint by the mask search (the support's lines by
+    negative_curves, as the class reconstructs) and miss the fiber by
+    _face_data's test; the weights are sorted by _contraction, delta >= 0
+    by the fiber test, and 0 <= a_i < 1, as a_i = 1 - mu * (L.E_i) >= 0 for
+    the ample L.  Its _weights and _row are the face's, which equal what
+    the constructor computes from its fields."""
+    q, d, a = face.weights
+    lines = _mori_generators(degree)  # the line classes, in index order
+    data = object.__new__(ContractionData)
+    vars(data).update(
+        kind=face.kind,
+        delta=Fraction(d, q),
+        a=tuple(Fraction(x, q) for x in a),
+        curveE=tuple(lines[i] for i in face.lines),
+        curveC=None if face.fiber is None else _fiber_index(degree)[face.fiber],
+        _weights=face.weights,
+        _row=face.row,
+    )
+    return data
 
 
 def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
@@ -382,6 +455,11 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     found proves mu(l) = 1.  Only when there is none is mu solved, by the
     linear program, to tell an input that is not normalized (DomainError)
     from a failed invariant.
+
+    The face is taken in the input's marking, so where a weight is zero
+    the kind of a Weyl-group image of l can flip between F1 and P1 x P1
+    (the tie is broken by index order), while mu, delta, the weights and
+    the certificate bound stay the same.
     """
     if s.degree > 7:
         raise DomainError("face decomposition is defined for degree at most 7")
@@ -391,7 +469,7 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
     try:
-        return _face_decompose(l, s, 1, signs)
+        return _contraction_data(_face_decompose(l, s, 1, signs), s.degree)
     except InvariantError:
         if _mu(l, s) != 1:
             msg = "face decomposition needs a normalized class (mu = 1)"
@@ -399,11 +477,11 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise
 
 
-def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> ContractionData:
-    """face_decompose of scale * l, for an ample class l in degree at most
-    7 whose packed pairings with the curve-cone generators (there the
-    lines, in the order of _line_rows) are signs, and a rational scale > 0.
-    It also certifies mu(scale * l) = 1: the face is found and checked, or
+def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> _Face:
+    """The _Face of scale * l, for an ample class l in degree at most 7
+    whose packed pairings with the curve-cone generators (there the lines,
+    in the order of _line_rows) are signs, and a rational scale > 0.  It
+    also certifies mu(scale * l) = 1: the face is found and checked, or
     InvariantError is raised.  So a caller that scaled l by a mu it did not
     solve for (stability._upper_bound, by _chamber_mu) gets that mu proved
     here.  Every test runs on integer rows: with scale = p / q and
@@ -413,20 +491,21 @@ def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> ContractionDa
     den = q * l.den
     w = _from_row(den, _row_combination([(l.row, p), (_anticanonical_row(s), -den)]))
     g = den // w.den  # w's row is that over den divided by g
-    data = _face_data(w, s, [(p * x - den) // g for x in signs])
-    if data is None:
+    face = _face_data(w, s, [(p * x - den) // g for x in signs])
+    if face is None:
         raise InvariantError(f"no boundary-face decomposition found for {scale * l}")
     # w = K + scale*l is effective by the decomposition, so mu(scale*l) <= 1;
     # a nef class D with D.w = 0 and D.l > 0 is negative on K + x*scale*l
     # for x < 1, so mu(scale*l) = 1.  D is the fiber, or -K + sum(E_i) =
     # 3 * (line) for a plane.
-    dual = data.curveC
+    dual = face.fiber
     if dual is None:
-        dual = _from_row(1, _row_sum(_anticanonical_row(s), *(c.row for c in data.curveE)))
-    if not is_nef(dual, s) or _row_dot(dual.row, w.row) or _row_dot(dual.row, l.row) <= 0:
+        rows = _line_rows(s.degree)
+        dual = _row_sum(_anticanonical_row(s), *(rows[i] for i in face.lines))
+    if not is_nef(_from_row(1, dual), s) or _row_dot(dual, w.row) or _row_dot(dual, l.row) <= 0:
         raise InvariantError("face decomposition has no nef class dual to its face")
-    # reconstruct(data) = row' / q' equals p * row / den, cross-multiplied
-    back = reconstruct(data, s)
-    if any(x * den != p * y * back.den for x, y in zip(back.row, l.row)):
+    # the face's row / face_den equals p * row / den, cross-multiplied
+    face_den = face.weights[0]
+    if any(x * den != p * y * face_den for x, y in zip(face.row, l.row)):
         raise InvariantError("face decomposition failed the reconstruction check")
-    return data
+    return face

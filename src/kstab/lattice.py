@@ -109,10 +109,12 @@ def _rational_row(values) -> tuple[int, tuple[int, ...]]:
 
 
 def rational_str(q: Fraction) -> str:
-    """Serialize as "p/q", or "n" when integral."""
+    """Serialize as "p/q", or "n" when integral.  A Fraction is in lowest
+    terms, so it is printed without a second gcd."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    return _ratio_str(q.numerator, q.denominator)
+    n, d = q.numerator, q.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 @dataclass(frozen=True)

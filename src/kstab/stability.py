@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .alphabound import Certificate, certificate, compare_with_slope
+from .alphabound import Certificate, _face_certificate
 from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
 from .curves import _line_index
 from .curves import minus_one_curves  # noqa: F401  re-exported
@@ -25,6 +25,7 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
+    _ratio_str,
     _row_dot,
     anticanonical,
     intersect,
@@ -136,18 +137,20 @@ def _six_line_parameter(l: DivClass, s: SurfaceModel, signs):
 
 def _upper_bound(s: SurfaceModel, l: DivClass, signs):
     """(mu, face, certificate, comparison) for an ample l in degree 4 to 7,
-    whose packed pairings with the curve-cone generators are signs.
+    whose packed pairings with the curve-cone generators are signs; the
+    face is the integer record cones._Face.
 
     mu is read off the Weyl chamber, with no linear program, and the face
     of K + mu*l certifies it: the decomposition shows mu(mu*l) <= 1, and
     the face's nef dual class shows mu(mu*l) >= 1.  A wrong mu finds no
     checked face and raises InvariantError.  l is ample, and so is mu * l:
-    the face reads its signs off those of l instead of pairing again.
+    the face reads its signs off those of l instead of pairing again.  The
+    certificate and the comparison read the face's record.
     """
     scale = _chamber_mu(l, s)
-    cd = _face_decompose(l, s, scale, signs)
-    cert = certificate(s, cd)
-    return scale, cd, cert, compare_with_slope(s, cd, cert)
+    face = _face_decompose(l, s, scale, signs)
+    cert, comparison = _face_certificate(s, face)
+    return scale, face, cert, comparison
 
 
 def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
@@ -229,11 +232,12 @@ def _verdict(s: SurfaceModel, l: DivClass, signs) -> Verdict:
     # degree 4 to 7: produce the upper-bound certificate on the normalized
     # class; it rules out the nef-residual route instead of applying it.
     scale, _, cert, comparison = _upper_bound(s, l, signs)
-    upper = scale * cert.bound
+    bound = cert.bound
+    upper = _ratio_str(scale.numerator * bound.numerator, scale.denominator * bound.denominator)
     notes = (
-        f"alpha upper bound {rational_str(cert.bound)} for the input scaled "
+        f"alpha upper bound {rational_str(bound)} for the input scaled "
         f"by {rational_str(scale)}; for the input class it rescales to "
-        f"{rational_str(upper)}, at most two thirds of the slope"
+        f"{upper}, at most two thirds of the slope"
     )
     if comparison["equality"]:
         notes += "; the two sides agree exactly here"

@@ -30,7 +30,10 @@ from kstab.cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
+    _ample_pairings,
+    _contraction_data,
     face_decompose,
+    reconstruct,
 )
 from kstab.curves import (
     _disjoint_index_sets,
@@ -45,6 +48,7 @@ from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
     _anticanonical_row,
+    _from_row,
     _row_dot,
     _row_sum,
     anticanonical,
@@ -55,6 +59,7 @@ from kstab.lattice import (
     square,
     zero_class,
 )
+from kstab.stability import _upper_bound
 
 sys.path.insert(0, str(Path(__file__).parent))
 import fraction_parts  # noqa: E402
@@ -596,7 +601,7 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
         assert (len(plane), len(f1) + len(p1p1)) == (plane_count, conic_count)
         lines, fibers = _line_index(degree), _fiber_index(degree)
         for es in plane:
-            named, conic = _plane_curves(s, es)
+            named, conic = _plane_curves(degree, es)
             # the line through points 1 and j + 1 meets es[0] and es[j] once each
             for j, line in enumerate(named, 1):
                 assert line in lines
@@ -607,12 +612,12 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
                 assert conic is None
         faces = set(plane)
         for es, c in f1:
-            v = _section(s, es, c)
+            v = _section(degree, es, c)
             assert v in lines and _row_dot(v, c) == 1 and _meets(v, es) == [0] * len(es)
             assert es + (v,) in faces
-            _plane_curves(s, es + (v,))
+            _plane_curves(degree, es + (v,))
         for es, c in p1p1:
-            f, fp, more = _ruling_curves(s, es, c)
+            f, fp, more = _ruling_curves(degree, es, c)
             assert f in lines and fp in lines and _row_sum(fp, es[0]) in fibers
             assert _row_sum(f, es[0]) == c and _row_dot(f, fp) == 0
             assert _meets(f, es[:1]) == _meets(fp, es[:1]) == [1]
@@ -632,13 +637,13 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
 
 
 def test_a_face_that_fails_its_checks_raises_on_each_call_and_is_not_stored():
-    s7, s5 = SurfaceModel(7), SurfaceModel(5)
+    s7 = SurfaceModel(7)
     # F1 data whose lines contract onto P1 x P1 (see the test above)
     es = ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 0, -1, -1))
     cases = [
-        (_plane_curves, (s7, ((0, 1, 0),)), "plane hyperplane class is not integral"),
-        (_ruling_curves, (s7, (), (1, -1, 0)), "second ruling class is not integral"),
-        (_section, (s5, es, (1, 0, 0, -1, 0)), "section curve is not integral"),
+        (_plane_curves, (7, ((0, 1, 0),)), "plane hyperplane class is not integral"),
+        (_ruling_curves, (7, (), (1, -1, 0)), "second ruling class is not integral"),
+        (_section, (5, es, (1, 0, 0, -1, 0)), "section curve is not integral"),
     ]
     for table, args, message in cases:
         before = table.cache_info()
@@ -661,12 +666,18 @@ _ORACLE = {
 }
 
 
+def _cd_parts(s, cd):
+    """_parts of a ContractionData, as certificate hands it its fields."""
+    c = None if cd.curveC is None else cd.curveC.row
+    return _parts(s, cd.kind, tuple(e.row for e in cd.curveE), c, cd._weights)
+
+
 def _oracle_parts(s, cd):
     """The Fraction parts, after checking that the nonzero integer parts,
     read as n / Q, equal the nonzero Fraction parts in order.  Only the
     nonzero parts are compared: the F1 parts in degrees 5 and 6 now carry
     the section with coefficient 0, which _finish drops."""
-    one, parts = _parts(s, cd)
+    one, parts = _cd_parts(s, cd)
     assert one % 2 == 0
     expected = _ORACLE[cd.kind](s, cd)
     got = [(row, F(n, one)) for row, n in parts if n]
@@ -746,16 +757,65 @@ def test_boundary_faces_take_the_branch_of_the_equality():
     # picks all three, and a sum of exactly 1 is admissible
     s, cd = _p1p1_cd(4, _fr(["9/10", "4/5", "3/5", "2/5"]), 0)
     assert cd.a[1] + cd.a[2] == 1 + cd.a[3]
-    one, parts = _parts(s, cd)
+    one, parts = _cd_parts(s, cd)
     assert len(parts) == 6  # no leftover E
     s, cd = _p1p1_cd(4, _fr(["9/10", "4/5", "7/10", "1/5"]), 0)
     assert cd.a[1] + cd.a[3] == 1
-    one, parts = _parts(s, cd)
+    one, parts = _cd_parts(s, cd)
     assert parts[-1] == (cd.curveE[2].row, cd.a[2] * one)  # only E3 is left over
     s, cd = _plane_cd(4, _fr(["1/2", "1/2", "1/3", "1/6", 0]))
-    one, parts = _parts(s, cd)
+    one, parts = _cd_parts(s, cd)
     assert F(parts[1][1], one) == 0  # the conic's (1 - n) / 2 with n = 1
     assert largest_admissible_sum(cd.a[1:], TWELVE_SUM_FAMILY) == 1
+
+
+def _check_path_faces():
+    """(s, l, scale * l, face, certificate, flags) from the check path,
+    stability._upper_bound, on every 17th acceptance-5 grid item and on
+    seeded faces of all three kinds (degree-4 boundary ties included),
+    each as built, and scaled by a seeded rational with its points
+    permuted, so that the face's weights do not follow its line indexes."""
+    grid = [item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree)]
+    assert len(grid) == 53469
+    seeded, hits = _seeded_faces(600, seed=16)
+    assert min(hits) >= 5
+    rng = random.Random(17)
+    classes = [(s, reconstruct(cd, s)) for s, cd in grid[::17]]
+    for s, cd in seeded:
+        l = reconstruct(cd, s)
+        h, *e = l.row
+        rng.shuffle(e)
+        moved = F(rng.randint(1, 40), rng.randint(1, 40)) * _from_row(l.den, (h, *e))
+        classes += [(s, l), (s, moved)]
+    for s, l in classes:
+        signs = _ample_pairings(l, s)
+        scale, face, cert, flags = _upper_bound(s, l, signs)
+        yield s, l, scale * l, face, cert, flags
+
+
+def test_check_path_faces_match_the_public_constructor():
+    # the check path builds its face record and certificate without the
+    # public ContractionData; the public constructor, with every check,
+    # accepts each face it finds as the same record field for field, and
+    # certificate and compare_with_slope on it agree with the check path
+    kinds, zero_weights, flat_conics, seen = set(), 0, 0, 0
+    for s, l, normalized, face, cert, flags in _check_path_faces():
+        private = _contraction_data(face, s.degree)
+        public = ContractionData(
+            private.kind, private.delta, private.a, private.curveE, private.curveC
+        )
+        assert vars(private) == vars(public)  # _weights and _row included
+        assert (public._weights, public._row) == (face.weights, face.row)
+        assert reconstruct(public, s) == normalized
+        assert certificate(s, public) == cert
+        assert compare_with_slope(s, public, cert) == flags
+        kinds.add(face.kind)
+        zero_weights += 0 in face.weights[2]
+        flat_conics += face.fiber is not None and face.weights[1] == 0
+        seen += 1
+    assert seen >= 3146 + 2 * 600
+    assert kinds == {KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1}
+    assert zero_weights >= 100 and flat_conics >= 20  # ties in the search
 
 
 def _fraction_builders(call):

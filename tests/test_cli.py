@@ -551,3 +551,55 @@ def test_cli_output_digest():
             count += 1
     assert count == 3 * (2 * 552 + 16)
     assert digest.hexdigest() == _CLI_DIGEST
+
+
+def _fraction_builders(call):
+    """(call(), names): the (module, function) behind each Fraction built
+    during call(), taken as the first named function outside the fractions
+    module, so Fraction arithmetic and comprehensions count as well."""
+    new = Fraction.__new__.__code__
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            caller = frame.f_back
+            while caller.f_code.co_filename == new.co_filename or caller.f_code.co_name[0] == "<":
+                caller = caller.f_back
+            names.append((caller.f_globals.get("__name__"), caller.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, names
+
+
+def test_a_middle_degree_check_builds_fractions_only_for_its_output():
+    # a degree 4-7 check works on the face's integer record; it builds a
+    # Fraction only for an output field: mu (the scale in the notes), nu,
+    # and the certificate's coefficients and bound.  In degree 4 the
+    # independent appendix cross-check also takes its weights and delta as
+    # Fractions and returns its piecewise value as one.
+    from kstab.stability import _upper_bound
+
+    args = cli._build_parser().parse_args(["check", "--json"])
+    docs = [doc for doc in _digest_documents() if json.loads(doc)["degree"] != 3][::2]
+    kinds = set()
+    for doc in docs:
+        s, l, signs = cli._parse_ample(doc)
+        face = _upper_bound(s, l, signs)[1]
+        kinds.add((s.degree, face.kind))
+        args.L = doc
+        out, names = _fraction_builders(lambda: args.run(args))
+        components = len(json.loads(out)["certificate"]["divisor"])
+        expected = {
+            ("kstab.cones", "_chamber_mu"): 1,
+            ("kstab.stability", "_verdict"): 1,
+            ("kstab.alphabound", "_finish"): components + 1,
+        }
+        if s.degree == 4:
+            expected[("kstab.alphabound", "_face_certificate")] = len(face.lines) + 1
+            expected[("kstab.appendix", "alpha_piecewise")] = 1
+        assert {name: names.count(name) for name in set(names)} == expected, doc
+    assert len(kinds) == 12

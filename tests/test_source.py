@@ -316,3 +316,29 @@ def test_request_coordinates_parse_on_ints():
     assert {name: names & {"rational", "Fraction"} for name, names in called.items()} == dict.fromkeys(
         builders, set()
     )
+
+
+def test_the_check_path_reads_the_face_record():
+    # a check finds its face as the integer record cones._Face and builds
+    # its certificate, comparison and report from it: no function on that
+    # path names the public ContractionData constructor, which checks a
+    # face again, or reconstruct, which rebuilds the class
+    path = {
+        "stability.py": ("_verdict", "_upper_bound"),
+        "cones.py": ("_face_decompose", "_face_data", "_contraction"),
+        "alphabound.py": ("_face_certificate", "_parts", "_finish", "_compare"),
+    }
+    for name, names in path.items():
+        functions = _functions(name)
+        for fn in names:
+            tree = functions[fn]
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            assert used.isdisjoint({"ContractionData", "reconstruct"}), fn
+    assert "_face_certificate" in _called(_functions("stability.py")["_upper_bound"])
+    assert "_face_decompose" in _called(_functions("stability.py")["_upper_bound"])
+    # the public entries keep the constructor's checks and reconstruct
+    alphabound = _functions("alphabound.py")
+    assert {"reconstruct"} <= _called(alphabound["certificate"]) & _called(
+        alphabound["compare_with_slope"]
+    )
