@@ -50,7 +50,7 @@ from .cones import (
     ContractionData,
     reconstruct,
 )
-from .curves import _fiber_index, _line_index, _line_rows
+from .curves import _tables
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -157,12 +157,13 @@ def _check_identity(terms, den: int, l_row, l_den: int) -> None:
 def _finish(parts, one: int, l_row, l_den: int, degree: int) -> Certificate:
     """The certificate of (integer row, n) parts, each row a (-1)-curve with
     coefficient n / one; l_row / l_den is the class they must sum to."""
-    lines = _line_index(degree)
+    tables = _tables(degree)
+    lines, index = tables.lines, tables.index
     kept = []
     for row, n in parts:
         if n < 0:
             raise InvariantError(
-                f"negative coefficient {Fraction(n, one)} generated for {lines[row]}; "
+                f"negative coefficient {Fraction(n, one)} generated for {lines[index[row]]}; "
                 "case selection bug"
             )
         if n:
@@ -174,7 +175,7 @@ def _finish(parts, one: int, l_row, l_den: int, degree: int) -> Certificate:
     _check_identity(kept, one, l_row, l_den)
     # every check of Certificate.__post_init__ holds here, so it is not rerun
     cert = object.__new__(Certificate)
-    divisor = tuple((lines[row], Fraction(n, one)) for row, n in kept)
+    divisor = tuple((lines[index[row]], Fraction(n, one)) for row, n in kept)
     vars(cert).update(divisor=divisor, witness_index=witness, bound=Fraction(one, top))
     return cert
 
@@ -184,7 +185,7 @@ def _class_str(row) -> str:
 
 
 def _as_line(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
-    if row not in _line_index(s.degree):
+    if row not in _tables(s.degree).index:
         raise InvariantError(
             f"{label} realized as {_class_str(row)} is not an exceptional curve"
         )
@@ -192,7 +193,7 @@ def _as_line(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
 
 
 def _as_fiber(row, s: SurfaceModel, label: str) -> tuple[int, ...]:
-    if row not in _fiber_index(s.degree):
+    if row not in _tables(s.degree).fibers:
         raise InvariantError(f"{label} realized as {_class_str(row)} is not a fiber class")
     return row
 
@@ -243,7 +244,7 @@ def _plane_curves(degree: int, es):
     """(lines, conic) of the plane face contracting the ordered rows es:
     the lines through point 1 and point j = 2, ..., r, and the conic
     through the five points in degree 4 (None in degrees 5 to 7)."""
-    s = SurfaceModel(degree)
+    s = _tables(degree).model
     ell = _plane_pullback(s, es)
     conic = None
     if degree == 4:
@@ -258,7 +259,7 @@ def _plane_curves(degree: int, es):
 @lru_cache(maxsize=None)
 def _section(degree: int, es, c):
     """The section (M - 3C) / 2 of the F1 face contracting es with fiber c."""
-    s = SurfaceModel(degree)
+    s = _tables(degree).model
     m = _row_sum(_anticanonical_row(s), *es)
     return _as_line(_divided(_row_less(m, c, c, c), 2, "section curve"), s, "the section")
 
@@ -275,7 +276,7 @@ def _ruling_curves(degree: int, es, c):
     2 in degree 6, the diagonal through points 1, 2, 3 in degree 5, and in
     degree 4 the diagonals through points 1, j, k for (j, k) = (2, 3),
     (2, 4), (3, 4)."""
-    s = SurfaceModel(degree)
+    s = _tables(degree).model
     g = _other_ruling(s, es, c)
     f1 = _as_line(_row_less(c, es[0]), s, "the first-ruling fiber through point 1")
     f1p = _as_line(_row_less(g, es[0]), s, "the second-ruling fiber through point 1")
@@ -467,7 +468,7 @@ def _face_certificate(s: SurfaceModel, face) -> tuple[Certificate, dict]:
     line rows by index, the fiber row, the weights over q and the class
     row / q, with no ContractionData and no reconstruct.  The callers,
     stability._upper_bound's, take degrees 4 to 7 only."""
-    rows = _line_rows(s.degree)
+    rows = _tables(s.degree).rows
     es = tuple(rows[i] for i in face.lines)
     q, delta, a = face.weights
     one, parts = _parts(s, face.kind, es, face.fiber, face.weights)

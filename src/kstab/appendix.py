@@ -3,7 +3,10 @@
 Standalone by design: the four-case value, the twelve-sum threshold and both
 inequalities are implemented here from scratch, independent of the
 certificate engine, so the two modules can cross-check each other bit for
-bit.
+bit.  Both are decided over ints: an AppendixInput puts its coefficients
+and delta over one common denominator once, when it is built, and runs its
+checks on those ints, kept in a private field outside its equality, hash
+and repr; each inequality is then one cross-multiplication (_margin).
 """
 
 from __future__ import annotations

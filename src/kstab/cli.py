@@ -24,7 +24,7 @@ from operator import neg
 from .alphabound import Certificate
 from .appendix import grid_oracle
 from .cones import _ample_pairings, _contraction_data, _mu, ample_violation
-from .curves import _line_index, fiber_classes, minus_one_curves
+from .curves import _tables, fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -146,7 +146,8 @@ def _class_to_json(c: DivClass) -> dict:
 def _line_json(degree: int) -> dict:
     """_class_to_json of each (-1)-curve of the degree, keyed by its row.
     The rendered payload is only read, so one dict serves every report."""
-    return {row: _class_to_json(c) for row, c in _line_index(degree).items()}
+    tables = _tables(degree)
+    return {row: _class_to_json(c) for row, c in zip(tables.rows, tables.lines)}
 
 
 def _component_json(c: DivClass) -> dict:

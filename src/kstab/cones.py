@@ -34,17 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .curves import (
-    _disjoint_index_sets,
-    _disjoint_masks,
-    _fiber_index,
-    _line_index,
-    _line_numbers,
-    _line_rows,
-    _packed,
-    _table_pairings,
-    _zeros,
-)
+from .curves import _disjoint_index_sets, _table_pairings, _tables, _zeros
 from .errors import DomainError, InvariantError
 from .lattice import (
     DivClass,
@@ -66,35 +56,14 @@ KIND_CONIC_P1P1 = "ConicBundleP1P1"
 _KINDS = (KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1)
 
 
-@lru_cache(maxsize=None)
-def _mori_rows(degree: int) -> tuple[tuple[int, ...], ...]:
-    """The integer rows of the classes spanning the cone of curves: the
-    (-1)-curves, and in degree 8 (one blown-up point) the ruling H - E1."""
-    return _line_rows(degree) + (((1, -1),) if degree == 8 else ())
-
-
-@lru_cache(maxsize=None)
-def _mori_table(degree: int) -> tuple:
-    """_mori_rows(degree), packed for curves._table_pairings."""
-    return _packed(_mori_rows(degree))
-
-
-@lru_cache(maxsize=None)
-def _mori_generators(degree: int) -> tuple[DivClass, ...]:
-    """The classes of _mori_rows: the lines' own classes from _line_index,
-    and in degree 8 the ruling H - E1."""
-    ruling = (_from_row(1, (1, -1)),) if degree == 8 else ()
-    return tuple(_line_index(degree).values()) + ruling
-
-
 def mori_generators(s: SurfaceModel) -> list[DivClass]:
     """Classes spanning the cone of curves."""
-    return list(_mori_generators(s.degree))
+    return list(_tables(s.degree).cone)
 
 
 def is_nef(dv: DivClass, s: SurfaceModel) -> bool:
     """True when dv pairs nonnegatively with every curve-cone generator."""
-    return min(_table_pairings(dv, _mori_table(s.degree), s)) >= 0
+    return min(_table_pairings(dv, _tables(s.degree).cone_table, s)) >= 0
 
 
 def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
@@ -108,7 +77,7 @@ def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
     """
     if dv.rank != s.r:
         raise DomainError(f"class rank does not match surface: {dv.rank} vs r={s.r}")
-    gens = _mori_generators(s.degree)
+    gens = _tables(s.degree).cone
     products = [_row_dot(dv.row, g.row) for g in gens]
     res = solve(lp(products, [[1] * len(gens)], [1]))
     if not isinstance(res, Optimal):
@@ -125,23 +94,25 @@ def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     """Reason dv fails the ampleness test, or None when ample."""
     if _scaled_square(dv, s) <= 0:
         return f"self-intersection of {dv} is not positive"
-    signs = _table_pairings(dv, _mori_table(s.degree), s)
+    tables = _tables(s.degree)
+    signs = _table_pairings(dv, tables.cone_table, s)
     if min(signs) > 0:
         return None
-    for g, p in zip(_mori_generators(s.degree), signs):
+    for g, p in zip(tables.cone, signs):
         if p <= 0:
             return f"pairing of {dv} with the curve class {g} is not positive"
     return None
 
 
 def _ample_pairings(dv: DivClass, s: SurfaceModel):
-    """The packed pairings D * (dv.G) with the curve-cone generators G of
-    _mori_rows, when dv is ample (each positive, and dv**2 > 0); else None,
-    and ample_violation gives the reason.  The verdict reads its slope,
-    condition A and the face's signs off them."""
+    """The packed pairings D * (dv.G) with the curve-cone generators G, in
+    the order of the degree's _Tables.cone_table, when dv is ample (each
+    positive, and dv**2 > 0); else None, and ample_violation gives the
+    reason.  The verdict reads its slope, condition A and the face's signs
+    off them; in degrees 1-7 they are the pairings with the lines."""
     if _scaled_square(dv, s) <= 0:
         return None
-    signs = _table_pairings(dv, _mori_table(s.degree), s)
+    signs = _table_pairings(dv, _tables(s.degree).cone_table, s)
     return signs if min(signs) > 0 else None
 
 
@@ -149,7 +120,7 @@ def _ample_pairings(dv: DivClass, s: SurfaceModel):
 def _mu_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     # the rows of the program in mu without their lambda entry: row k holds
     # minus the k-th coordinate of every generator
-    return tuple(zip(*([-x for x in row] for row in _mori_rows(degree))))
+    return tuple(zip(*([-x for x in g.row] for g in _tables(degree).cone)))
 
 
 def mu(l: DivClass, s: SurfaceModel) -> Rational:
@@ -288,24 +259,24 @@ class ContractionData:
             raise DomainError("contraction data has an invalid rank")
         # membership is a lookup of an integral class's row: a class row / D
         # with D > 1 shares its row with an integral class
-        lines = _line_numbers(degree)
+        tables = _tables(degree)
         indexes = []
         for c in self.curveE:
-            i = lines.get(c.row) if c.den == 1 else None
+            i = tables.index.get(c.row) if c.den == 1 else None
             if i is None:
                 raise DomainError(f"{c} is not an exceptional curve class")
             indexes.append(i)
         fiber = self.curveC
-        if fiber is not None and (fiber.den != 1 or fiber.row not in _fiber_index(degree)):
+        if fiber is not None and (fiber.den != 1 or fiber.row not in tables.fibers):
             raise DomainError(f"{fiber} is not a fiber class")
         # line i misses every earlier line when its mask holds their bits; a
         # repeated line meets itself, as bit i of mask i is clear
-        masks, earlier = _disjoint_masks(degree), 0
+        masks, earlier = tables.masks, 0
         for i in indexes:
             if earlier & ~masks[i]:
                 raise DomainError("contracted curves must be pairwise disjoint")
             earlier |= 1 << i
-        terms = [(_anticanonical_row(SurfaceModel(degree)), q)]
+        terms = [(_anticanonical_row(tables.model), q)]
         if fiber is not None:
             if any(_row_dot(fiber.row, c.row) for c in self.curveE):
                 raise DomainError("contracted curves must be pairwise disjoint")
@@ -330,11 +301,11 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
 
 class _Face(NamedTuple):
     """A boundary face as _face_data finds it: l == -K + delta*C + sum(a_i
-    * E_i) on integer rows.  lines holds the indexes into _line_rows of the
-    contracted curves, sorted by decreasing weight, then by index; weights
-    is ContractionData._weights, (q, q * delta, (q * a_i, ...)) for q the
-    least common denominator; fiber is C's row (None on a plane face); row
-    is q * l."""
+    * E_i) on integer rows.  lines holds the indexes into _Tables.rows of
+    the contracted curves, sorted by decreasing weight, then by index;
+    weights is ContractionData._weights, (q, q * delta, (q * a_i, ...)) for
+    q the least common denominator; fiber is C's row (None on a plane
+    face); row is q * l."""
 
     kind: str
     lines: tuple[int, ...]
@@ -350,30 +321,35 @@ def _face_data(w, s, signs):
     the curves with w.E < 0, weighted -w.E, completed by disjoint curves
     with w.E = 0, taken in index-lex order.  The search runs over indexes
     into the line rows, on signs: the integers D * w.E, D = w.den, in the
-    order of _line_rows, which the caller derives from its own product.  A
+    order of _Tables.rows, which the caller derives from its own product.  A
     conic face's fiber is fixed by the residual when that is nonzero; only
     at delta = 0 are the fibers tried in order.
+
+    The masks test the completions against one another, not against the
+    support: wherever the search is reached, w = sum(a_i E_i) + delta*C
+    over the support, with C a fiber or delta = 0, so a line E with w.E = 0
+    has sum(a_i E_i.E) + delta*C.E = 0, a sum of nonnegative terms with
+    every a_i > 0, and misses every support line.
     """
     if _scaled_square(w, s) > 0:
         return None  # a face has w^2 = -sum(a_i^2) <= 0
-    rows = _line_rows(s.degree)
+    tables = _tables(s.degree)
+    rows = tables.rows
     support = tuple(i for i, p in enumerate(signs) if p < 0)
     if len(support) > s.r:
         return None  # at most r (-1)-curves are pairwise disjoint
     # D * (w - sum(a_i E_i)), with a_i = -w.E_i
     resid = _row_sum(w.row, *([signs[i] * x for x in rows[i]] for i in support))
     den = w.den
-    masks = _disjoint_masks(s.degree)
+    masks = tables.masks
     allowed = _zeros(signs)
-    for i in support:
-        allowed &= masks[i]
     if not any(resid):
         plane = next(_disjoint_index_sets(allowed, masks, s.r - len(support)), None)
         if plane is not None:
             return _contraction(KIND_TO_P2, signs, den, support + plane, None, 0, s)
     if len(support) == s.r:
         return None  # no disjoint (r-1)-set contains them all
-    fibers = _fiber_index(s.degree)
+    fibers = tables.fibers
     if any(resid):
         # resid = D * delta * C with delta > 0 leaves one candidate: C is
         # primitive (C^2 = 0 and K.C = -2, while X^2 = K.X mod 2 for every
@@ -411,7 +387,7 @@ def _contraction(kind, signs, den, chosen, fib, d, s) -> _Face:
     g = gcd(q, d, *a)
     if g != 1:
         q, d, a = q // g, d // g, [x // g for x in a]
-    rows = _line_rows(s.degree)
+    rows = _tables(s.degree).rows
     terms = [(_anticanonical_row(s), q)]
     if fib is not None:
         terms.append((fib, d))
@@ -423,22 +399,23 @@ def _contraction_data(face: _Face, degree: int) -> ContractionData:
     """The ContractionData of a face _face_decompose has checked, built
     without __post_init__, as alphabound._finish builds a Certificate.
     Each check the constructor would make holds already: each curve is an
-    index into the line table and the fiber a key of _fiber_index; the
-    lines are pairwise disjoint by the mask search (the support's lines by
-    negative_curves, as the class reconstructs) and miss the fiber by
-    _face_data's test; the weights are sorted by _contraction, delta >= 0
-    by the fiber test, and 0 <= a_i < 1, as a_i = 1 - mu * (L.E_i) >= 0 for
-    the ample L.  Its _weights and _row are the face's, which equal what
-    the constructor computes from its fields."""
+    index into _Tables.lines and the fiber a key of _Tables.fibers; the
+    completions are pairwise disjoint by the mask search, the support's
+    lines miss one another by negative_curves' argument and every
+    completion by _face_data's, and all miss the fiber by its test; the
+    weights are sorted by _contraction, delta >= 0 by the fiber test, and
+    0 <= a_i < 1, as a_i = 1 - mu * (L.E_i) >= 0 for the ample L.  Its
+    _weights and _row are the face's, which equal what the constructor
+    computes from its fields."""
     q, d, a = face.weights
-    lines = _mori_generators(degree)  # the line classes, in index order
+    tables = _tables(degree)
     data = object.__new__(ContractionData)
     vars(data).update(
         kind=face.kind,
         delta=Fraction(d, q),
         a=tuple(Fraction(x, q) for x in a),
-        curveE=tuple(lines[i] for i in face.lines),
-        curveC=None if face.fiber is None else _fiber_index(degree)[face.fiber],
+        curveE=tuple(tables.lines[i] for i in face.lines),
+        curveC=None if face.fiber is None else tables.fibers[face.fiber],
         _weights=face.weights,
         _row=face.row,
     )
@@ -480,7 +457,7 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
 def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> _Face:
     """The _Face of scale * l, for an ample class l in degree at most 7
     whose packed pairings with the curve-cone generators (there the lines,
-    in the order of _line_rows) are signs, and a rational scale > 0.  It
+    in the order of _Tables.rows) are signs, and a rational scale > 0.  It
     also certifies mu(scale * l) = 1: the face is found and checked, or
     InvariantError is raised.  So a caller that scaled l by a mu it did not
     solve for (stability._upper_bound, by _chamber_mu) gets that mu proved
@@ -500,7 +477,7 @@ def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> _Face:
     # 3 * (line) for a plane.
     dual = face.fiber
     if dual is None:
-        rows = _line_rows(s.degree)
+        rows = _tables(s.degree).rows
         dual = _row_sum(_anticanonical_row(s), *(rows[i] for i in face.lines))
     if not is_nef(_from_row(1, dual), s) or _row_dot(dual, w.row) or _row_dot(dual, l.row) <= 0:
         raise InvariantError("face decomposition has no nef class dual to its face")

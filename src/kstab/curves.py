@@ -9,11 +9,9 @@ The (-1)-curves and the fiber classes are searched as integer rows
 and a failure raises InvariantError.  The rows are sorted as their classes
 sort, and only then is each turned into a DivClass over denominator 1.  A
 fiber candidate that is the sum of two (-1)-curves meeting once is nef
-without a scan of the curve table.  One cached index per list maps each
-row to its class in sorted order, and the public lists read it; another
-maps each line's row to its index, and the table of disjoint pairs of
-(-1)-curves holds one bit per pair of those indexes; pairings signs
-a class's own integer row against such rows.
+without a scan of the curve table.  Each degree's tables are one record,
+_Tables, built once by _tables(degree), and every module reads its fields;
+pairings signs a class's own integer row against any list of rows.
 
 The sign tests against a whole per-degree table run on one packed integer
 product.  Column k of the table, negated for k >= 1 as pairings pairs it,
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, neg
 
 from .errors import DomainError, InvariantError
@@ -47,7 +45,8 @@ def _row_sort_key(row):
 def _candidate_rows(r, heights, lo, square, anti_degree):
     """Rows (h, -b_1, ..., -b_r) with h in heights, each b_i in [lo, h],
     sum(b_i) = 3h - anti_degree and sum(b_i^2) = h^2 - square: the
-    integral classes of that square and that degree against -K."""
+    integral classes of that square and that degree against -K.  The
+    suffixes are memoized for one height at a time."""
     for h in heights:
 
         @lru_cache(maxsize=None)
@@ -78,9 +77,8 @@ def _checked_rows(rows, s: SurfaceModel, square, anti_degree, name):
     return tuple(sorted(rows, key=_row_sort_key))
 
 
-@lru_cache(maxsize=None)
-def _line_rows(degree: int) -> tuple[tuple[int, ...], ...]:
-    """The integer rows of the (-1)-curves, in the order of minus_one_curves.
+def _line_rows(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the (-1)-curves, sorted as their classes sort.
 
     Candidates a*H - sum(b_i E_i) have a^2 - sum b_i^2 = -1 and
     3a - sum b_i = 1.  Cauchy-Schwarz on (b_i) gives (3a-1)^2 <= r*(a^2+1),
@@ -88,14 +86,13 @@ def _line_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     b_i = 20/8, not integral.  The same argument applied to all-but-one
     coordinate pins each b_i to [-1, a].
     """
-    s = SurfaceModel(degree)
     rows = list(_candidate_rows(s.r, range(7), lo=-1, square=-1, anti_degree=1))
     return _checked_rows(rows, s, square=-1, anti_degree=1, name="(-1)-curve")
 
 
-@lru_cache(maxsize=None)
-def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
-    """The integer rows of the fiber classes, in the order of fiber_classes.
+def _fiber_rows(s: SurfaceModel, lines) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of the fiber classes, sorted as their classes sort,
+    given the rows lines of the (-1)-curves.
 
     Candidates h*H - sum(b_i E_i) have h^2 = sum b_i^2 and 3h - sum b_i = 2.
     Cauchy-Schwarz gives (3h-2)^2 <= r*h^2, so h <= 5 for r <= 7 and
@@ -109,8 +106,6 @@ def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     scan of 2160 candidates against 240 lines; a candidate that is not
     (H - E1 in degree 8) is scanned in full.
     """
-    s = SurfaceModel(degree)
-    lines = _line_rows(degree)
     sums = {
         _row_sum(u, v)
         for i, u in enumerate(lines)
@@ -126,33 +121,57 @@ def _fiber_rows(degree: int) -> tuple[tuple[int, ...], ...]:
     return _checked_rows(rows, s, square=0, anti_degree=2, name="fiber")
 
 
-@lru_cache(maxsize=None)
-def _line_index(degree: int) -> dict[tuple[int, ...], DivClass]:
-    """Each (-1)-curve, keyed by its integer row, in the order of _line_rows."""
-    return {row: _from_row(1, row) for row in _line_rows(degree)}
+class _Tables:
+    """The curve tables of one degree; _tables(degree) builds each once.
+
+    model is the degree's SurfaceModel.  rows holds the integer rows of the
+    (-1)-curves, sorted as their classes sort; lines holds their classes,
+    index maps each row to its position, and line_table is rows packed for
+    _table_pairings.  cone holds the classes spanning the cone of curves
+    and cone_table their packed rows: in degrees 1-7 the lines and
+    line_table themselves, and in degree 8 (one blown-up point) the lines
+    and the ruling H - E1.  fibers and masks are built on first read, as
+    checks in degrees 1-3 and 8 read neither.
+    """
+
+    def __init__(self, degree: int):
+        s = self.model = SurfaceModel(degree)
+        self.rows = _line_rows(s)
+        self.lines = tuple(_from_row(1, row) for row in self.rows)
+        self.index = {row: i for i, row in enumerate(self.rows)}
+        self.line_table = _packed(self.rows)
+        self.cone, self.cone_table = self.lines, self.line_table
+        if degree == 8:
+            self.cone += (_from_row(1, (1, -1)),)
+            self.cone_table = _packed(self.rows + ((1, -1),))
+
+    @cached_property
+    def fibers(self) -> dict[tuple[int, ...], DivClass]:
+        """Each fiber class, keyed by its integer row, in sorted order.  A
+        cold degree-1 build takes about 0.1 s."""
+        return {row: _from_row(1, row) for row in _fiber_rows(self.model, self.rows)}
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Bit j of entry i is set when lines i and j are disjoint."""
+        return tuple(_zeros(_table_pairings(c, self.line_table, self.model)) for c in self.lines)
 
 
 @lru_cache(maxsize=None)
-def _line_numbers(degree: int) -> dict[tuple[int, ...], int]:
-    """Each (-1)-curve's index in _line_rows, keyed by its integer row."""
-    return {row: i for i, row in enumerate(_line_rows(degree))}
-
-
-@lru_cache(maxsize=None)
-def _fiber_index(degree: int) -> dict[tuple[int, ...], DivClass]:
-    """Each fiber class, keyed by its integer row, in the order of _fiber_rows."""
-    return {row: _from_row(1, row) for row in _fiber_rows(degree)}
+def _tables(degree: int) -> _Tables:
+    """The _Tables of the degree, built once."""
+    return _Tables(degree)
 
 
 def minus_one_curves(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = -1 and -K.C = 1, sorted."""
-    return list(_line_index(s.degree).values())
+    return list(_tables(s.degree).lines)
 
 
 def fiber_classes(s: SurfaceModel) -> list[DivClass]:
     """All integral classes C with C^2 = 0, -K.C = 2, nonnegative against
     every curve from minus_one_curves."""
-    return list(_fiber_index(s.degree).values())
+    return list(_tables(s.degree).fibers.values())
 
 
 def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
@@ -197,12 +216,6 @@ def _packed(rows) -> tuple:
     return tuple(rows), tuple(columns), tuple(reach), bias, 8 * len(rows)
 
 
-@lru_cache(maxsize=None)
-def _line_table(degree: int) -> tuple:
-    """_line_rows(degree), packed for _table_pairings."""
-    return _packed(_line_rows(degree))
-
-
 def _table_pairings(w: DivClass, table, s: SurfaceModel):
     """pairings(w, rows, s) for the rows of a _packed table of the degree
     of s, as a sequence of ints: one packed product when every slot stays
@@ -230,20 +243,14 @@ def negative_curves(w: DivClass, s: SurfaceModel) -> list[DivClass]:
     pairing with E_j gives sum_{i != j}(a_i E_i.E_j) + delta*C.E_j = 0, a
     sum of nonnegative terms, so the E_j are pairwise disjoint.
     """
-    signs = _table_pairings(w, _line_table(s.degree), s)
-    return [c for c, p in zip(_line_index(s.degree).values(), signs) if p < 0]
+    tables = _tables(s.degree)
+    signs = _table_pairings(w, tables.line_table, s)
+    return [c for c, p in zip(tables.lines, signs) if p < 0]
 
 
 def _zeros(products) -> int:
     """The int with bit j set where products[j] is zero."""
     return sum(1 << j for j, p in enumerate(products) if p == 0)
-
-
-@lru_cache(maxsize=None)
-def _disjoint_masks(degree: int) -> tuple[int, ...]:
-    """Bit j of entry i is set when lines i and j of _line_rows are disjoint."""
-    s, table = SurfaceModel(degree), _line_table(degree)
-    return tuple(_zeros(_table_pairings(c, table, s)) for c in _line_index(degree).values())
 
 
 def _disjoint_index_sets(allowed: int, masks, k: int):

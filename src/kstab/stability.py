@@ -17,7 +17,7 @@ from typing import Optional
 
 from .alphabound import Certificate, _face_certificate
 from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
-from .curves import _line_index
+from .curves import _tables
 from .curves import minus_one_curves  # noqa: F401  re-exported
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -128,7 +128,7 @@ def _six_line_parameter(l: DivClass, s: SurfaceModel, signs):
     w = l - anticanonical(s)
     if w == zero_class(s):
         return Fraction(0)
-    sextet = [c for c, p in zip(_line_index(s.degree).values(), signs) if p < l.den]
+    sextet = [c for c, p in zip(_tables(s.degree).lines, signs) if p < l.den]
     x = intersect(anticanonical(s), w, s) / 6
     if len(sextet) == 6 and x > 0 and w == x * sum(sextet[1:], sextet[0]):
         return x
@@ -170,6 +170,9 @@ def _verdict(s: SurfaceModel, l: DivClass, signs) -> Verdict:
     -K - (2/3) nu l, so condition A is 2a * P_G <= 3b * (-K.G) for every G.
     -K.G is 1 on each (-1)-curve and 2 on the ruling H - E1, the last
     generator in degree 8.  The residual class is built only for gamma.
+    The only other pairing is the nef test of the face's dual class in
+    degrees 4-7.  The public nu and condition_a keep the residual route,
+    as the tests' oracle.
     """
     a = _row_dot(_anticanonical_row(s), l.row)
     b = _row_dot(l.row, l.row)

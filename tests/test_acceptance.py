@@ -26,7 +26,7 @@ from kstab.cones import (
     mu_bisect,
     reconstruct,
 )
-from kstab.curves import _line_index, _line_rows, minus_one_curves
+from kstab.curves import _tables, minus_one_curves
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
@@ -60,10 +60,9 @@ def test_acceptance_1_curve_counts():
         2: {0: 7, 1: 21, 2: 21, 3: 7},
         1: {0: 8, 1: 28, 2: 56, 3: 56, 4: 56, 5: 28, 6: 8},
     }
-    # both caches, so the gate times the enumeration and not only the
-    # building of classes from cached rows
-    _line_rows.cache_clear()
-    _line_index.cache_clear()
+    # every record, so the gate times the enumeration and not only the
+    # reading of a record built earlier
+    _tables.cache_clear()
     start = time.perf_counter()
     for d, count in expected.items():
         curves = minus_one_curves(SurfaceModel(d))

@@ -35,15 +35,7 @@ from kstab.cones import (
     face_decompose,
     reconstruct,
 )
-from kstab.curves import (
-    _disjoint_index_sets,
-    _disjoint_masks,
-    _fiber_index,
-    _line_index,
-    _line_rows,
-    fiber_classes,
-    minus_one_curves,
-)
+from kstab.curves import _disjoint_index_sets, _tables, fiber_classes, minus_one_curves
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
@@ -566,7 +558,8 @@ def _ordered_faces(s):
     """(plane, f1, p1p1): every ordered plane face of s as a tuple of line
     rows, and every ordered conic face as (line rows, fiber row), split by
     the parity of M = -K + sum(E_i)."""
-    rows, masks = _line_rows(s.degree), _disjoint_masks(s.degree)
+    tables = _tables(s.degree)
+    rows, masks = tables.rows, tables.masks
     every = (1 << len(rows)) - 1
     plane = [
         face
@@ -577,7 +570,7 @@ def _ordered_faces(s):
     for chosen in _disjoint_index_sets(every, masks, s.r - 1):
         es = [rows[i] for i in chosen]
         odd = any(x % 2 for x in _row_sum(_anticanonical_row(s), *es))
-        for c in _fiber_index(s.degree):
+        for c in tables.fibers:
             if not any(_row_dot(c, e) for e in es):
                 (f1 if odd else p1p1).extend((face, c) for face in permutations(es))
     return plane, f1, p1p1
@@ -599,7 +592,7 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
         s = SurfaceModel(degree)
         plane, f1, p1p1 = _ordered_faces(s)
         assert (len(plane), len(f1) + len(p1p1)) == (plane_count, conic_count)
-        lines, fibers = _line_index(degree), _fiber_index(degree)
+        lines, fibers = _tables(degree).index, _tables(degree).fibers
         for es in plane:
             named, conic = _plane_curves(degree, es)
             # the line through points 1 and j + 1 meets es[0] and es[j] once each
@@ -747,9 +740,10 @@ def test_integer_parts_match_fraction_parts_on_seeded_faces():
     for s, cd in faces:
         expected = _oracle_parts(s, cd)
         # the certificate keeps exactly the nonzero parts
-        lines = _line_index(s.degree)
+        tables = _tables(s.degree)
         cert = certificate(s, cd)
-        assert cert.divisor == tuple((lines[row], F(c)) for row, c in expected if c != 0)
+        expected = [(tables.lines[tables.index[row]], F(c)) for row, c in expected if c != 0]
+        assert cert.divisor == tuple(expected)
 
 
 def test_boundary_faces_take_the_branch_of_the_equality():

@@ -28,10 +28,8 @@ from kstab.cones import (
     reconstruct,
 )
 from kstab.curves import (
-    _fiber_index,
-    _line_index,
-    _line_table,
     _table_pairings,
+    _tables,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -305,11 +303,11 @@ def test_face_data_rejects_fiber_residuals_that_do_not_fit():
     # support H - E1 - E2; the residual -(1/3)(H - E1) is a negative
     # multiple of the one fiber that misses the support
     w = Fraction(1, 2) * (h - e1 - e2) - Fraction(1, 3) * (h - e1)
-    assert _face_data(w, s, _table_pairings(w, _line_table(7), s)) is None
+    assert _face_data(w, s, _table_pairings(w, _tables(7).line_table, s)) is None
     # support E2; the residual (1/3)(H - E1) + (1/5)E1 is no multiple of a
     # fiber missing E2
     w = Fraction(1, 2) * e2 + Fraction(1, 3) * (h - e1) + Fraction(1, 5) * e1
-    assert _face_data(w, s, _table_pairings(w, _line_table(7), s)) is None
+    assert _face_data(w, s, _table_pairings(w, _tables(7).line_table, s)) is None
 
 
 _NOT_NORMALIZED = "face decomposition needs a normalized class"
@@ -509,7 +507,8 @@ def _row_checked_message(curveE, curveC):
     if not classes:
         return None
     degree = 9 - classes[0].rank
-    lines, fibers = _line_index(degree), _fiber_index(degree)
+    tables = _tables(degree)
+    lines, fibers = dict(zip(tables.rows, tables.lines)), tables.fibers
     for c in curveE:
         if lines.get(c.row) != c:
             return f"{c} is not an exceptional curve class"

@@ -1,15 +1,18 @@
+import io
+import json
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from hashlib import sha256
 
 import pytest
 
+from kstab import cli
 from kstab.cones import _mu_rows
 from kstab.curves import (
     _checked_rows,
-    _disjoint_masks,
-    _fiber_index,
-    _line_index,
+    _Tables,
+    _tables,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -18,7 +21,9 @@ from kstab.curves import (
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
+    anticanonical,
     basis_exceptional,
+    basis_line,
     canonical,
     div,
     intersect,
@@ -135,10 +140,7 @@ def test_disjoint_sets_rejects_duplicates():
 
 
 def test_full_enumeration_under_five_seconds():
-    from kstab.curves import _line_rows
-
-    _line_rows.cache_clear()
-    _line_index.cache_clear()
+    _tables.cache_clear()
     start = time.perf_counter()
     for d in range(1, 9):
         minus_one_curves(SurfaceModel(d))
@@ -162,14 +164,14 @@ TABLE_DIGESTS = {
 
 def _tables_text(degree):
     """Every per-degree table in order; the indexes by keys, then values."""
-    s = SurfaceModel(degree)
+    s, tables = SurfaceModel(degree), _tables(degree)
     sections = {
         "lines": minus_one_curves(s),
         "fibers": fiber_classes(s),
-        "line_index": _line_index(degree),
-        "fiber_index": _fiber_index(degree),
-        "line_index_values": _line_index(degree).values(),
-        "fiber_index_values": _fiber_index(degree).values(),
+        "line_index": tables.rows,
+        "fiber_index": tables.fibers,
+        "line_index_values": tables.lines,
+        "fiber_index_values": tables.fibers.values(),
         "mu_rows": _mu_rows(degree),
     }
     return "\n".join(
@@ -190,6 +192,57 @@ def test_tables_are_pinned(degree):
         assert all(type(x) is Fraction for x in (c.h, *c.e))
 
 
+def _check_documents(degrees):
+    """kstab check documents in each degree: -K, a class near a line and a
+    class near a fiber (plane and conic faces in degrees 4-7), and in
+    degree 3 a six-line cubic."""
+    for d in degrees:
+        s = SurfaceModel(d)
+        k, e1 = anticanonical(s), basis_exceptional(s, 1)
+        fiber = basis_line(s) - basis_exceptional(s, s.r)
+        near_line = Fraction(5, 3) * (k + Fraction(1, 4) * e1)
+        near_fiber = Fraction(2, 7) * (k + Fraction(1, 2) * fiber)
+        for l in (k, near_line, near_fiber):
+            yield json.dumps({"degree": d, "L": cli._class_to_json(l)})
+        if d == 3:
+            yield json.dumps({"degree": 3, "family": "six-line", "x": "1/10"})
+
+
+def _check(doc):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--json", "--L", doc]) == 0
+
+
+def test_a_check_sweep_builds_one_record_per_degree(monkeypatch):
+    built = []
+    build = _Tables.__init__
+
+    def counted(self, degree):
+        built.append(degree)
+        build(self, degree)
+
+    monkeypatch.setattr(_Tables, "__init__", counted)
+    _tables.cache_clear()
+    for _ in range(2):
+        for doc in _check_documents(range(1, 9)):
+            _check(doc)
+    assert sorted(built) == list(range(1, 9))
+
+
+def test_fibers_and_masks_are_built_on_first_read():
+    # checks in degrees 1-3 and 8 read neither, so the cold degree-1 fiber
+    # build stays off them; a degree 4-7 face reads both
+    _tables.cache_clear()
+    for doc in _check_documents((1, 2, 3, 8)):
+        _check(doc)
+    lazy = {"fibers", "masks"}
+    for d in (1, 2, 3, 8):
+        assert lazy.isdisjoint(vars(_tables(d))), d
+    for doc in _check_documents((5,)):
+        _check(doc)
+    assert lazy <= set(vars(_tables(5)))
+
+
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_disjoint_masks_match_fraction_intersections(degree):
     s = SurfaceModel(degree)
@@ -197,7 +250,7 @@ def test_disjoint_masks_match_fraction_intersections(degree):
     expected = tuple(
         sum(1 << j for j, d in enumerate(lines) if intersect(c, d, s) == 0) for c in lines
     )
-    assert _disjoint_masks(degree) == expected
+    assert _tables(degree).masks == expected
 
 
 def test_table_rows_are_checked_over_ints():

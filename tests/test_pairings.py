@@ -22,8 +22,6 @@ from kstab.cones import (
     KIND_CONIC_F1,
     KIND_CONIC_P1P1,
     _face_data,
-    _mori_rows,
-    _mori_table,
     ample_violation,
     is_nef,
     mori_generators,
@@ -31,12 +29,9 @@ from kstab.cones import (
 from kstab.curves import (
     _candidate_rows,
     _disjoint_index_sets,
-    _disjoint_masks,
-    _fiber_index,
-    _line_index,
-    _line_rows,
-    _line_table,
+    _Tables,
     _table_pairings,
+    _tables,
     disjoint_sets,
     fiber_classes,
     minus_one_curves,
@@ -99,7 +94,7 @@ def _section_curve_scan(rows, fib, degree):
     """The integer row of the first (-1)-curve v with v.fib = 1 missing every
     one of rows, or None: the line-table scan that the division of
     M = -K + sum(E_i) replaced, kept as its reference."""
-    for line in _line_rows(degree):
+    for line in _tables(degree).rows:
         if _row_dot(fib, line) == 1 and not any(_row_dot(x, line) for x in rows):
             return line
     return None
@@ -298,7 +293,9 @@ def test_packed_product_matches_the_row_loop(degree, monkeypatch):
     loop = curves.pairings
     calls = []
     monkeypatch.setattr(curves, "pairings", lambda *args: calls.append(1) or loop(*args))
-    tables = ((_line_rows(degree), _line_table(degree)), (_mori_rows(degree), _mori_table(degree)))
+    record = _tables(degree)
+    cone_rows = [g.row for g in record.cone]
+    tables = ((record.rows, record.line_table), (cone_rows, record.cone_table))
     branches = {"packed": 0, "loop": 0}
     extremes = set()
     for rows, table in tables:
@@ -313,8 +310,8 @@ def test_packed_product_matches_the_row_loop(degree, monkeypatch):
             branches["packed" if packed else "loop"] += 1
             if packed:
                 extremes.update(p for p in want if abs(p) == _SLOT_MAX)
-            assert is_nef(w, s) == (min(loop(w, _mori_rows(degree), s)) >= 0)
-            lines = _line_index(degree).values()
+            assert is_nef(w, s) == (min(loop(w, cone_rows, s)) >= 0)
+            lines = record.lines
             assert negative_curves(w, s) == [c for c in lines if _row_dot(w.row, c.row) < 0]
     assert all(n >= 20 for n in branches.values()), branches
     if degree >= 3:  # some column of every table has largest entry 1 there
@@ -325,12 +322,12 @@ def test_packed_product_matches_the_row_loop(degree, monkeypatch):
 def test_disjoint_masks_match_the_row_loop(degree):
     # the cold build of the line disjointness table, against the loop
     s = SurfaceModel(degree)
-    rows = _line_rows(degree)
+    rows = _tables(degree).rows
     classes = minus_one_curves(s)
     masks = tuple(
         sum(1 << j for j, p in enumerate(pairings(c, rows, s)) if p == 0) for c in classes
     )
-    assert _disjoint_masks.__wrapped__(degree) == masks == _disjoint_masks(degree)
+    assert _Tables(degree).masks == masks == _tables(degree).masks
 
 
 def test_packed_product_rejects_rank_mismatch():
@@ -343,7 +340,7 @@ def test_packed_product_rejects_rank_mismatch():
         for x in (1, 2**70):
             wrong = _from_row(1, (x,) * (r + 1))
             message = re.escape(f"class rank does not match surface: {r} vs r=5")
-            for table in (_line_table(4), _mori_table(4)):
+            for table in (_tables(4).line_table, _tables(4).cone_table):
                 with pytest.raises(DomainError, match=message):
                     _table_pairings(wrong, table, s)
             message = re.escape(f"class rank does not match surface: {r}, {r} vs r=5")
@@ -400,8 +397,9 @@ def test_conic_kind_and_section_match_the_line_scan(degree):
     # then (M - 3C) / 2 is the section the scan finds
     s = SurfaceModel(degree)
     rng = random.Random(700 + degree)
-    rows, lines, masks = _line_rows(degree), minus_one_curves(s), _disjoint_masks(degree)
-    fibers = list(_fiber_index(degree).items())
+    tables = _tables(degree)
+    rows, lines, masks = tables.rows, minus_one_curves(s), tables.masks
+    fibers = list(tables.fibers.items())
     if degree == 1:
         fibers = rng.sample(fibers, 25)
     faces = []
@@ -434,7 +432,7 @@ def test_conic_kind_and_section_match_the_line_scan(degree):
         terms = [tuple(s.r * x for x in fib)]
         terms += (tuple((i + 1) * x for x in row) for i, row in enumerate(curves))
         w = _from_row(2 * s.r, _row_sum(*terms))
-        data = _face_data(w, s, _table_pairings(w, _line_table(s.degree), s))
+        data = _face_data(w, s, _table_pairings(w, tables.line_table, s))
         assert (data.fiber, set(data.lines)) == (fib, set(chosen))
         assert data.kind == (KIND_CONIC_F1 if odd else KIND_CONIC_P1P1)
     assert kinds == {True, False}

@@ -144,15 +144,16 @@ def test_row_helpers_live_only_in_lattice():
 
 def test_is_nef_lp_stays_independent_of_is_nef():
     # is_nef_lp cross-checks is_nef, so it shares none of is_nef's sign
-    # test: its objective pairs the rows of the generator classes by
-    # _row_dot, not through pairings or the row tables
+    # test: its objective pairs the rows of the record's generator classes
+    # by _row_dot, not through pairings or a packed table
     path = Path(kstab.__file__).parent / "cones.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "is_nef_lp"]
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-    assert "_row_dot" in names  # the scan sees the names that are there
-    assert names.isdisjoint({"pairings", "_mori_rows", "_line_rows", "is_nef"})
+    assert {"_row_dot", "cone"} <= names  # the scan sees the names that are there
+    packed = {"pairings", "_table_pairings", "line_table", "cone_table", "rows", "is_nef"}
+    assert names.isdisjoint(packed)
 
 
 def test_only_cones_imports_ratlp():
@@ -267,31 +268,47 @@ def _called(fn):
     }
 
 
+def _attributes(fn):
+    return {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+
+
+def _tables_methods():
+    path = Path(kstab.__file__).parent / "curves.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (record,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Tables"]
+    return {n.name: n for n in record.body if isinstance(n, ast.FunctionDef)}
+
+
 def test_sign_tests_read_the_packed_tables():
     # the sign tests against a per-degree curve table pair the class with
-    # the whole table in one packed product, from a table cached on the
-    # degree; pairings, for any list of rows, keeps its per-row loop, and
+    # the whole table in one packed product, from a table of the degree's
+    # record; pairings, for any list of rows, keeps its per-row loop, and
     # the packed product falls back to it past the slot bound
+    methods = _tables_methods()
     sign_tests = {
-        "cones.py": {"is_nef": "_mori_table", "ample_violation": "_mori_table", "_ample_pairings": "_mori_table"},
-        "curves.py": {"negative_curves": "_line_table", "_disjoint_masks": "_line_table"},
+        "cones.py": {"is_nef": "cone_table", "ample_violation": "cone_table", "_ample_pairings": "cone_table"},
+        "curves.py": {"negative_curves": "line_table"},
     }
     for name, tests in sign_tests.items():
         functions = _functions(name)
         for test, table in tests.items():
             called = _called(functions[test])
-            assert {"_table_pairings", table} <= called, test
+            assert {"_table_pairings", "_tables"} <= called, test
+            assert table in _attributes(functions[test]), test
             assert "pairings" not in called, test
+    assert "_table_pairings" in _called(methods["masks"])
+    assert "line_table" in _attributes(methods["masks"])
+    assert "pairings" not in _called(methods["masks"])
+    # both tables are packed once, when the record is built
+    init = methods["__init__"]
+    assert "_packed" in _called(init)
+    assert {"line_table", "cone_table"} <= _attributes(init)
     curves = _functions("curves.py")
-    for table in ("_line_table", "_mori_table"):
-        fn = curves.get(table) or _functions("cones.py")[table]
-        assert [d.func.id for d in fn.decorator_list] == ["lru_cache"]
-        assert [a.arg for a in fn.args.args] == ["degree"]
-        assert "_packed" in _called(fn)
+    assert [d.func.id for d in curves["_tables"].decorator_list] == ["lru_cache"]
     loop = curves["pairings"]
     assert any(isinstance(n, ast.ListComp) for n in ast.walk(loop))
     names = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)}
-    assert names.isdisjoint({"_table_pairings", "_packed", "array", "_line_table"})
+    assert names.isdisjoint({"_table_pairings", "_packed", "array", "_tables"})
     assert "pairings" in _called(curves["_table_pairings"])
     assert "pairings" in _called(curves["disjoint_sets"])
     # the verdict and the face search read the signs of the product their
@@ -303,6 +320,35 @@ def test_sign_tests_read_the_packed_tables():
         for reader in names:
             assert "signs" in [a.arg for a in functions[reader].args.args], reader
             assert _called(functions[reader]).isdisjoint(pairing), reader
+
+
+# The lru_cache functions whose one argument is the degree, and why each
+# has its own cache.  Every other per-degree table is a field of the record
+# curves._tables builds, so each is built once and has one home.
+_DEGREE_CACHES = {
+    ("curves.py", "_tables"): "builds the record itself",
+    ("cones.py", "_mu_rows"): "holds the rows of mu's linear program, which leave with it",
+    ("cli.py", "_line_json"): "holds each line's rendered JSON, which is output, not a curve table",
+}
+
+
+def _cache_decorators(fn):
+    names = []
+    for d in fn.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        names.append(d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+    return {"lru_cache", "cache"}.intersection(names)
+
+
+def test_tables_is_the_one_degree_keyed_cache():
+    found = set()
+    for path, node in _library_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            if params == ["degree"] and _cache_decorators(node):
+                found.add((path.name, node.name))
+    assert found == set(_DEGREE_CACHES)
 
 
 def test_request_coordinates_parse_on_ints():

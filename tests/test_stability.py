@@ -9,13 +9,12 @@ from kstab.alphabound import certificate, verify_certificate
 from kstab.cones import (
     ContractionData,
     KIND_TO_P2,
-    _mori_table,
     face_decompose,
     is_ample,
     mu,
     reconstruct,
 )
-from kstab.curves import _table_pairings, disjoint_sets, minus_one_curves
+from kstab.curves import _table_pairings, _tables, disjoint_sets, minus_one_curves
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
@@ -49,7 +48,7 @@ F = Fraction
 def _signs(l, s):
     """The packed pairings of l with the curve-cone generators, as the
     verdict reads them."""
-    return _table_pairings(l, _mori_table(s.degree), s)
+    return _table_pairings(l, _tables(s.degree).cone_table, s)
 
 
 def _sum_exceptional(s):
@@ -332,7 +331,6 @@ def test_face_signs_match_the_line_table(monkeypatch):
     # the face of K + mu*l reads its signs off the product of l: they equal
     # the pairings of K + mu*l with the line table
     from kstab import cones
-    from kstab.curves import _line_table
 
     seen = []
     original = cones._face_data
@@ -351,7 +349,7 @@ def test_face_signs_match_the_line_table(monkeypatch):
             v = verdict(s, l)
             ((w, _, signs),) = seen
             assert w == mu(l, s) * l + canonical(s)
-            assert signs == list(_table_pairings(w, _line_table(d), s))
+            assert signs == list(_table_pairings(w, _tables(d).line_table, s))
             assert v.certificate == certificate(s, face_decompose(mu(l, s) * l, s))
 
 
