@@ -18,13 +18,18 @@ subset sum and case test is computed over ints, and the class identity is
 one cross-multiplied integer sum.  Only then are the certificate's
 rational coefficients n / Q and its bound built.
 
-The builders read a face as ints: its kind, its ordered line rows, its
-fiber row and its integer weights.  The public ``certificate`` and
-``compare_with_slope`` take them from a ``ContractionData`` and rebuild
-its class with ``reconstruct``.  A ``check`` reads them, and the class
-row, off the face record ``cones._Face`` in ``_face_certificate``, so
-its face is never converted to Fractions and back; the class identity
-and, in degree 4, the independent ``appendix`` cross-check still run.
+The builders and the slope comparison read a face as ints: its kind, its
+ordered line rows, its fiber row, its weights (q, q * delta, (q * a_i,
+...)) and its class row over q.  The public ``certificate`` and
+``compare_with_slope`` read them off a ``ContractionData``, its
+``_weights`` and ``_row``, through ``cones._class_row``, which keeps
+``reconstruct``'s rank check.  A ``check`` reads them off the face record
+``cones._Face`` in ``_face_certificate``.  Neither route turns a face into
+Fractions and back; the class identity still runs.  In degree 4 the
+comparison is decided again, from the same integer weights, by
+``appendix._decide``, which derives both margins itself: its strictness
+must match, and on a P1 x P1 face its piecewise value must equal the
+certificate's bound, one cross-multiplication.
 
 There is one plane lemma: degree 4 takes a five-point pattern, and degrees
 5 to 7 one formula over per-degree line weights.  F1 is P2 blown up at one
@@ -48,7 +53,7 @@ from .cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
-    reconstruct,
+    _class_row,
 )
 from .curves import _tables
 from .errors import DomainError, InvariantError
@@ -63,8 +68,6 @@ from .lattice import (
     _row_less,
     _row_sum,
 )
-
-_ZERO = Fraction(0)
 
 # subset families for the improvement step, as index tuples into
 # (a2, a3, a4[, a5]); order matters: ties resolve to the earliest entry
@@ -442,11 +445,11 @@ def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
     """The lemma-prescribed effective decomposition for degree 4 to 7."""
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
-    l = reconstruct(cd, s)
+    row = _class_row(cd, s)
     es = tuple(e.row for e in cd.curveE)
     c = None if cd.curveC is None else cd.curveC.row
     one, parts = _parts(s, cd.kind, es, c, cd._weights)
-    return _finish(parts, one, l.row, l.den, s.degree)
+    return _finish(parts, one, row, cd._weights[0], s.degree)
 
 
 def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) -> dict:
@@ -454,57 +457,48 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
 
     Strict on all valid inputs except degree 4 with a = 0 and delta = 0,
     where the two sides agree exactly.  For degree 4 the comparison is
-    delegated to the standalone inequality module as an independent check
-    and both routes must agree.
+    decided again by the standalone inequality module, from the data's
+    integer weights, as an independent check: both routes must agree on
+    strictness, and on a P1 x P1 face its piecewise value must equal the
+    certificate's bound.
     """
-    l = reconstruct(cd, s)
-    inp = _appendix_input(cd.a, cd.delta) if s.degree == 4 else None
-    return _compare(s, cd.kind, cert, l.row, l.den, inp)
+    return _compare(s, cd.kind, cert, _class_row(cd, s), cd._weights)
 
 
 def _face_certificate(s: SurfaceModel, face) -> tuple[Certificate, dict]:
     """certificate and compare_with_slope for a cones._Face that
     cones._face_decompose has checked, read off its integer record: the
     line rows by index, the fiber row, the weights over q and the class
-    row / q, with no ContractionData and no reconstruct.  The callers,
-    stability._upper_bound's, take degrees 4 to 7 only."""
+    row / q, with no ContractionData.  The callers, stability._upper_bound's,
+    take degrees 4 to 7 only."""
     rows = _tables(s.degree).rows
     es = tuple(rows[i] for i in face.lines)
-    q, delta, a = face.weights
     one, parts = _parts(s, face.kind, es, face.fiber, face.weights)
-    cert = _finish(parts, one, face.row, q, s.degree)
-    inp = None
-    if s.degree == 4:
-        inp = _appendix_input([Fraction(x, q) for x in a], Fraction(delta, q))
-    return cert, _compare(s, face.kind, cert, face.row, q, inp)
+    cert = _finish(parts, one, face.row, face.weights[0], s.degree)
+    return cert, _compare(s, face.kind, cert, face.row, face.weights)
 
 
-def _appendix_input(a, delta) -> appendix.AppendixInput:
-    """The degree-4 cross-check's input: the face's weights a, padded to
-    five with zeros, and delta."""
-    return appendix.AppendixInput(tuple(a) + (_ZERO,) * (5 - len(a)), delta)
-
-
-def _compare(s: SurfaceModel, kind: str, cert: Certificate, l_row, l_den: int, inp) -> dict:
-    """compare_with_slope for a face of the given kind whose class is
-    l_row / l_den; inp is the degree-4 cross-check's AppendixInput (None
-    in degrees 5 to 7)."""
-    # (2/3) * slope = 2 * l_den * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0
-    lhs = 3 * cert.bound.numerator * _row_dot(l_row, l_row)
-    rhs = 2 * cert.bound.denominator * l_den * _row_dot(_anticanonical_row(s), l_row)
+def _compare(s: SurfaceModel, kind: str, cert: Certificate, l_row, weights) -> dict:
+    """compare_with_slope for a face of the given kind with integer weights
+    (q, q * delta, (q * a_i, ...)) whose class is l_row / q."""
+    q, delta, a = weights
+    # (2/3) * slope = 2 * q * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0
+    bound_n, bound_d = cert.bound.numerator, cert.bound.denominator
+    lhs = 3 * bound_n * _row_dot(l_row, l_row)
+    rhs = 2 * bound_d * q * _row_dot(_anticanonical_row(s), l_row)
     strict = lhs < rhs
     equality = lhs == rhs
     if s.degree == 4:
-        checked = appendix.prop_a1(inp)
+        m1, m2, n, d = appendix._decide(q, a + (0,) * (5 - len(a)), delta)
         if kind == KIND_CONIC_P1P1:
-            agree = checked["ineq2"] and (checked["strict2"] == strict)
-            if checked["piecewise"] != cert.bound:
+            margin = m2
+            if n * bound_d != d * bound_n:
                 raise InvariantError("piecewise value disagrees with the certificate")
         else:
-            agree = checked["ineq1"] and (checked["strict1"] == strict)
-        if not agree:
+            margin = m1
+        if margin < 0 or (margin > 0) != strict:
             raise InvariantError("independent inequality check disagrees")
-        expect_equality = inp.delta == 0 and not any(inp.a)
+        expect_equality = delta == 0 and not any(a)
         if equality != expect_equality or strict == equality:
             raise InvariantError("equality characterization violated")
     else:

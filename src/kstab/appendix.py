@@ -3,10 +3,16 @@
 Standalone by design: the four-case value, the twelve-sum threshold and both
 inequalities are implemented here from scratch, independent of the
 certificate engine, so the two modules can cross-check each other bit for
-bit.  Both are decided over ints: an AppendixInput puts its coefficients
-and delta over one common denominator once, when it is built, and runs its
-checks on those ints, kept in a private field outside its equality, hash
-and repr; each inequality is then one cross-multiplication (_margin).
+bit.  Both are decided over ints, one cross-multiplication each (_margin).
+The integer entry _decide takes the weights over one denominator q, runs
+the domain checks on those ints and returns both margins and the
+piecewise value as an int numerator and denominator; the degree-4 slope
+comparison in alphabound calls it with a face's own integer weights, so
+the cross-check builds no Fraction, yet every margin is still derived
+here.  An AppendixInput puts its coefficients and delta over one common
+denominator once, when it is built, keeps those ints in a private field
+outside its equality, hash and repr, and prop_a1 and alpha_piecewise read
+them through _decide.
 """
 
 from __future__ import annotations
@@ -35,17 +41,27 @@ class AppendixInput:
 
     def __post_init__(self):
         if len(self.a) != 5:
-            raise DomainError("exactly five coefficients required")
-        q, a, d = weights = _scaled(self)
+            raise DomainError(_FIVE)
+        weights = _scaled(self)
         object.__setattr__(self, "_weights", weights)
-        if a[0] > q:
-            raise DomainError("leading coefficient must not exceed 1")
-        if a[4] < 0:
-            raise DomainError("coefficients must be nonnegative")
-        if any(x < y for x, y in zip(a, a[1:])):
-            raise DomainError("coefficients must be sorted nonincreasing")
-        if d < 0:
-            raise DomainError("delta must be nonnegative")
+        _check(*weights)
+
+
+_FIVE = "exactly five coefficients required"
+
+
+def _check(q: int, a: tuple[int, ...], d: int) -> None:
+    """The domain checks of an input (q, q*a, q*delta), q > 0, on its ints."""
+    if len(a) != 5:
+        raise DomainError(_FIVE)
+    if a[0] > q:
+        raise DomainError("leading coefficient must not exceed 1")
+    if a[4] < 0:
+        raise DomainError("coefficients must be nonnegative")
+    if any(x < y for x, y in zip(a, a[1:])):
+        raise DomainError("coefficients must be sorted nonincreasing")
+    if d < 0:
+        raise DomainError("delta must be nonnegative")
 
 
 def _scaled(inp: AppendixInput) -> tuple[int, tuple[int, ...], int]:
@@ -114,10 +130,25 @@ def _margin(q: int, d: int, a1: int, t: int, s: int, big_s: int) -> int:
     )
 
 
+def _decide(q: int, a: tuple[int, ...], d: int) -> tuple[int, int, int, int]:
+    """(m1, m2, n, D) for the input a_i = a[i] / q, delta = d / q: the
+    margins of the two inequalities, each holding when its margin is >= 0
+    and strictly when > 0, and the piecewise value n / D (not reduced).
+
+    The integer entry behind prop_a1 and alpha_piecewise: a caller that
+    holds its weights over one denominator passes the five a's (padded with
+    zeros) and delta as ints, and the input's domain checks run on them
+    with AppendixInput's messages.
+    """
+    _check(q, a, d)
+    m1, m2 = (_margin(q, d, *side) for side in _sides(q, a))
+    return m1, m2, 2 * q, 3 * q + 2 * a[0] + 2 * d + _case_sum(q, *a[1:4])
+
+
 def alpha_piecewise(inp: AppendixInput) -> Fraction:
     """The four-case piecewise value, cases tested in order."""
     q, a, d = inp._weights
-    return Fraction(2 * q, 3 * q + 2 * a[0] + 2 * d + _case_sum(q, *a[1:4]))
+    return Fraction(*_decide(q, a, d)[2:])
 
 
 def prop_a1(inp: AppendixInput) -> dict:
@@ -129,13 +160,13 @@ def prop_a1(inp: AppendixInput) -> dict:
     all-zero point.
     """
     q, a, d = inp._weights
-    m1, m2 = (_margin(q, d, *side) for side in _sides(q, a))
+    m1, m2, n, den = _decide(q, a, d)
     return {
         "ineq1": m1 >= 0,
         "ineq2": m2 >= 0,
         "strict1": m1 > 0,
         "strict2": m2 > 0,
-        "piecewise": alpha_piecewise(inp),
+        "piecewise": Fraction(n, den),
     }
 
 

@@ -289,14 +289,19 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes: its
     integer row, combined once when the data was built, over the
     denominator of its weights."""
-    q = data._weights[0]
+    return _from_row(data._weights[0], _class_row(data, s))
+
+
+def _class_row(data: ContractionData, s: SurfaceModel) -> tuple[int, ...]:
+    """q * (-K + delta*C + sum(a_i * E_i)) for q = data._weights[0], as an
+    integer row of rank s.r, else DomainError."""
     row = data._row
     if row is None:  # no curves: the class is -K
-        row = _row_combination([(_anticanonical_row(s), q)])
+        row = _row_combination([(_anticanonical_row(s), data._weights[0])])
     rank = len(row) - 1
     if rank != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {rank}")
-    return _from_row(q, row)
+    return row
 
 
 class _Face(NamedTuple):

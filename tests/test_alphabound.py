@@ -493,24 +493,83 @@ def test_certificate_grid_digest():
 
 
 def test_degree4_comparison_evaluates_piecewise_once(monkeypatch):
-    # prop_a1 hands back its alpha_piecewise value for the bound check
+    # a degree-4 comparison decides the cross-check once, through the
+    # integer entry of appendix, on the data's own integer weights, and
+    # builds no Fraction: not for the weights, nor for the piecewise value
     from kstab import appendix
 
     calls = []
-    original = appendix.alpha_piecewise
+    original = appendix._decide
 
-    def counted(inp):
-        calls.append(inp)
-        return original(inp)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(appendix, "alpha_piecewise", counted)
-    items = [(s, cd) for s, cd in _grid_contractions(4) if cd.kind == KIND_CONIC_P1P1]
-    for s, cd in items[::50]:
+    monkeypatch.setattr(appendix, "_decide", counted)
+    items = list(_grid_contractions(4))
+    kinds = set()
+    for s, cd in items[::49]:
         cert = certificate(s, cd)
         calls.clear()
-        compare_with_slope(s, cd, cert)
-        assert len(calls) == 1
-    assert len(items) == 17745
+        flags, names = _fraction_builders(lambda: compare_with_slope(s, cd, cert), module="")
+        q, delta, a = cd._weights
+        assert calls == [(q, a + (0,) * (5 - len(a)), delta)]
+        assert names == []
+        assert flags["strict"] or flags["equality"]
+        kinds.add(cd.kind)
+    assert len(items) == 39858 and len(kinds) == 3
+
+
+def _with_bound(cert, bound):
+    # a certificate record of one component whose bound is the given one;
+    # the comparison reads only the bound
+    return Certificate(((cert.divisor[0][0], 1 / bound),), 0, bound)
+
+
+def test_comparison_raises_when_the_cross_check_disagrees():
+    # a P1 x P1 bound below the piecewise value is still strict, so only
+    # the piecewise check refutes it
+    s, cd = _p1p1_cd(4, ["1/2", "1/3", 0, 0], "1/4")
+    cert = certificate(s, cd)
+    assert compare_with_slope(s, cd, cert) == {"strict": True, "equality": False}
+    with pytest.raises(InvariantError, match="piecewise value disagrees"):
+        compare_with_slope(s, cd, _with_bound(cert, cert.bound * F(9, 10)))
+    # a bound at or past the threshold is refuted by the strict margin,
+    # and so is a strict bound at the zero point, where the margin is 0
+    for s, cd in (_f1_cd(4, ["1/2", "1/3", 0, 0], "1/4"), _plane_cd(4, ["1/2", 0, 0, 0, 0])):
+        cert = certificate(s, cd)
+        with pytest.raises(InvariantError, match="independent inequality check disagrees"):
+            compare_with_slope(s, cd, _with_bound(cert, 2 * cert.bound))
+    for s, cd in (_plane_cd(4, [0] * 5), _f1_cd(4, [0] * 4, 0)):
+        cert = certificate(s, cd)
+        with pytest.raises(InvariantError, match="independent inequality check disagrees"):
+            compare_with_slope(s, cd, _with_bound(cert, cert.bound / 2))
+    s, cd = _plane_cd(5, [0] * 4)
+    cert = certificate(s, cd)
+    with pytest.raises(InvariantError, match="strictly below the slope threshold"):
+        compare_with_slope(s, cd, _with_bound(cert, 2 * cert.bound))
+
+
+def test_public_entries_check_the_rank():
+    # certificate and compare_with_slope read the data's integer row; a
+    # surface of another degree is refused with reconstruct's message
+    for degree, other in ((4, 5), (5, 4), (6, 7), (7, 3)):
+        s, cd = _plane_cd(degree, [0] * (9 - degree))
+        cert = certificate(s, cd)
+        t = SurfaceModel(other)
+        message = f"rank mismatch: {t.r} vs {s.r}"
+        with pytest.raises(DomainError) as err:
+            reconstruct(cd, t)
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            compare_with_slope(t, cd, cert)
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            certificate(t, cd)
+        if other in (4, 5, 6, 7):
+            assert str(err.value) == message
+        else:
+            assert str(err.value) == "certificates exist for degree 4 to 7 only"
 
 
 def test_row_lookups_name_the_class():
@@ -812,11 +871,11 @@ def test_check_path_faces_match_the_public_constructor():
     assert zero_weights >= 100 and flat_conics >= 20  # ties in the search
 
 
-def _fraction_builders(call):
-    """(call(), names): the name of the kstab.alphabound function behind
-    each Fraction built during call(): the first named function outside
-    the fractions module, so Fraction arithmetic and comprehensions count
-    as well."""
+def _fraction_builders(call, module="kstab.alphabound"):
+    """(call(), names): the name of the function behind each Fraction
+    built during call() whose module name starts with module: the first
+    named function outside the fractions module, so Fraction arithmetic
+    and comprehensions count as well."""
     new = Fraction.__new__.__code__
     names = []
 
@@ -825,7 +884,7 @@ def _fraction_builders(call):
             caller = frame.f_back
             while caller.f_code.co_filename == new.co_filename or caller.f_code.co_name[0] == "<":
                 caller = caller.f_back
-            if caller.f_globals.get("__name__") == "kstab.alphabound":
+            if caller.f_globals.get("__name__", "").startswith(module):
                 names.append(caller.f_code.co_name)
 
     sys.setprofile(profile)

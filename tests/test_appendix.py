@@ -336,6 +336,74 @@ def test_kernel_matches_oracle_on_case_boundaries():
         ties[kind] += 1
 
 
+def _decided(inp: AppendixInput, k: int) -> tuple[dict, list]:
+    # prop_a1's result and both margins from the integer entry, on the
+    # input's weights over k times their least common denominator
+    q = k * lcm(*(x.denominator for x in (*inp.a, inp.delta)))
+    a = tuple(int(x * q) for x in inp.a)
+    m1, m2, n, den = appendix._decide(q, a, int(inp.delta * q))
+    result = {
+        "ineq1": m1 >= 0,
+        "ineq2": m2 >= 0,
+        "strict1": m1 > 0,
+        "strict2": m2 > 0,
+        "piecewise": Fraction(n, den),
+    }
+    return result, [m1, m2]
+
+
+def _check_integer_entry(inp: AppendixInput):
+    expected = _oracle_prop_a1(inp)
+    margins = _oracle_margins(inp, lcm(*(x.denominator for x in (*inp.a, inp.delta))))
+    for k in (1, 3):
+        # the margins scale by k^2, so their signs and the value do not move
+        assert _decided(inp, k) == (expected, [k * k * m for m in margins])
+    assert prop_a1(inp) == expected
+    assert alpha_piecewise(inp) == expected["piecewise"]
+
+
+def test_integer_entry_matches_the_oracle_on_the_q8_grid():
+    # every coefficient tuple of the q = 8 grid, at six values of delta
+    # from 0 to 2
+    points = 0
+    for idx in combinations_with_replacement(range(9), 5):
+        a = tuple(Fraction(i, 8) for i in reversed(idx))
+        for d in (0, 1, 4, 8, 12, 16):
+            _check_integer_entry(AppendixInput(a, Fraction(d, 8)))
+            points += 1
+    assert points == 1287 * 6
+
+
+def test_integer_entry_matches_the_oracle_on_random_points():
+    rng = random.Random(20261020)
+    large = 0
+    for _ in range(1500):
+        a = tuple(sorted((_random_fraction(rng, 0, 1) for _ in range(5)), reverse=True))
+        delta = _random_fraction(rng, 0, 3)
+        large += delta > 1
+        _check_integer_entry(AppendixInput(a, delta))
+    assert large >= 500
+
+
+def test_integer_entry_rejects_what_the_input_rejects():
+    rng = random.Random(23)
+    for _ in range(3000):
+        q = rng.randint(1, 12)
+        a = [rng.randint(-2, q + 2) for _ in range(rng.choice((4, 5, 5, 5, 6)))]
+        if rng.random() < 0.7:
+            a.sort(reverse=True)
+        d = rng.randint(-2, 2 * q)
+        try:
+            message = None
+            appendix._decide(q, tuple(a), d)
+        except DomainError as err:
+            message = str(err)
+        if len(a) != 5:
+            assert message == "exactly five coefficients required"
+        else:
+            assert message == _fraction_message([Fraction(x, q) for x in a], Fraction(d, q))
+
+
 _coeff = st.fractions(
     min_value=Fraction(0), max_value=Fraction(1), max_denominator=12
 )

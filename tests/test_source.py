@@ -183,17 +183,23 @@ _KERNEL = {
         "_plane_curves",
         "_section",
         "_ruling_curves",
+        "certificate",
+        "compare_with_slope",
+        "_face_certificate",
+        "_compare",
     },
-    "cones.py": {"reconstruct"},
+    "cones.py": {"reconstruct", "_class_row"},
+    "appendix.py": {"_check", "_decide", "_sides", "_margin", "_largest_sum", "_case_sum"},
 }
 
 
 def test_certificate_kernel_stays_on_ints():
-    # the parts builders, the subset-sum helper, the named-curve tables and
-    # reconstruct compute every coefficient and row as ints: they name no
-    # Fraction, and read neither the Fraction fields a and delta of the
-    # contraction data (its integer weights serve them) nor a class's
-    # Fraction coordinates h and e
+    # the parts builders, the subset-sum helper, the named-curve tables,
+    # the public certificate entries, the slope comparison with its
+    # degree-4 cross-check, and reconstruct compute every coefficient, row
+    # and margin as ints: they name no Fraction, and read neither the
+    # Fraction fields a and delta of the contraction data (its integer
+    # weights serve them) nor a class's Fraction coordinates h and e
     kernel = []
     for name, functions in _KERNEL.items():
         path = Path(kstab.__file__).parent / name
@@ -383,8 +389,3 @@ def test_the_check_path_reads_the_face_record():
             assert used.isdisjoint({"ContractionData", "reconstruct"}), fn
     assert "_face_certificate" in _called(_functions("stability.py")["_upper_bound"])
     assert "_face_decompose" in _called(_functions("stability.py")["_upper_bound"])
-    # the public entries keep the constructor's checks and reconstruct
-    alphabound = _functions("alphabound.py")
-    assert {"reconstruct"} <= _called(alphabound["certificate"]) & _called(
-        alphabound["compare_with_slope"]
-    )
