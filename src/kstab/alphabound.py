@@ -18,18 +18,18 @@ subset sum and case test is computed over ints, and the class identity is
 one cross-multiplied integer sum.  Only then are the certificate's
 rational coefficients n / Q and its bound built.
 
-The builders and the slope comparison read a face as ints: its kind, its
-ordered line rows, its fiber row, its weights (q, q * delta, (q * a_i,
-...)) and its class row over q.  The public ``certificate`` and
-``compare_with_slope`` read them off a ``ContractionData``, its
-``_weights`` and ``_row``, through ``cones._class_row``, which keeps
-``reconstruct``'s rank check.  A ``check`` reads them off the face record
-``cones._Face`` in ``_face_certificate``.  Neither route turns a face into
-Fractions and back; the class identity still runs.  In degree 4 the
-comparison is decided again, from the same integer weights, by
-``appendix._decide``, which derives both margins itself: its strictness
-must match, and on a P1 x P1 face its piecewise value must equal the
-certificate's bound, one cross-multiplication.
+The builders and the slope comparison read a face as ints, off the one
+face record ``ContractionData``: its kind, its line rows in weight order,
+its fiber row, its ``_weights`` (q, q * delta, (q * a_i, ...)) and its
+class row ``_row`` over q, through ``cones._class_row``, which keeps
+``reconstruct``'s rank check.  A ``check`` hands over the record its face
+search built, so both routes share ``certificate`` and
+``compare_with_slope``, and neither turns a face into Fractions and back;
+the class identity still runs.  In degree 4 the comparison is decided
+again, from the same integer weights, by ``appendix._decide``, which
+derives both margins itself: its strictness must match, and on a P1 x P1
+face its piecewise value must equal the certificate's bound, one
+cross-multiplication.
 
 There is one plane lemma: degree 4 takes a five-point pattern, and degrees
 5 to 7 one formula over per-degree line weights.  F1 is P2 blown up at one
@@ -139,6 +139,8 @@ class Certificate:
 
 def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     """Exact recheck of the class identity; raises on failure."""
+    if l.rank != s.r:
+        raise DomainError(f"rank mismatch: {s.r} vs {l.rank}")
     for cls, _ in cert.divisor:
         if cls.rank != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
@@ -442,10 +444,20 @@ def _parts(s: SurfaceModel, kind: str, es, c, weights):
 
 
 def certificate(s: SurfaceModel, cd: ContractionData) -> Certificate:
-    """The lemma-prescribed effective decomposition for degree 4 to 7."""
+    """The lemma-prescribed effective decomposition for degree 4 to 7.
+
+    The face must contract r lines onto the plane, or r - 1 lines and a
+    fiber onto a conic bundle; the ContractionData constructor accepts
+    fewer (the empty face is -K), and those are refused here.
+    """
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("certificates exist for degree 4 to 7 only")
     row = _class_row(cd, s)
+    lines = s.r if cd.kind == KIND_TO_P2 else s.r - 1
+    if len(cd.curveE) != lines:
+        raise DomainError(
+            f"a {cd.kind} face in degree {s.degree} contracts {lines} lines, not {len(cd.curveE)}"
+        )
     es = tuple(e.row for e in cd.curveE)
     c = None if cd.curveC is None else cd.curveC.row
     one, parts = _parts(s, cd.kind, es, c, cd._weights)
@@ -462,26 +474,8 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     strictness, and on a P1 x P1 face its piecewise value must equal the
     certificate's bound.
     """
-    return _compare(s, cd.kind, cert, _class_row(cd, s), cd._weights)
-
-
-def _face_certificate(s: SurfaceModel, face) -> tuple[Certificate, dict]:
-    """certificate and compare_with_slope for a cones._Face that
-    cones._face_decompose has checked, read off its integer record: the
-    line rows by index, the fiber row, the weights over q and the class
-    row / q, with no ContractionData.  The callers, stability._upper_bound's,
-    take degrees 4 to 7 only."""
-    rows = _tables(s.degree).rows
-    es = tuple(rows[i] for i in face.lines)
-    one, parts = _parts(s, face.kind, es, face.fiber, face.weights)
-    cert = _finish(parts, one, face.row, face.weights[0], s.degree)
-    return cert, _compare(s, face.kind, cert, face.row, face.weights)
-
-
-def _compare(s: SurfaceModel, kind: str, cert: Certificate, l_row, weights) -> dict:
-    """compare_with_slope for a face of the given kind with integer weights
-    (q, q * delta, (q * a_i, ...)) whose class is l_row / q."""
-    q, delta, a = weights
+    l_row = _class_row(cd, s)
+    q, delta, a = cd._weights
     # (2/3) * slope = 2 * q * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0
     bound_n, bound_d = cert.bound.numerator, cert.bound.denominator
     lhs = 3 * bound_n * _row_dot(l_row, l_row)
@@ -490,7 +484,7 @@ def _compare(s: SurfaceModel, kind: str, cert: Certificate, l_row, weights) -> d
     equality = lhs == rhs
     if s.degree == 4:
         m1, m2, n, d = appendix._decide(q, a + (0,) * (5 - len(a)), delta)
-        if kind == KIND_CONIC_P1P1:
+        if cd.kind == KIND_CONIC_P1P1:
             margin = m2
             if n * bound_d != d * bound_n:
                 raise InvariantError("piecewise value disagrees with the certificate")

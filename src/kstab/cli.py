@@ -23,7 +23,7 @@ from operator import neg
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import _ample_pairings, _contraction_data, _mu, ample_violation
+from .cones import _ample_pairings, _mu, ample_violation
 from .curves import _tables, fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -274,8 +274,7 @@ def _cmd_alpha_bound(args) -> str:
     s, l, signs = _parse_ample(doc)
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
-    scale, face, cert, comparison = _upper_bound(s, l, signs)
-    cd = _contraction_data(face, s.degree)
+    scale, cd, cert, comparison = _upper_bound(s, l, signs)
     if args.json:
         return _dumps(
             {

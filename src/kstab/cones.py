@@ -15,15 +15,15 @@ classifies which minimal model the face contracts onto, and proves mu = 1
 by a nef class dual to the face.  The simplex serves ``kstab mu`` and the
 cross-checks (``mu_bisect``, ``is_nef_lp``).
 
-The face is found and checked once, on ints, as one record (``_Face``):
-its kind, the indexes of its lines into the line table sorted by weight,
-the weights over their least common denominator, the fiber row and the
-class row.  ``check`` builds its certificate, comparison and report from
-that record (``alphabound._face_certificate``).  ``face_decompose`` and
-``alpha-bound`` return it as a ``ContractionData`` built by a private
-constructor, which skips the checks the search has already made; the
-public ``ContractionData`` constructor keeps every check, for faces from
-anywhere else.
+The face is found and checked once, on ints, as one record, the
+``ContractionData`` that ``face_decompose`` returns: its kind, its lines
+sorted by weight, its fiber, the weights over their least common
+denominator and the class row.  The search builds that record directly,
+skipping the checks it has already made (``_contraction``); the public
+constructor keeps every check, for faces from anywhere else.  ``check``
+and ``alpha-bound`` hand that record to the public
+``alphabound.certificate`` and ``compare_with_slope``, as a caller of
+``face_decompose`` does.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .curves import _disjoint_index_sets, _table_pairings, _tables, _zeros
 from .errors import DomainError, InvariantError
@@ -207,7 +206,7 @@ def mu_bisect(
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ContractionData:
     """Boundary-face data: l == -K + delta*curveC + sum(a_i * curveE_i).
 
@@ -215,25 +214,30 @@ class ContractionData:
     has no fiber slot and delta = 0.  A conic-bundle kind always carries
     a fiber class; delta may still be zero when the fiber direction meets
     the face only in its closure.
+
+    The record holds the weights as ints, and delta and a are read off
+    them as Fractions, as a DivClass's h and e are read off its row.  The
+    weights over their least common denominator are unique, so equality
+    and the hash follow the rationals, and the repr is the constructor
+    call on the Fraction fields.
     """
 
     kind: str
-    delta: Rational
-    a: tuple[Rational, ...]
     curveE: tuple[DivClass, ...]
     curveC: DivClass | None
     # (q, q * delta, (q * a_i, ...)), q the lcm of the weights' denominators
-    _weights: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _weights: tuple[int, int, tuple[int, ...]]
     # q * (-K + delta*C + sum(a_i * E_i)) as an integer row; None with no curves
-    _row: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _row: tuple[int, ...] | None = field(compare=False)
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown contraction kind {self.kind!r}")
-        q = lcm(self.delta.denominator, *(x.denominator for x in self.a))
-        delta, *a = (x.numerator * (q // x.denominator) for x in (self.delta, *self.a))
-        object.__setattr__(self, "_weights", (q, delta, tuple(a)))
-        object.__setattr__(self, "_row", None)
+    def __init__(self, kind: str, delta: Rational, a, curveE, curveC: DivClass | None):
+        if kind not in _KINDS:
+            raise DomainError(f"unknown contraction kind {kind!r}")
+        q = lcm(delta.denominator, *(x.denominator for x in a))
+        delta, *a = (x.numerator * (q // x.denominator) for x in (delta, *a))
+        vars(self).update(
+            kind=kind, curveE=curveE, curveC=curveC, _weights=(q, delta, tuple(a)), _row=None
+        )
         if delta < 0:
             raise DomainError("delta must be nonnegative")
         if len(a) != len(self.curveE):
@@ -282,7 +286,23 @@ class ContractionData:
                 raise DomainError("contracted curves must be pairwise disjoint")
             terms.append((fiber.row, delta))
         terms += zip((c.row for c in self.curveE), a)
-        object.__setattr__(self, "_row", _row_combination(terms))
+        vars(self)["_row"] = _row_combination(terms)
+
+    @property
+    def delta(self) -> Fraction:
+        q, delta, _ = self._weights
+        return Fraction(delta, q)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        q, _, a = self._weights
+        return tuple(Fraction(x, q) for x in a)
+
+    def __repr__(self):
+        return (
+            f"ContractionData(kind={self.kind!r}, delta={self.delta!r}, a={self.a!r}, "
+            f"curveE={self.curveE!r}, curveC={self.curveC!r})"
+        )
 
 
 def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
@@ -304,31 +324,16 @@ def _class_row(data: ContractionData, s: SurfaceModel) -> tuple[int, ...]:
     return row
 
 
-class _Face(NamedTuple):
-    """A boundary face as _face_data finds it: l == -K + delta*C + sum(a_i
-    * E_i) on integer rows.  lines holds the indexes into _Tables.rows of
-    the contracted curves, sorted by decreasing weight, then by index;
-    weights is ContractionData._weights, (q, q * delta, (q * a_i, ...)) for
-    q the least common denominator; fiber is C's row (None on a plane
-    face); row is q * l."""
-
-    kind: str
-    lines: tuple[int, ...]
-    weights: tuple[int, int, tuple[int, ...]]
-    fiber: tuple[int, ...] | None
-    row: tuple[int, ...]
-
-
 def _face_data(w, s, signs):
     """The first disjoint r-set of (-1)-curves carrying w = K + l (plane
     contraction), else the first disjoint (r-1)-set with a fiber class
-    (conic bundle), as a _Face, or None.  By negative_curves, each set is
-    the curves with w.E < 0, weighted -w.E, completed by disjoint curves
-    with w.E = 0, taken in index-lex order.  The search runs over indexes
-    into the line rows, on signs: the integers D * w.E, D = w.den, in the
-    order of _Tables.rows, which the caller derives from its own product.  A
-    conic face's fiber is fixed by the residual when that is nonzero; only
-    at delta = 0 are the fibers tried in order.
+    (conic bundle), as a ContractionData, or None.  By negative_curves,
+    each set is the curves with w.E < 0, weighted -w.E, completed by
+    disjoint curves with w.E = 0, taken in index-lex order.  The search
+    runs over indexes into the line rows, on signs: the integers D * w.E,
+    D = w.den, in the order of _Tables.rows, which the caller derives from
+    its own product.  A conic face's fiber is fixed by the residual when
+    that is nonzero; only at delta = 0 are the fibers tried in order.
 
     The masks test the completions against one another, not against the
     support: wherever the search is reached, w = sum(a_i E_i) + delta*C
@@ -379,52 +384,44 @@ def _face_data(w, s, signs):
     return None
 
 
-def _contraction(kind, signs, den, chosen, fib, d, s) -> _Face:
-    """The _Face of the lines of index chosen, each weighted -signs[i] / D,
+def _contraction(kind, signs, den, chosen, fib, d, s) -> ContractionData:
+    """The face of the lines of index chosen, each weighted -signs[i] / D,
     and the fiber row fib (or None) weighted delta = d / (D * fib[0]).  The
     face is sorted by decreasing weight, then by index: lines are indexed
     in sorted order.  Over Q = D * fib[0] the weights are d and
     -signs[i] * fib[0]; their least common denominator is Q / g for g the
-    gcd of Q and all of them."""
+    gcd of Q and all of them.
+
+    The record is built without ContractionData.__init__, as
+    alphabound._finish builds a Certificate, for each check __init__ would
+    make holds already: each curve is an index into _Tables.lines and the
+    fiber a key of _Tables.fibers; the completions are pairwise disjoint by
+    the mask search, the support's lines miss one another by
+    negative_curves' argument and every completion by _face_data's, and
+    all miss the fiber by its test; the weights are sorted here, delta >= 0
+    by the fiber test, and 0 <= a_i < 1, as a_i = 1 - mu * (L.E_i) >= 0 for
+    the ample L.  Its _weights and _row are those __init__ computes from
+    its fields."""
     order = tuple(sorted(chosen, key=lambda i: (signs[i], i)))
     m = 1 if fib is None else fib[0]
     q, a = den * m, [-signs[i] * m for i in order]
     g = gcd(q, d, *a)
     if g != 1:
         q, d, a = q // g, d // g, [x // g for x in a]
-    rows = _tables(s.degree).rows
+    tables = _tables(s.degree)
     terms = [(_anticanonical_row(s), q)]
     if fib is not None:
         terms.append((fib, d))
-    terms += ((rows[i], x) for i, x in zip(order, a))
-    return _Face(kind, order, (q, d, tuple(a)), fib, _row_combination(terms))
-
-
-def _contraction_data(face: _Face, degree: int) -> ContractionData:
-    """The ContractionData of a face _face_decompose has checked, built
-    without __post_init__, as alphabound._finish builds a Certificate.
-    Each check the constructor would make holds already: each curve is an
-    index into _Tables.lines and the fiber a key of _Tables.fibers; the
-    completions are pairwise disjoint by the mask search, the support's
-    lines miss one another by negative_curves' argument and every
-    completion by _face_data's, and all miss the fiber by its test; the
-    weights are sorted by _contraction, delta >= 0 by the fiber test, and
-    0 <= a_i < 1, as a_i = 1 - mu * (L.E_i) >= 0 for the ample L.  Its
-    _weights and _row are the face's, which equal what the constructor
-    computes from its fields."""
-    q, d, a = face.weights
-    tables = _tables(degree)
-    data = object.__new__(ContractionData)
-    vars(data).update(
-        kind=face.kind,
-        delta=Fraction(d, q),
-        a=tuple(Fraction(x, q) for x in a),
-        curveE=tuple(tables.lines[i] for i in face.lines),
-        curveC=None if face.fiber is None else tables.fibers[face.fiber],
-        _weights=face.weights,
-        _row=face.row,
+    terms += ((tables.rows[i], x) for i, x in zip(order, a))
+    face = object.__new__(ContractionData)
+    vars(face).update(
+        kind=kind,
+        curveE=tuple(tables.lines[i] for i in order),
+        curveC=None if fib is None else tables.fibers[fib],
+        _weights=(q, d, tuple(a)),
+        _row=_row_combination(terms),
     )
-    return data
+    return face
 
 
 def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
@@ -451,7 +448,7 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
             f"face decomposition needs an ample class; {ample_violation(l, s)}"
         )
     try:
-        return _contraction_data(_face_decompose(l, s, 1, signs), s.degree)
+        return _face_decompose(l, s, 1, signs)
     except InvariantError:
         if _mu(l, s) != 1:
             msg = "face decomposition needs a normalized class (mu = 1)"
@@ -459,8 +456,8 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
         raise
 
 
-def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> _Face:
-    """The _Face of scale * l, for an ample class l in degree at most 7
+def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> ContractionData:
+    """The face of scale * l, for an ample class l in degree at most 7
     whose packed pairings with the curve-cone generators (there the lines,
     in the order of _Tables.rows) are signs, and a rational scale > 0.  It
     also certifies mu(scale * l) = 1: the face is found and checked, or
@@ -480,14 +477,14 @@ def _face_decompose(l: DivClass, s: SurfaceModel, scale, signs) -> _Face:
     # a nef class D with D.w = 0 and D.l > 0 is negative on K + x*scale*l
     # for x < 1, so mu(scale*l) = 1.  D is the fiber, or -K + sum(E_i) =
     # 3 * (line) for a plane.
-    dual = face.fiber
-    if dual is None:
-        rows = _tables(s.degree).rows
-        dual = _row_sum(_anticanonical_row(s), *(rows[i] for i in face.lines))
+    if face.curveC is None:
+        dual = _row_sum(_anticanonical_row(s), *(e.row for e in face.curveE))
+    else:
+        dual = face.curveC.row
     if not is_nef(_from_row(1, dual), s) or _row_dot(dual, w.row) or _row_dot(dual, l.row) <= 0:
         raise InvariantError("face decomposition has no nef class dual to its face")
     # the face's row / face_den equals p * row / den, cross-multiplied
-    face_den = face.weights[0]
-    if any(x * den != p * y * face_den for x, y in zip(face.row, l.row)):
+    face_den = face._weights[0]
+    if any(x * den != p * y * face_den for x, y in zip(face._row, l.row)):
         raise InvariantError("face decomposition failed the reconstruction check")
     return face

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from .alphabound import Certificate, _face_certificate
+from .alphabound import Certificate, certificate, compare_with_slope
 from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
 from .curves import _tables
 from .curves import minus_one_curves  # noqa: F401  re-exported
@@ -29,6 +29,7 @@ from .lattice import (
     _row_dot,
     anticanonical,
     intersect,
+    rational,
     rational_str,
     square,
     zero_class,
@@ -138,19 +139,20 @@ def _six_line_parameter(l: DivClass, s: SurfaceModel, signs):
 def _upper_bound(s: SurfaceModel, l: DivClass, signs):
     """(mu, face, certificate, comparison) for an ample l in degree 4 to 7,
     whose packed pairings with the curve-cone generators are signs; the
-    face is the integer record cones._Face.
+    face is the ContractionData the face search builds.
 
     mu is read off the Weyl chamber, with no linear program, and the face
     of K + mu*l certifies it: the decomposition shows mu(mu*l) <= 1, and
     the face's nef dual class shows mu(mu*l) >= 1.  A wrong mu finds no
     checked face and raises InvariantError.  l is ample, and so is mu * l:
     the face reads its signs off those of l instead of pairing again.  The
-    certificate and the comparison read the face's record.
+    face goes to the public certificate and compare_with_slope, which read
+    its integer weights and class row.
     """
     scale = _chamber_mu(l, s)
     face = _face_decompose(l, s, scale, signs)
-    cert, comparison = _face_certificate(s, face)
-    return scale, face, cert, comparison
+    cert = certificate(s, face)
+    return scale, face, cert, compare_with_slope(s, face, cert)
 
 
 def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
@@ -252,9 +254,10 @@ def cubic_line_family_report(x) -> dict:
 
     The window test is rationalized: the irrational left endpoint is the
     positive root of 13 t^2 + 2 t - 3, so membership is the sign of that
-    quadratic together with the nef threshold.
+    quadratic together with the nef threshold.  x is read by
+    lattice.rational, so a float or an oversized string is refused.
     """
-    x = Fraction(x)
+    x = rational(x)
     if not 0 <= x < 1:
         raise DomainError("family parameter must lie in [0, 1)")
     slope = (3 + x) / (3 + 2 * x - x * x)

@@ -15,8 +15,10 @@ from kstab.alphabound import (
     _as_fiber,
     _as_line,
     _largest_subset_sum,
+    _other_ruling,
     _parts,
     _plane_curves,
+    _plane_pullback,
     _ruling_curves,
     _section,
     certificate,
@@ -31,7 +33,6 @@ from kstab.cones import (
     KIND_TO_P2,
     ContractionData,
     _ample_pairings,
-    _contraction_data,
     face_decompose,
     reconstruct,
 )
@@ -572,6 +573,27 @@ def test_public_entries_check_the_rank():
             assert str(err.value) == "certificates exist for degree 4 to 7 only"
 
 
+@pytest.mark.parametrize("degree", [4, 5, 6, 7])
+def test_certificate_refuses_a_face_with_too_few_curves(degree):
+    # the constructor takes a short face (the empty face is -K), and
+    # certificate counts the curves: a plane face contracts r lines, a
+    # conic face r - 1 lines and a fiber
+    full = [
+        _plane_cd(degree, [0] * (9 - degree)),
+        _f1_cd(degree, [0] * (8 - degree), 0),
+        _p1p1_cd(degree, [0] * (8 - degree), 0),
+    ]
+    for s, cd in full:
+        certificate(s, cd)
+        need = len(cd.curveE)
+        for k in range(need):
+            short = ContractionData(cd.kind, F(0), (F(0),) * k, cd.curveE[:k], cd.curveC)
+            message = f"a {cd.kind} face in degree {degree} contracts {need} lines, not {k}"
+            with pytest.raises(DomainError) as err:
+                certificate(s, short)
+            assert str(err.value) == message
+
+
 def test_row_lookups_name_the_class():
     s = SurfaceModel(6)
     with pytest.raises(InvariantError) as err:
@@ -594,15 +616,21 @@ def test_pullback_and_second_ruling_must_be_integral():
     s = SurfaceModel(7)
     e1 = basis_exceptional(s, 1)
     # one curve short of a plane model: (-K + E1) / 3 = (1; 0, -1/3)
-    cd = ContractionData(KIND_TO_P2, F(0), (F(0),), (e1,), None)
     with pytest.raises(InvariantError) as err:
-        certificate(s, cd)
+        _plane_pullback(s, (e1.row,))
     assert str(err.value) == "plane hyperplane class is not integral"
     # no contracted curve beside the ruling C: (-K - 2C) / 2 = (1/2; 1/2, -1/2)
-    cd = ContractionData(KIND_CONIC_P1P1, F(0), (), (), div(1, [-1, 0]))
     with pytest.raises(InvariantError) as err:
-        certificate(s, cd)
+        _other_ruling(s, (), (1, -1, 0))
     assert str(err.value) == "second ruling class is not integral"
+    # certificate refuses both faces as input, before the lemma runs
+    short = [
+        ContractionData(KIND_TO_P2, F(0), (F(0),), (e1,), None),
+        ContractionData(KIND_CONIC_P1P1, F(0), (), (), div(1, [-1, 0])),
+    ]
+    for cd in short:
+        with pytest.raises(DomainError, match="face in degree 7 contracts"):
+            certificate(s, cd)
     # F1 data whose lines contract onto P1 x P1: M = -K + E1 + E2 + (H - E3 - E4)
     # = 4H - 2E3 - 2E4, so (M - 3C) / 2 = (H + E3 - 2E4) / 2 for C = H - E3
     s = SurfaceModel(5)
@@ -689,7 +717,6 @@ def test_named_curve_tables_hold_one_entry_per_ordered_face():
 
 
 def test_a_face_that_fails_its_checks_raises_on_each_call_and_is_not_stored():
-    s7 = SurfaceModel(7)
     # F1 data whose lines contract onto P1 x P1 (see the test above)
     es = ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, 0, -1, -1))
     cases = [
@@ -705,10 +732,12 @@ def test_a_face_that_fails_its_checks_raises_on_each_call_and_is_not_stored():
             assert str(err.value) == message
         after = table.cache_info()
         assert after.currsize == before.currsize and after.misses == before.misses + 3
-    cd = ContractionData(KIND_TO_P2, F(0), (F(0),), (basis_exceptional(s7, 1),), None)
+    s5 = SurfaceModel(5)
+    curves = tuple(_from_row(1, row) for row in es)
+    cd = ContractionData(KIND_CONIC_F1, F(0), (F(0),) * 3, curves, div(1, [0, 0, -1, 0]))
     for _ in range(2):
-        with pytest.raises(InvariantError, match="plane hyperplane class is not integral"):
-            certificate(s7, cd)
+        with pytest.raises(InvariantError, match="section curve is not integral"):
+            certificate(s5, cd)
 
 
 _ORACLE = {
@@ -847,24 +876,21 @@ def _check_path_faces():
 
 
 def test_check_path_faces_match_the_public_constructor():
-    # the check path builds its face record and certificate without the
-    # public ContractionData; the public constructor, with every check,
+    # the check path builds its face record without the public
+    # ContractionData checks; the public constructor, with every check,
     # accepts each face it finds as the same record field for field, and
     # certificate and compare_with_slope on it agree with the check path
     kinds, zero_weights, flat_conics, seen = set(), 0, 0, 0
     for s, l, normalized, face, cert, flags in _check_path_faces():
-        private = _contraction_data(face, s.degree)
-        public = ContractionData(
-            private.kind, private.delta, private.a, private.curveE, private.curveC
-        )
-        assert vars(private) == vars(public)  # _weights and _row included
-        assert (public._weights, public._row) == (face.weights, face.row)
+        public = ContractionData(face.kind, face.delta, face.a, face.curveE, face.curveC)
+        assert vars(face) == vars(public)  # _weights and _row included
         assert reconstruct(public, s) == normalized
         assert certificate(s, public) == cert
         assert compare_with_slope(s, public, cert) == flags
+        _, delta, a = face._weights
         kinds.add(face.kind)
-        zero_weights += 0 in face.weights[2]
-        flat_conics += face.fiber is not None and face.weights[1] == 0
+        zero_weights += 0 in a
+        flat_conics += face.curveC is not None and delta == 0
         seen += 1
     assert seen >= 3146 + 2 * 600
     assert kinds == {KIND_TO_P2, KIND_CONIC_F1, KIND_CONIC_P1P1}

@@ -497,6 +497,14 @@ def test_contraction_weights_leave_equality_hash_and_repr_alone():
     assert "_weights" not in repr(cd)
     assert repr(cd).startswith("ContractionData(kind='ConicBundleF1', delta=Fraction(1, 2), ")
     assert cd._weights == (6, 3, (2, 1, 0, 0))
+    # the face search builds its record without the constructor; it is the
+    # constructor's record on its fields, with the same hash and repr
+    s = SurfaceModel(4)
+    found = face_decompose(reconstruct(cd, s), s)
+    public = ContractionData(found.kind, found.delta, found.a, found.curveE, found.curveC)
+    assert found == public and hash(found) == hash(public)
+    assert repr(found) == repr(public)
+    assert (found.delta, found.a) == (cd.delta, cd.a)
 
 
 def _row_checked_message(curveE, curveC):

@@ -433,7 +433,8 @@ def test_conic_kind_and_section_match_the_line_scan(degree):
         terms += (tuple((i + 1) * x for x in row) for i, row in enumerate(curves))
         w = _from_row(2 * s.r, _row_sum(*terms))
         data = _face_data(w, s, _table_pairings(w, tables.line_table, s))
-        assert (data.fiber, set(data.lines)) == (fib, set(chosen))
+        found = {tables.index[e.row] for e in data.curveE}
+        assert (data.curveC.row, found) == (fib, set(chosen))
         assert data.kind == (KIND_CONIC_F1 if odd else KIND_CONIC_P1P1)
     assert kinds == {True, False}
 

@@ -185,8 +185,6 @@ _KERNEL = {
         "_ruling_curves",
         "certificate",
         "compare_with_slope",
-        "_face_certificate",
-        "_compare",
     },
     "cones.py": {"reconstruct", "_class_row"},
     "appendix.py": {"_check", "_decide", "_sides", "_margin", "_largest_sum", "_case_sum"},
@@ -371,21 +369,26 @@ def test_request_coordinates_parse_on_ints():
 
 
 def test_the_check_path_reads_the_face_record():
-    # a check finds its face as the integer record cones._Face and builds
-    # its certificate, comparison and report from it: no function on that
-    # path names the public ContractionData constructor, which checks a
-    # face again, or reconstruct, which rebuilds the class
+    # a check finds its face as the one face record, a ContractionData that
+    # _contraction builds without the constructor's checks (it names the
+    # class only for object.__new__), and hands it to the public
+    # certificate and compare_with_slope: no function on that path calls
+    # the ContractionData constructor, which checks a face again, or
+    # reconstruct, which rebuilds the class
     path = {
         "stability.py": ("_verdict", "_upper_bound"),
-        "cones.py": ("_face_decompose", "_face_data", "_contraction"),
-        "alphabound.py": ("_face_certificate", "_parts", "_finish", "_compare"),
+        "cones.py": ("_face_decompose", "_face_data", "_contraction", "_class_row"),
+        "alphabound.py": ("certificate", "compare_with_slope", "_parts", "_finish"),
     }
+    calls = {}
     for name, names in path.items():
         functions = _functions(name)
         for fn in names:
-            tree = functions[fn]
-            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-            assert used.isdisjoint({"ContractionData", "reconstruct"}), fn
-    assert "_face_certificate" in _called(_functions("stability.py")["_upper_bound"])
-    assert "_face_decompose" in _called(_functions("stability.py")["_upper_bound"])
+            calls[fn] = {
+                n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                for n in ast.walk(functions[fn])
+                if isinstance(n, ast.Call)
+            }
+            assert calls[fn].isdisjoint({"ContractionData", "reconstruct"}), fn
+    assert {"_face_decompose", "certificate", "compare_with_slope"} <= calls["_upper_bound"]
+    assert "_contraction" in calls["_face_data"]  # the scan sees the calls that are there

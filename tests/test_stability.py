@@ -9,12 +9,23 @@ from kstab.alphabound import certificate, verify_certificate
 from kstab.cones import (
     ContractionData,
     KIND_TO_P2,
+    ample_violation,
     face_decompose,
     is_ample,
+    is_nef,
+    is_nef_lp,
     mu,
+    mu_bisect,
     reconstruct,
 )
-from kstab.curves import _table_pairings, _tables, disjoint_sets, minus_one_curves
+from kstab.curves import (
+    _table_pairings,
+    _tables,
+    disjoint_sets,
+    minus_one_curves,
+    negative_curves,
+    pairings,
+)
 from kstab.errors import DomainError
 from kstab.lattice import (
     SurfaceModel,
@@ -442,6 +453,18 @@ def test_family_report_window():
         cubic_line_family_report(F(-1, 10))
 
 
+def test_family_report_reads_its_parameter_as_rational():
+    # the parameter goes through lattice.rational, as the CLI's does: a
+    # string or an int is read exactly, while a float and an exponent too
+    # large to expand are refused instead of taken as a binary fraction or
+    # built digit by digit
+    assert cubic_line_family_report("1/2") == cubic_line_family_report(F(1, 2))
+    assert cubic_line_family_report("0") == cubic_line_family_report(0)
+    for bad in (0.1, "1e-5000000", "x", None):
+        with pytest.raises(DomainError):
+            cubic_line_family_report(bad)
+
+
 def test_family_report_matches_direct_computation():
     # the report's family adds one exceptional curve, not the six-line sum
     s = SurfaceModel(3)
@@ -518,3 +541,46 @@ def test_six_line_parameter_matches_scan_off_the_family(cubic_sextets):
         assert x == _six_line_scan(l, s, cubic_sextets)
         misses += x is None
     assert misses > len(cases) // 2
+
+
+def _anticanonical_face(s):
+    return face_decompose(anticanonical(s), s)
+
+
+# each public entry that takes a class and a surface, on a surface s of a
+# degree where it applies, given -K (or its face) from a surface t of
+# another degree
+_RANK_ENTRIES = {
+    "is_nef": (5, lambda s, t: is_nef(anticanonical(t), s)),
+    "is_nef_lp": (5, lambda s, t: is_nef_lp(anticanonical(t), s)),
+    "is_ample": (5, lambda s, t: is_ample(anticanonical(t), s)),
+    "ample_violation": (5, lambda s, t: ample_violation(anticanonical(t), s)),
+    "mu": (5, lambda s, t: mu(anticanonical(t), s)),
+    "mu_bisect": (5, lambda s, t: mu_bisect(anticanonical(t), s)),
+    "face_decompose": (5, lambda s, t: face_decompose(anticanonical(t), s)),
+    "nu": (5, lambda s, t: nu(anticanonical(t), s)),
+    "condition_a": (5, lambda s, t: condition_a(anticanonical(t), s)),
+    "normalize": (5, lambda s, t: normalize(anticanonical(t), s)),
+    "verdict": (5, lambda s, t: verdict(s, anticanonical(t))),
+    "gamma_lower_bound": (2, lambda s, t: gamma_lower_bound(s, anticanonical(t))),
+    "negative_curves": (5, lambda s, t: negative_curves(anticanonical(t), s)),
+    "pairings": (5, lambda s, t: pairings(anticanonical(t), _tables(s.degree).rows, s)),
+    "intersect": (5, lambda s, t: intersect(anticanonical(s), anticanonical(t), s)),
+    "reconstruct": (5, lambda s, t: reconstruct(_anticanonical_face(t), s)),
+    "certificate": (5, lambda s, t: certificate(s, _anticanonical_face(t))),
+    "verify_certificate": (
+        5,
+        lambda s, t: verify_certificate(
+            certificate(s, _anticanonical_face(s)), anticanonical(t), s
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RANK_ENTRIES))
+def test_public_entries_refuse_a_class_of_another_rank(entry):
+    degree, call = _RANK_ENTRIES[entry]
+    s = SurfaceModel(degree)
+    for other in (degree - 1, degree + 1):
+        with pytest.raises(DomainError, match="rank (does not match|mismatch)"):
+            call(s, SurfaceModel(other))
