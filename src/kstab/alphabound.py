@@ -42,7 +42,6 @@ face's named curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -62,7 +61,9 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
+    _exact_all,
     _from_row,
+    _Record,
     _row_combination,
     _row_dot,
     _row_less,
@@ -110,30 +111,31 @@ def _largest_subset_sum(values, family, one):
     return best, best_subset
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An effective decomposition with its alpha bound.
 
     divisor lists (curve class, coefficient) pairs; witness_index points at
-    a maximal-coefficient component and bound is its reciprocal.
+    a maximal-coefficient component and bound is its reciprocal.  The
+    coefficients and the bound are read as lattice.rational reads them.
     """
 
-    divisor: tuple[tuple[DivClass, Rational], ...]
-    witness_index: int
-    bound: Rational
+    _fields = ("divisor", "witness_index", "bound")
 
-    def __post_init__(self):
-        if not self.divisor:
+    def __init__(self, divisor, witness_index: int, bound: Rational):
+        if not divisor:
             raise DomainError("certificate needs at least one component")
-        coeffs = [c for _, c in self.divisor]
+        classes, coeffs = zip(*divisor)
+        *coeffs, bound = _exact_all((*coeffs, bound))
+        divisor = tuple(zip(classes, coeffs))
+        vars(self).update(divisor=divisor, witness_index=witness_index, bound=bound)
         if any(c < 0 for c in coeffs):
             raise DomainError("certificate coefficients must be nonnegative")
-        if not 0 <= self.witness_index < len(self.divisor):
+        if not 0 <= witness_index < len(coeffs):
             raise DomainError("witness index out of range")
         top = max(coeffs)
-        if coeffs[self.witness_index] != top:
+        if coeffs[witness_index] != top:
             raise DomainError("witness must carry a maximal coefficient")
-        if self.bound * top != 1:
+        if bound * top != 1:
             raise DomainError("bound must be the reciprocal of the top coefficient")
 
 
@@ -178,7 +180,7 @@ def _finish(parts, one: int, l_row, l_den: int, degree: int) -> Certificate:
     top = max(n for _, n in kept)
     witness = next(i for i, (_, n) in enumerate(kept) if n == top)
     _check_identity(kept, one, l_row, l_den)
-    # every check of Certificate.__post_init__ holds here, so it is not rerun
+    # every check of Certificate.__init__ holds here, so it is not rerun
     cert = object.__new__(Certificate)
     divisor = tuple((lines[index[row]], Fraction(n, one)) for row, n in kept)
     vars(cert).update(divisor=divisor, witness_index=witness, bound=Fraction(one, top))

@@ -17,34 +17,33 @@ them through _decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from .errors import DomainError
-from .lattice import Rational
+from .lattice import Rational, _exact_all, _Record
 
 
-@dataclass(frozen=True)
-class AppendixInput:
+class AppendixInput(_Record):
     """Five ordered coefficients and a fiber weight.
 
     Requires 1 >= a1 >= a2 >= a3 >= a4 >= a5 >= 0 and delta >= 0.  Inputs
-    violating the ordering are rejected, never silently sorted.
+    violating the ordering are rejected, never silently sorted.  Each is
+    read as lattice.rational reads it.
     """
 
-    a: tuple[Rational, ...]
-    delta: Rational
-    # (q, q*a, q*delta) from _scaled, q the lcm of the denominators
-    _weights: tuple[int, tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    # _weights, (q, q*a, q*delta) from _scaled with q the lcm of the
+    # denominators, stays out of ==, the hash and the repr
+    _fields = ("a", "delta")
 
-    def __post_init__(self):
-        if len(self.a) != 5:
+    def __init__(self, a: tuple[Rational, ...], delta: Rational):
+        if len(a) != 5:
             raise DomainError(_FIVE)
-        weights = _scaled(self)
-        object.__setattr__(self, "_weights", weights)
-        _check(*weights)
+        *a, delta = _exact_all((*a, delta))
+        vars(self).update(a=tuple(a), delta=delta)
+        vars(self)["_weights"] = _scaled(self)
+        _check(*self._weights)
 
 
 _FIVE = "exactly five coefficients required"
@@ -175,13 +174,17 @@ def prop_a1(inp: AppendixInput) -> dict:
 MAX_GRID_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class GridReport:
-    max_denominator: int
-    delta_max: Rational
-    total: int
-    failures: tuple
-    equality_points: tuple
+class GridReport(_Record):
+    """A grid_oracle report: max_denominator, delta_max, the total point
+    count, and the failures and equality points as AppendixInputs."""
+
+    _fields = ("max_denominator", "delta_max", "total", "failures", "equality_points")
+
+    def __init__(self, max_denominator, delta_max, total, failures, equality_points):
+        vars(self).update(
+            max_denominator=max_denominator, delta_max=delta_max, total=total,
+            failures=failures, equality_points=equality_points,
+        )
 
 
 def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> GridReport:

@@ -28,7 +28,6 @@ and ``alpha-bound`` hand that record to the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -40,7 +39,9 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
+    _exact_all,
     _from_row,
+    _Record,
     _row_combination,
     _row_dot,
     _row_sum,
@@ -206,8 +207,7 @@ def mu_bisect(
     return lo, hi
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ContractionData:
+class ContractionData(_Record):
     """Boundary-face data: l == -K + delta*curveC + sum(a_i * curveE_i).
 
     kind records the minimal model the contracted face maps onto.  ToP2
@@ -219,22 +219,22 @@ class ContractionData:
     them as Fractions, as a DivClass's h and e are read off its row.  The
     weights over their least common denominator are unique, so equality
     and the hash follow the rationals, and the repr is the constructor
-    call on the Fraction fields.
+    call on the Fraction fields.  delta and the a_i are read as
+    lattice.rational reads them.
     """
 
-    kind: str
-    curveE: tuple[DivClass, ...]
-    curveC: DivClass | None
-    # (q, q * delta, (q * a_i, ...)), q the lcm of the weights' denominators
-    _weights: tuple[int, int, tuple[int, ...]]
-    # q * (-K + delta*C + sum(a_i * E_i)) as an integer row; None with no curves
-    _row: tuple[int, ...] | None = field(compare=False)
+    # _weights is (q, q * delta, (q * a_i, ...)), q the lcm of the weights'
+    # denominators; _row is q * (-K + delta*C + sum(a_i * E_i)) as an
+    # integer row, or None with no curves, and stays out of == and the hash
+    _fields = ("kind", "curveE", "curveC", "_weights")
+    __match_args__ = (*_fields, "_row")
 
     def __init__(self, kind: str, delta: Rational, a, curveE, curveC: DivClass | None):
         if kind not in _KINDS:
             raise DomainError(f"unknown contraction kind {kind!r}")
-        q = lcm(delta.denominator, *(x.denominator for x in a))
-        delta, *a = (x.numerator * (q // x.denominator) for x in (delta, *a))
+        weights = _exact_all((delta, *a))
+        q = lcm(*(x.denominator for x in weights))
+        delta, *a = (x.numerator * (q // x.denominator) for x in weights)
         vars(self).update(
             kind=kind, curveE=curveE, curveC=curveC, _weights=(q, delta, tuple(a)), _row=None
         )

@@ -10,10 +10,9 @@ ints.  The row helpers at the end are the one home of the row format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 from .errors import DomainError
 
@@ -76,6 +75,16 @@ def _exact(value):
     return rational(value)
 
 
+def _exact_all(values) -> tuple:
+    """tuple(map(_exact, values)), for the rational arguments of a public
+    record; Fractions and ints within the digit bound, as every caller in
+    the library passes them, are taken with one type test each."""
+    for x in values:
+        if type(x) is not Fraction and not (type(x) is int and -_TOO_LARGE < x < _TOO_LARGE):
+            return tuple(map(_exact, values))
+    return tuple(values)
+
+
 def _rational_row(values) -> tuple[int, tuple[int, ...]]:
     """(D, row) with row[i] / D the rational rational(values[i]), in order,
     and D the lcm of their denominators.
@@ -117,30 +126,68 @@ def rational_str(q: Fraction) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _Record:
+    """A frozen record, as a frozen dataclass behaves, with no generated code.
+    A subclass names its compared fields in _fields and sets them in its own
+    __init__ through vars(self) or object.__setattr__.  The base gives a repr
+    over _fields, == and a hash on the tuple of their values, __match_args__
+    (_fields, unless the class names its own), and dataclasses'
+    FrozenInstanceError on assignment or deletion, imported only then."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields
+        if len(names) == 1:  # attrgetter of one name returns the bare value
+            get = attrgetter(*names)
+            key = lambda r: (get(r),)
+        else:
+            key = attrgetter(*names) if names else lambda r: ()
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(key(self))
+        cls.__match_args__ = cls.__dict__.get("__match_args__", names)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SurfaceModel(_Record):
     """Blow-up of the plane in r = 9 - degree general points (degree 1..8)."""
 
-    degree: int
+    _fields = ("degree",)
 
-    def __post_init__(self):
-        d = self.degree
-        if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= 8:
-            raise DomainError(f"degree must be an integer in 1..8, got {d!r}")
+    def __init__(self, degree: int):
+        if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= 8:
+            raise DomainError(f"degree must be an integer in 1..8, got {degree!r}")
+        object.__setattr__(self, "degree", degree)  # builds no instance dict, so reads stay fast
 
     @property
     def r(self) -> int:
         return 9 - self.degree
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class DivClass:
+class DivClass(_Record):
     """The class row / den, row = (h, e_1, ..., e_r) of ints, den > 0 and
     gcd(den, *row) == 1: equal classes have equal fields.  DivClass(h, e)
     takes int or Fraction coordinates, and h and e build Fractions."""
 
-    den: int
-    row: tuple[int, ...]
+    __slots__ = _fields = ("den", "row")
 
     def __init__(self, h, e):
         coords = (h, *e)
@@ -148,6 +195,9 @@ class DivClass:
         row = tuple(x.numerator * (den // x.denominator) for x in coords)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "row", row)
+
+    def __reduce__(self):
+        return _from_row, (self.den, self.row)
 
     @property
     def h(self) -> Fraction:

@@ -21,44 +21,43 @@ InvariantError.  Callers rely on that check and do not repeat it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
 from .errors import DomainError, InvariantError
-from .lattice import DivClass
+from .lattice import DivClass, _Record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(_Record):
     """minimize objective . x subject to lhs . x == rhs and x >= 0, with
     int entries only: solve() pivots on them as given, with no conversion.
     solve() returns Optimal or Infeasible, and raises DomainError when the
     objective is unbounded below."""
 
-    objective: tuple[int, ...]
-    lhs: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
+    _fields = ("objective", "lhs", "rhs")
 
-    def __post_init__(self):
-        if len(self.lhs) != len(self.rhs):
+    def __init__(self, objective, lhs, rhs):
+        vars(self).update(objective=objective, lhs=lhs, rhs=rhs)
+        if len(lhs) != len(rhs):
             raise DomainError("row count mismatch between lhs and rhs")
-        if any(len(row) != len(self.objective) for row in self.lhs):
+        if any(len(row) != len(objective) for row in lhs):
             raise DomainError("lhs row length does not match objective length")
 
 
-@dataclass(frozen=True)
-class Optimal:
-    value: Fraction
-    point: tuple[Fraction, ...]
+class Optimal(_Record):
+    """An optimal solve: the objective value and the point, as Fractions."""
+
+    _fields = ("value", "point")
+
+    def __init__(self, value: Fraction, point: tuple[Fraction, ...]):
+        vars(self).update(value=value, point=point)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    pass
+class Infeasible(_Record):
+    """An infeasible solve; it has no fields."""
 
 
 def lp(objective, lhs, rhs) -> LinearProgram:

@@ -10,10 +10,8 @@ showing why the nef-residual route cannot conclude there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .alphabound import Certificate, certificate, compare_with_slope
 from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
@@ -25,6 +23,7 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
+    _Record,
     _ratio_str,
     _row_dot,
     anticanonical,
@@ -42,14 +41,19 @@ STATUS_UNSUPPORTED = "Unsupported"
 STATUS_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    condition_a: bool
-    nu: Rational
-    alpha_lower: Optional[Rational]
-    certificate: Optional[Certificate]
-    notes: str
+class Verdict(_Record):
+    """A verdict: status, condition_a, the slope nu, alpha_lower, certificate, notes."""
+
+    _fields = ("status", "condition_a", "nu", "alpha_lower", "certificate", "notes")
+
+    def __init__(
+        self, status: str, condition_a: bool, nu: Rational,
+        alpha_lower: Rational | None, certificate: Certificate | None, notes: str,
+    ):
+        vars(self).update(
+            status=status, condition_a=condition_a, nu=nu, alpha_lower=alpha_lower,
+            certificate=certificate, notes=notes,
+        )
 
 
 def nu(l: DivClass, s: SurfaceModel) -> Fraction:

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
@@ -58,6 +59,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 import fraction_parts  # noqa: E402
 from fraction_parts import FIVE_SUM_FAMILY  # noqa: E402
 from test_acceptance import _grid_contractions  # noqa: E402
+
+
+@lru_cache(maxsize=None)
+def _grid():
+    """Every acceptance-5 grid item (s, cd), in order, built once: the
+    records are frozen, so the tests below share them read-only.
+    Acceptance 5 builds its own, inside its timed loop."""
+    return tuple(item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree))
 
 F = Fraction
 
@@ -470,25 +479,24 @@ _GRID_DIGEST = "7cfaa750e1ec097260257de5e5e8625fc00bfb987b9af73c4c320c97c8662ffc
 def test_certificate_grid_digest():
     digest = hashlib.sha256()
     index = seen = 0
-    for degree in (4, 5, 6, 7):
-        for s, cd in _grid_contractions(degree):
-            if index % 7 == 0:
-                cert = certificate(s, cd)
-                flags = compare_with_slope(s, cd, cert)
-                digest.update(_render(s, cd, cert, flags).encode() + b"\n")
-                # the identity again, in Fraction class arithmetic
-                l = anticanonical(s)
-                if cd.curveC is not None:
-                    l = l + cd.delta * cd.curveC
-                for x, c in zip(cd.a, cd.curveE):
-                    l = l + x * c
-                total = zero_class(s)
-                for cls, coeff in cert.divisor:
-                    assert coeff > 0
-                    total = total + coeff * cls
-                assert total == l
-                seen += 1
-            index += 1
+    for s, cd in _grid():
+        if index % 7 == 0:
+            cert = certificate(s, cd)
+            flags = compare_with_slope(s, cd, cert)
+            digest.update(_render(s, cd, cert, flags).encode() + b"\n")
+            # the identity again, in Fraction class arithmetic
+            l = anticanonical(s)
+            if cd.curveC is not None:
+                l = l + cd.delta * cd.curveC
+            for x, c in zip(cd.a, cd.curveE):
+                l = l + x * c
+            total = zero_class(s)
+            for cls, coeff in cert.divisor:
+                assert coeff > 0
+                total = total + coeff * cls
+            assert total == l
+            seen += 1
+        index += 1
     assert (index, seen) == (53469, 7639)
     assert digest.hexdigest() == _GRID_DIGEST
 
@@ -507,7 +515,7 @@ def test_degree4_comparison_evaluates_piecewise_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(appendix, "_decide", counted)
-    items = list(_grid_contractions(4))
+    items = [(s, cd) for s, cd in _grid() if s.degree == 4]
     kinds = set()
     for s, cd in items[::49]:
         cert = certificate(s, cd)
@@ -769,10 +777,9 @@ def _oracle_parts(s, cd):
 def test_integer_parts_match_fraction_parts_on_the_grid():
     # acceptance 5 builds the certificate of every grid item
     seen = 0
-    for degree in (4, 5, 6, 7):
-        for s, cd in _grid_contractions(degree):
-            _oracle_parts(s, cd)
-            seen += 1
+    for s, cd in _grid():
+        _oracle_parts(s, cd)
+        seen += 1
     assert seen == 53469
 
 
@@ -857,7 +864,7 @@ def _check_path_faces():
     seeded faces of all three kinds (degree-4 boundary ties included),
     each as built, and scaled by a seeded rational with its points
     permuted, so that the face's weights do not follow its line indexes."""
-    grid = [item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree)]
+    grid = _grid()
     assert len(grid) == 53469
     seeded, hits = _seeded_faces(600, seed=16)
     assert min(hits) >= 5
@@ -924,7 +931,7 @@ def _fraction_builders(call, module="kstab.alphabound"):
 def _path_items():
     """Every 97th acceptance-5 grid item, then seeded faces in degrees 4-7
     of all three kinds."""
-    items = [item for degree in (4, 5, 6, 7) for item in _grid_contractions(degree)][::97]
+    items = list(_grid()[::97])
     items += _seeded_faces(60, seed=15)[0]
     assert len({(s.degree, cd.kind) for s, cd in items}) == 12
     return items

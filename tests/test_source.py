@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import kstab
@@ -57,6 +59,36 @@ def test_appendix_stays_independent():
                     used.add(parts[1] if len(parts) > 1 else "kstab")
     assert used <= {"errors", "lattice"}
     assert used  # the scan sees the imports that are there
+
+
+def test_library_imports_dataclasses_only_where_it_raises():
+    # the records are plain classes: no module imports dataclasses at its
+    # top level, and the one import inside a function raises FrozenInstanceError
+    top, inner = [], []
+    for path in sorted(Path(kstab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "dataclasses" in modules:
+                (top if node in tree.body else inner).append(f"{path.name}:{node.lineno}")
+    assert top == []
+    assert [entry.split(":")[0] for entry in inner] == ["lattice.py", "lattice.py"]
+
+
+def test_a_cold_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter without site, as a one-shot `kstab check` starts
+    src = str(Path(kstab.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import kstab.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
 
 
 def test_library_reads_no_environment_and_starts_no_processes():
