@@ -39,7 +39,7 @@ _CASES = {
             [("den", "int"), ("row", "tuple[int, ...]")],
             init=False,
             slots=True,
-            borrow=("__init__", "h", "e", "rank", "__str__"),
+            borrow=("__init__",),
         ),
         [(F(1, 2), (F(1, 3), 1)), (F(1, 2), (F(1, 3), 2))],
     ),
