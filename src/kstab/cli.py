@@ -3,7 +3,10 @@
 Classes cross the CLI boundary in the classical multiplicity notation:
 {"h": "3", "e": ["1", ..., "1"]} means 3H - sum(E_i), the anticanonical
 class.  Internally the lattice stores signed coefficients, so the boundary
-negates the e-list in both directions.
+negates the e-list in both directions.  ``parse_input`` only parses: each
+command hands the class to the public computation it asks for (``verdict``,
+``mu``; ``alpha-bound`` calls the ampleness test before the verdict's
+certificate core), which tests ampleness once.
 
 All JSON output serializes rationals as "p/q" strings and is rendered with
 sorted keys, so identical inputs give byte-identical reports.  Exit codes:
@@ -23,7 +26,7 @@ from operator import neg
 
 from .alphabound import Certificate
 from .appendix import grid_oracle
-from .cones import _ample_pairings, _mu, ample_violation
+from .cones import _ample_signs, mu
 from .curves import _tables, fiber_classes, minus_one_curves
 from .errors import DomainError, InvariantError
 from .lattice import (
@@ -41,8 +44,8 @@ from .stability import (
     STATUS_SIX_LINE,
     Verdict,
     _upper_bound,
-    _verdict,
     cubic_line_family_report,
+    verdict,
 )
 
 # At most this many characters of an --L file are read; a valid document
@@ -108,14 +111,9 @@ def _anticanonical_plus(s: SurfaceModel, delta, a) -> DivClass:
 
 
 def parse_input(document) -> tuple[SurfaceModel, DivClass]:
-    """Validate a JSON input document and expand it to an explicit class."""
-    s, l, _ = _parse_ample(document)
-    return s, l
-
-
-def _parse_ample(document):
-    """parse_input, and the pairings of the class with the curve-cone
-    generators that its ampleness test read, for the verdict."""
+    """Validate a JSON input document and expand it to an explicit class.
+    Ampleness is left to the computation the class is for, which tests it
+    once."""
     if isinstance(document, str):
         document = _parse_json(document)
     if not isinstance(document, dict):
@@ -131,10 +129,7 @@ def _parse_ample(document):
         l = _class_from_json(document["L"], s)
     else:
         raise DomainError('input needs either "L" or "family"')
-    signs = _ample_pairings(l, s)
-    if signs is None:
-        raise DomainError(f"class is not ample: {ample_violation(l, s)}")
-    return s, l, signs
+    return s, l
 
 
 def _class_to_json(c: DivClass) -> dict:
@@ -262,16 +257,15 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_check(args) -> str:
-    doc = _load_document(args)
-    s, l, signs = _parse_ample(doc)
-    v = _verdict(s, l, signs)
+    s, l = parse_input(_load_document(args))
+    v = verdict(s, l)
     fmt = "json" if args.json else "text"
     return render_report(v, fmt, echo=_echo(s, l))
 
 
 def _cmd_alpha_bound(args) -> str:
-    doc = _load_document(args)
-    s, l, signs = _parse_ample(doc)
+    s, l = parse_input(_load_document(args))
+    signs = _ample_signs(l, s)
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
     scale, cd, cert, comparison = _upper_bound(s, l, signs)
@@ -323,9 +317,8 @@ def _cmd_curves(args) -> str:
 
 
 def _cmd_mu(args) -> str:
-    doc = _load_document(args)
-    s, l = parse_input(doc)
-    value = _mu(l, s)  # parse_input has tested ampleness
+    s, l = parse_input(_load_document(args))
+    value = mu(l, s)
     if args.json:
         return _dumps({"input": _echo(s, l), "mu": rational_str(value)})
     return rational_str(value)

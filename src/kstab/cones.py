@@ -15,6 +15,11 @@ classifies which minimal model the face contracts onto, and proves mu = 1
 by a nef class dual to the face.  The simplex serves ``kstab mu`` and the
 cross-checks (``mu_bisect``, ``is_nef_lp``).
 
+Every entry that takes a polarization tests its ampleness once, in
+``_ample_signs``: one packed product with the curve-cone table, and one
+refusal message, "class is not ample: <reason>".  ``is_ample`` and
+``ample_violation`` read that test.
+
 The face is found and checked once, on ints, as one record, the
 ``ContractionData`` that ``face_decompose`` returns: its kind, its lines
 sorted by weight, its fiber, the weights over their least common
@@ -90,30 +95,37 @@ def is_ample(dv: DivClass, s: SurfaceModel) -> bool:
     return ample_violation(dv, s) is None
 
 
+_NOT_AMPLE = "class is not ample: "
+
+
 def ample_violation(dv: DivClass, s: SurfaceModel) -> str | None:
     """Reason dv fails the ampleness test, or None when ample."""
-    if _scaled_square(dv, s) <= 0:
-        return f"self-intersection of {dv} is not positive"
-    tables = _tables(s.degree)
-    signs = _table_pairings(dv, tables.cone_table, s)
-    if min(signs) > 0:
-        return None
-    for g, p in zip(tables.cone, signs):
-        if p <= 0:
-            return f"pairing of {dv} with the curve class {g} is not positive"
+    try:
+        _ample_signs(dv, s)
+    except DomainError as exc:
+        reason = str(exc)
+        if reason.startswith(_NOT_AMPLE):
+            return reason.removeprefix(_NOT_AMPLE)
+        raise  # a class of another rank
     return None
 
 
-def _ample_pairings(dv: DivClass, s: SurfaceModel):
-    """The packed pairings D * (dv.G) with the curve-cone generators G, in
-    the order of the degree's _Tables.cone_table, when dv is ample (each
-    positive, and dv**2 > 0); else None, and ample_violation gives the
-    reason.  The verdict reads its slope, condition A and the face's signs
-    off them; in degrees 1-7 they are the pairings with the lines."""
+def _ample_signs(dv: DivClass, s: SurfaceModel):
+    """The ampleness test, the one every entry makes: the packed pairings
+    D * (dv.G) with the curve-cone generators G, in the order of the
+    degree's _Tables.cone_table, when dv is ample (each positive, and
+    dv**2 > 0); else DomainError("class is not ample: <reason>"), the reason
+    read off the same square and signs.  A verdict reads its slope,
+    condition A and the face's signs off them; in degrees 1-7 they are the
+    pairings with the lines."""
     if _scaled_square(dv, s) <= 0:
-        return None
-    signs = _table_pairings(dv, _tables(s.degree).cone_table, s)
-    return signs if min(signs) > 0 else None
+        raise DomainError(f"{_NOT_AMPLE}self-intersection of {dv} is not positive")
+    tables = _tables(s.degree)
+    signs = _table_pairings(dv, tables.cone_table, s)
+    if min(signs) > 0:
+        return signs
+    g = next(g for g, p in zip(tables.cone, signs) if p <= 0)
+    raise DomainError(f"{_NOT_AMPLE}pairing of {dv} with the curve class {g} is not positive")
 
 
 @lru_cache(maxsize=None)
@@ -127,17 +139,12 @@ def mu(l: DivClass, s: SurfaceModel) -> Rational:
     """Smallest lambda >= 0 with K + lambda*l in the curve cone.
 
     Solved exactly: minimize lambda subject to
-    lambda*l - sum(t_i * G_i) = -K with all variables nonnegative.
+    lambda*l - sum(t_i * G_i) = -K with all variables nonnegative.  Posed
+    on the row of l = row / D, the program's optimum is mu / D, and the
+    check solve() makes proves K + (mu / D) * row = sum(t_i * G_i) with
+    every t_i >= 0.
     """
-    if not is_ample(l, s):
-        raise DomainError(f"mu needs an ample class; {ample_violation(l, s)}")
-    return _mu(l, s)
-
-
-def _mu(l: DivClass, s: SurfaceModel) -> Rational:
-    """mu for a class already known to be ample; posed on the row of
-    l = row / D, the program's optimum is mu / D, and the check solve()
-    makes proves K + (mu / D) * row = sum(t_i * G_i) with every t_i >= 0."""
+    _ample_signs(l, s)
     table = _mu_rows(s.degree)
     rows = [(x, *row) for x, row in zip(l.row, table)]
     res = solve(lp([1] + [0] * len(table[0]), rows, _anticanonical_row(s)))
@@ -157,7 +164,7 @@ def _chamber_mu(l: DivClass, s: SurfaceModel) -> Rational:
     and mu(row / D) is D times it.  Each step lowers h, which stays
     positive on an ample class.  Nothing here certifies the value: callers
     prove it by the face of K + mu*l (_face_decompose).  Takes (l, s) as
-    _mu does, and holds in degrees 1-8.
+    mu does, and holds in degrees 1-8.
     """
     h, *b = l.row
     b = sorted((-x for x in b), reverse=True)
@@ -179,8 +186,7 @@ def mu_bisect(
     holding at hi, so lo < mu(l) <= hi.  Shares no code path with the
     parametric program in mu beyond the feasibility solver.
     """
-    if not is_ample(l, s):
-        raise DomainError(f"mu_bisect needs an ample class; {ample_violation(l, s)}")
+    _ample_signs(l, s)
     if width <= 0:
         raise DomainError("bracket width must be positive")
     gens = mori_generators(s)
@@ -442,15 +448,11 @@ def face_decompose(l: DivClass, s: SurfaceModel) -> ContractionData:
     """
     if s.degree > 7:
         raise DomainError("face decomposition is defined for degree at most 7")
-    signs = _ample_pairings(l, s)
-    if signs is None:
-        raise DomainError(
-            f"face decomposition needs an ample class; {ample_violation(l, s)}"
-        )
+    signs = _ample_signs(l, s)
     try:
         return _face_decompose(l, s, 1, signs)
     except InvariantError:
-        if _mu(l, s) != 1:
+        if mu(l, s) != 1:
             msg = "face decomposition needs a normalized class (mu = 1)"
             raise DomainError(msg) from None
         raise

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from .alphabound import Certificate, certificate, compare_with_slope
-from .cones import _ample_pairings, _chamber_mu, _face_decompose, ample_violation, is_nef
+from .cones import _ample_signs, _chamber_mu, _face_decompose, is_nef
 from .curves import _tables
 from .curves import minus_one_curves  # noqa: F401  re-exported
 from .errors import DomainError, InvariantError
@@ -100,9 +100,7 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
     """
     if s.degree not in (1, 2):
         raise DomainError("gamma bound applies in degree 1 and 2 only")
-    violation = ample_violation(l, s)
-    if violation is not None:
-        raise DomainError(f"gamma bound needs an ample class: {violation}")
+    _ample_signs(l, s)
     residual = _residual(s, l, nu(l, s))
     if not is_nef(residual, s):
         raise DomainError("gamma bound needs the nef residual condition")
@@ -160,18 +158,11 @@ def _upper_bound(s: SurfaceModel, l: DivClass, signs):
 
 
 def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
-    """Top-level decision for a polarized surface in the supported range."""
-    signs = _ample_pairings(l, s)
-    if signs is None:
-        raise DomainError(f"verdict needs an ample class: {ample_violation(l, s)}")
-    return _verdict(s, l, signs)
+    """Top-level decision for a polarized surface in the supported range.
 
-
-def _verdict(s: SurfaceModel, l: DivClass, signs) -> Verdict:
-    """verdict for an ample class l = row / D, read off signs, its packed
-    pairings P_G = row.G with the curve-cone generators G.
-
-    With a = -K.row and b = row.row > 0, the slope is nu = a * D / b, and
+    Read off signs, the packed pairings P_G = row.G of l = row / D with the
+    curve-cone generators G that the ampleness test returns.  With
+    a = -K.row and b = row.row > 0, the slope is nu = a * D / b, and
     3b * (residual.G) = 3b * (-K.G) - 2a * P_G for the residual
     -K - (2/3) nu l, so condition A is 2a * P_G <= 3b * (-K.G) for every G.
     -K.G is 1 on each (-1)-curve and 2 on the ruling H - E1, the last
@@ -180,6 +171,7 @@ def _verdict(s: SurfaceModel, l: DivClass, signs) -> Verdict:
     degrees 4-7.  The public nu and condition_a keep the residual route,
     as the tests' oracle.
     """
+    signs = _ample_signs(l, s)
     a = _row_dot(_anticanonical_row(s), l.row)
     b = _row_dot(l.row, l.row)
     slope = Fraction(a * l.den, b)

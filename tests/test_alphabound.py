@@ -33,7 +33,7 @@ from kstab.cones import (
     KIND_CONIC_P1P1,
     KIND_TO_P2,
     ContractionData,
-    _ample_pairings,
+    _ample_signs,
     face_decompose,
     reconstruct,
 )
@@ -877,7 +877,7 @@ def _check_path_faces():
         moved = F(rng.randint(1, 40), rng.randint(1, 40)) * _from_row(l.den, (h, *e))
         classes += [(s, l), (s, moved)]
     for s, l in classes:
-        signs = _ample_pairings(l, s)
+        signs = _ample_signs(l, s)
         scale, face, cert, flags = _upper_bound(s, l, signs)
         yield s, l, scale * l, face, cert, flags
 

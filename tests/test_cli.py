@@ -93,16 +93,19 @@ def test_parse_rejections():
         '{"degree": 3, "family": "mystery"}',
         '{"degree": 7, "family": "anticanonical-plus", "delta": "1/2", "a": ["1/3", "0"]}',
         '{"degree": 7, "family": "anticanonical-plus", "delta": "-1", "a": []}',
-        '{"degree": 3, "family": "six-line", "x": "1"}',
     ]
     for case in cases:
         with pytest.raises(DomainError):
             cli.parse_input(case)
+    # parse_input only parses; the computation refuses a class that is not ample
+    with pytest.raises(DomainError, match="class is not ample"):
+        verdict(*cli.parse_input('{"degree": 3, "family": "six-line", "x": "1"}'))
 
 
 def test_parse_reports_ample_violation():
     with pytest.raises(DomainError) as err:
-        cli.parse_input('{"degree": 3, "L": {"h": "1", "e": ["0", "0", "0", "0", "0", "0"]}}')
+        doc = '{"degree": 3, "L": {"h": "1", "e": ["0", "0", "0", "0", "0", "0"]}}'
+        verdict(*cli.parse_input(doc))
     assert "not ample" in str(err.value)
 
 
@@ -245,7 +248,7 @@ def test_main_invariant_error_exit_code(monkeypatch, capsys):
     def boom(*args):
         raise InvariantError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "_verdict", boom)
+    monkeypatch.setattr(cli, "verdict", boom)
     code = cli.main(["check", "--L", MINUS_K_D2])
     assert code == 2
     assert "internal invariant" in capsys.readouterr().err
@@ -279,42 +282,58 @@ def test_main_alpha_bound(capsys):
 
 
 def test_alpha_bound_tests_ampleness_once(monkeypatch, capsys):
-    # parse_input tests the class on one product with the curve-cone
-    # generators; the commands then call the cores that skip the test, and
-    # ample_violation runs only to word a rejection
-    from kstab import cones, stability
+    # parse_input only parses; kstab check, alpha-bound and mu, and a
+    # library verdict(*parse_input(doc)), each test the class once, in
+    # cones._ample_signs, which pairs it with the curve-cone table in the
+    # one packed product; ample_violation runs only to word a rejection
+    from kstab import cones, curves, stability
+    from kstab.curves import _tables
 
-    calls = []
+    gates, products = [], []
 
-    def counted(name):
-        original = getattr(cones, name)
-
+    def wrap(record, original):
         def wrapper(*args):
-            calls.append(name)
+            record.append(args)
             return original(*args)
 
         return wrapper
 
-    for name in ("_ample_pairings", "ample_violation"):
-        wrapper = counted(name)
+    for name, record in (("_ample_signs", gates), ("ample_violation", gates)):
+        wrapper = wrap(record, getattr(cones, name))
         for module in (cli, cones, stability):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    wrapper = wrap(products, curves._table_pairings)
+    for module in (cones, curves, stability):
+        if hasattr(module, "_table_pairings"):
+            monkeypatch.setattr(module, "_table_pairings", wrapper)
     docs = [
         '{"degree": 4, "family": "anticanonical-plus", "delta": "0", "a": ["1/2", "1/3"]}',
         '{"degree": 5, "family": "anticanonical-plus", "delta": "1/2", "a": ["1/2", "1/3"]}',
         '{"degree": 6, "L": {"h": "6", "e": ["2", "2", "1"]}}',
         '{"degree": 7, "L": {"h": "7/2", "e": ["1", "1/2"]}}',
     ]
-    requests = [(command, doc) for doc in docs for command in ("alpha-bound", "check", "mu")]
+    requests = [(command, doc) for doc in docs for command in ("alpha-bound", "check", "mu", None)]
     # check and mu in the degrees alpha-bound does not take
-    for doc in (MINUS_K_D2, '{"degree": 3, "family": "six-line", "x": "1/20"}'):
-        requests += [("check", doc), ("mu", doc)]
+    for doc in (
+        MINUS_K_D2,
+        '{"degree": 3, "family": "six-line", "x": "1/20"}',
+        '{"degree": 8, "L": {"h": "3", "e": ["1"]}}',
+    ):
+        requests += [("check", doc), ("mu", doc), (None, doc)]
     for command, doc in requests:
-        calls.clear()
-        assert cli.main([command, "--json", "--L", doc]) == 0
-        assert "input" in json.loads(capsys.readouterr().out)
-        assert calls == ["_ample_pairings"], command
+        s, l = cli.parse_input(doc)
+        cone_table = _tables(s.degree).cone_table
+        gates.clear()
+        products.clear()
+        if command is None:
+            verdict(*cli.parse_input(doc))
+        else:
+            assert cli.main([command, "--json", "--L", doc]) == 0
+            assert "input" in json.loads(capsys.readouterr().out)
+        assert gates == [(l, s)], command
+        pairs = [w for w, table, _ in products if table is cone_table and w == l]
+        assert len(pairs) == 1, command
 
 
 def test_only_mu_requests_solve_an_integer_program(monkeypatch, capsys):
@@ -580,21 +599,22 @@ def test_a_middle_degree_check_builds_fractions_only_for_its_output():
     # Fraction only for an output field: mu (the scale in the notes), nu,
     # and the certificate's coefficients and bound.  The degree-4 appendix
     # cross-check takes the face's integer weights and builds none.
+    from kstab.cones import _ample_signs
     from kstab.stability import _upper_bound
 
     args = cli._build_parser().parse_args(["check", "--json"])
     docs = [doc for doc in _digest_documents() if json.loads(doc)["degree"] != 3][::2]
     kinds = set()
     for doc in docs:
-        s, l, signs = cli._parse_ample(doc)
-        face = _upper_bound(s, l, signs)[1]
+        s, l = cli.parse_input(doc)
+        face = _upper_bound(s, l, _ample_signs(l, s))[1]
         kinds.add((s.degree, face.kind))
         args.L = doc
         out, names = _fraction_builders(lambda: args.run(args))
         components = len(json.loads(out)["certificate"]["divisor"])
         expected = {
             ("kstab.cones", "_chamber_mu"): 1,
-            ("kstab.stability", "_verdict"): 1,
+            ("kstab.stability", "verdict"): 1,
             ("kstab.alphabound", "_finish"): components + 1,
         }
         assert {name: names.count(name) for name in set(names)} == expected, doc

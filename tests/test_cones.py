@@ -16,7 +16,6 @@ from kstab.cones import (
     ContractionData,
     _chamber_mu,
     _face_data,
-    _mu,
     ample_violation,
     face_decompose,
     is_ample,
@@ -200,7 +199,7 @@ def _dominant(l):
 
 def test_chamber_mu_matches_the_linear_program():
     # the oracle's classes, then W(E_r) images of each, which leave the
-    # dominant chamber; _chamber_mu needs no LP, _mu solves one
+    # dominant chamber; _chamber_mu needs no LP, mu solves one
     from test_equivariance import _reflected, _simple_roots
 
     rng = random.Random(20261019)
@@ -212,14 +211,14 @@ def test_chamber_mu_matches_the_linear_program():
         for spread in (3, 10, 40):
             for _ in range(16):
                 l = _random_ample(rng, s, spread)
-                value = _mu(l, s)
+                value = mu(l, s)
                 assert _chamber_mu(l, s) == value, (d, l)
                 if not roots:
                     continue
                 word = [words.choice(roots) for _ in range(words.randint(1, 30))]
                 wl = _reflected(l, word, s)
                 outside += not _dominant(wl)
-                assert _chamber_mu(wl, s) == _mu(wl, s) == value, (d, l, wl)
+                assert _chamber_mu(wl, s) == mu(wl, s) == value, (d, l, wl)
     assert outside >= 250, outside
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,7 +323,7 @@ def test_sign_tests_read_the_packed_tables():
     # the packed product falls back to it past the slot bound
     methods = _tables_methods()
     sign_tests = {
-        "cones.py": {"is_nef": "cone_table", "ample_violation": "cone_table", "_ample_pairings": "cone_table"},
+        "cones.py": {"is_nef": "cone_table", "_ample_signs": "cone_table"},
         "curves.py": {"negative_curves": "line_table"},
     }
     for name, tests in sign_tests.items():
@@ -347,15 +348,19 @@ def test_sign_tests_read_the_packed_tables():
     assert names.isdisjoint({"_table_pairings", "_packed", "array", "_tables"})
     assert "pairings" in _called(curves["_table_pairings"])
     assert "pairings" in _called(curves["disjoint_sets"])
-    # the verdict and the face search read the signs of the product their
-    # caller made, and pair the class with no table again
-    readers = {"cones.py": ("_face_data",), "stability.py": ("_verdict", "_six_line_parameter")}
+    # the face search and the verdict's helpers read the signs of the
+    # product their caller made, and pair the class with no table again;
+    # the verdict makes that product once, by the ampleness test
+    readers = {"cones.py": ("_face_data",), "stability.py": ("_six_line_parameter", "_upper_bound")}
     pairing = {"_table_pairings", "pairings", "negative_curves", "is_nef", "ample_violation", "nu"}
+    pairing |= {"_ample_signs", "is_ample"}
     for name, names in readers.items():
         functions = _functions(name)
         for reader in names:
             assert "signs" in [a.arg for a in functions[reader].args.args], reader
             assert _called(functions[reader]).isdisjoint(pairing), reader
+    called = _called(_functions("stability.py")["verdict"])
+    assert called & pairing == {"_ample_signs"}
 
 
 # The lru_cache functions whose one argument is the degree, and why each
@@ -408,7 +413,7 @@ def test_the_check_path_reads_the_face_record():
     # the ContractionData constructor, which checks a face again, or
     # reconstruct, which rebuilds the class
     path = {
-        "stability.py": ("_verdict", "_upper_bound"),
+        "stability.py": ("verdict", "_upper_bound"),
         "cones.py": ("_face_decompose", "_face_data", "_contraction", "_class_row"),
         "alphabound.py": ("certificate", "compare_with_slope", "_parts", "_finish"),
     }
@@ -424,3 +429,58 @@ def test_the_check_path_reads_the_face_record():
             assert calls[fn].isdisjoint({"ContractionData", "reconstruct"}), fn
     assert {"_face_decompose", "certificate", "compare_with_slope"} <= calls["_upper_bound"]
     assert "_contraction" in calls["_face_data"]  # the scan sees the calls that are there
+
+
+def _raises_not_ample(fn):
+    """Whether fn raises a message that says a class is not ample."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Raise):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and n.id == "_NOT_AMPLE":
+                    return True
+                if isinstance(n, ast.Constant) and re.search(r"\bample\b", str(n.value)):
+                    return True
+    return False
+
+
+def test_ampleness_is_tested_in_one_place():
+    # one cones function squares the class, pairs it with the curve-cone
+    # table and words the refusal; nothing else in the library raises an
+    # "is not ample" message, and ample_violation and is_ample read that test
+    cones = _functions("cones.py")
+    products = {
+        name
+        for name, fn in cones.items()
+        if "_table_pairings" in _called(fn) and "cone_table" in _attributes(fn)
+    }
+    assert products == {"is_nef", "_ample_signs"}
+    assert "_scaled_square" in _called(cones["_ample_signs"])
+    assert "_scaled_square" not in _called(cones["is_nef"])
+    refusals = {
+        (path.name, node.name)
+        for path, node in _library_nodes()
+        if isinstance(node, ast.FunctionDef) and _raises_not_ample(node)
+    }
+    assert refusals == {("cones.py", "_ample_signs")}
+    assert "_ample_signs" in _called(cones["ample_violation"])
+    assert "ample_violation" in _called(cones["is_ample"])
+
+
+def test_cli_reaches_the_computations_through_their_public_entries():
+    # parse_input only parses; check and mu call the public verdict and mu,
+    # which test ampleness themselves, and alpha-bound calls the ampleness
+    # test before _upper_bound, the core it shares with the verdict
+    path = Path(kstab.__file__).parent / "cli.py"
+    imported = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.module in ("cones", "stability"):
+            imported[node.module] = {a.name for a in node.names}
+    assert imported["cones"] == {"_ample_signs", "mu"}
+    # the rest are the status names and the Verdict type
+    entries = {name for name in imported["stability"] if not name[0].isupper()}
+    assert entries == {"verdict", "_upper_bound", "cubic_line_family_report"}
+    cli = _functions("cli.py")
+    assert _called(cli["parse_input"]).isdisjoint({"_ample_signs", "ample_violation", "is_ample"})
+    assert {"parse_input", "verdict"} <= _called(cli["_cmd_check"])
+    assert {"parse_input", "mu"} <= _called(cli["_cmd_mu"])
+    assert {"parse_input", "_ample_signs", "_upper_bound"} <= _called(cli["_cmd_alpha_bound"])

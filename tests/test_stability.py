@@ -263,7 +263,7 @@ def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
     # verdict tests l on its product, and mu(l) * l is ample with it, so
     # the face reads its signs off that product: the class is paired once,
     # and the face's dual class once; ample_violation only words a rejection
-    from kstab import cones, stability
+    from kstab import cones
 
     rejections = []
     original = cones.ample_violation
@@ -272,7 +272,6 @@ def test_middle_degree_verdict_tests_ampleness_once(monkeypatch):
         rejections.append(args)
         return original(*args)
 
-    monkeypatch.setattr(stability, "ample_violation", counted)
     monkeypatch.setattr(cones, "ample_violation", counted)
     calls = _count_products(monkeypatch)
     rng = random.Random(47)
