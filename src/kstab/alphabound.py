@@ -63,6 +63,7 @@ from .lattice import (
     _anticanonical_row,
     _exact_all,
     _from_row,
+    _is_int,
     _Record,
     _row_combination,
     _row_dot,
@@ -89,7 +90,12 @@ TWELVE_SUM_FAMILY = (
 
 
 def largest_admissible_sum(values, family) -> Fraction:
-    """Largest family subset-sum of values not exceeding 1 (0 if none)."""
+    """Largest family subset-sum of values not exceeding 1 (0 if none).
+    The values are read as lattice.rational reads them, and every index of
+    the family must name one."""
+    values = _exact_all((*values,))
+    if any(not 0 <= i < len(values) for subset in family for i in subset):
+        raise DomainError(f"a family subset indexes past the {len(values)} values")
     q = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (q // v.denominator) for v in values]
     return Fraction(_largest_subset_sum(scaled, family, q)[0], q)
@@ -128,29 +134,44 @@ class Certificate(_Record):
         *coeffs, bound = _exact_all((*coeffs, bound))
         divisor = tuple(zip(classes, coeffs))
         vars(self).update(divisor=divisor, witness_index=witness_index, bound=bound)
-        if any(c < 0 for c in coeffs):
-            raise DomainError("certificate coefficients must be nonnegative")
-        if not 0 <= witness_index < len(coeffs):
-            raise DomainError("witness index out of range")
-        top = max(coeffs)
-        if coeffs[witness_index] != top:
-            raise DomainError("witness must carry a maximal coefficient")
-        if bound * top != 1:
-            raise DomainError("bound must be the reciprocal of the top coefficient")
+        _check_bound(coeffs, witness_index, bound)
+
+
+def _check_bound(coeffs, witness_index, bound) -> None:
+    """The coefficients are nonnegative, the witness carries a maximal one
+    and the bound is its reciprocal, else DomainError."""
+    if any(c < 0 for c in coeffs):
+        raise DomainError("certificate coefficients must be nonnegative")
+    if not (_is_int(witness_index) and 0 <= witness_index < len(coeffs)):
+        raise DomainError("witness index out of range")
+    top = max(coeffs)
+    if coeffs[witness_index] != top:
+        raise DomainError("witness must carry a maximal coefficient")
+    if bound * top != 1:
+        raise DomainError("bound must be the reciprocal of the top coefficient")
 
 
 def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
-    """Exact recheck of the class identity; raises on failure."""
+    """Exact recheck of a certificate for l; raises on failure.
+
+    Each component must be a (-1)-curve of the degree of s, so the divisor
+    is effective, and the constructor's checks of the coefficients, the
+    witness and the bound run again (DomainError); the divisor must then
+    sum to l (InvariantError).
+    """
     if l.rank != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {l.rank}")
+    index = _tables(s.degree).index
     for cls, _ in cert.divisor:
         if cls.rank != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
-    # coeff * (row / den) = n * row / D over D the lcm of coeff.denominator * den
-    den = lcm(*(c.denominator * cls.den for cls, c in cert.divisor))
-    terms = [
-        (cls.row, c.numerator * (den // (c.denominator * cls.den))) for cls, c in cert.divisor
-    ]
+        if cls.den != 1 or cls.row not in index:
+            raise DomainError(f"{cls} is not a (-1)-curve of degree {s.degree}")
+    _check_bound([c for _, c in cert.divisor], cert.witness_index, cert.bound)
+    # each component is integral: coeff * row = n * row / D over D the lcm
+    # of the coefficients' denominators
+    den = lcm(*(c.denominator for _, c in cert.divisor))
+    terms = [(cls.row, c.numerator * (den // c.denominator)) for cls, c in cert.divisor]
     _check_identity(terms, den, l.row, l.den)
 
 

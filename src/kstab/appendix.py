@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 
 from .errors import DomainError
-from .lattice import Rational, _exact_all, _Record
+from .lattice import Rational, _exact_all, _is_int, _Record, rational
 
 
 class AppendixInput(_Record):
@@ -193,8 +193,13 @@ def grid_oracle(max_denominator: int, delta_max: Rational = Fraction(1)) -> Grid
     Coefficients range over [0, 1], delta over [0, delta_max].  The report
     window is exactly what was enumerated; nothing is claimed beyond it.
     A grid of more than MAX_GRID_POINTS points is refused before the scan.
+    max_denominator must be an int, and delta_max is read as
+    lattice.rational reads it.
     """
     q = max_denominator
+    if not _is_int(q):
+        raise DomainError(f"max_denominator must be an integer, got {q!r}")
+    delta_max = rational(delta_max)
     if q < 1:
         raise DomainError("max_denominator must be at least 1")
     if delta_max < 0:

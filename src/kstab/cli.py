@@ -35,7 +35,6 @@ from .lattice import (
     _from_row,
     _ratio_str,
     _rational_row,
-    rational,
     rational_str,
 )
 from .stability import (
@@ -185,6 +184,10 @@ def _opt(value) -> str:
     return rational_str(value) if value is not None else "none"
 
 
+def _certificate_lines(cert: Certificate) -> list[str]:
+    return [f"  {rational_str(coeff)} x {_fmt_class(cls)}" for cls, coeff in cert.divisor]
+
+
 def render_report(v: Verdict, format: str, echo: dict | None = None) -> str:
     """Deterministic rendering of a verdict, as text or a JSON document."""
     if format == "json":
@@ -211,8 +214,7 @@ def render_report(v: Verdict, format: str, echo: dict | None = None) -> str:
     lines.append(f"alpha lower bound: {_opt(v.alpha_lower)}")
     if v.certificate is not None:
         lines.append(f"alpha upper bound certificate: {rational_str(v.certificate.bound)}")
-        for cls, coeff in v.certificate.divisor:
-            lines.append(f"  {rational_str(coeff)} x {_fmt_class(cls)}")
+        lines += _certificate_lines(v.certificate)
     lines.append(f"notes: {v.notes}")
     return "\n".join(lines)
 
@@ -292,9 +294,7 @@ def _cmd_alpha_bound(args) -> str:
         f"alpha upper bound (input class): {rational_str(scale * cert.bound)}",
         f"strictly below two thirds of the slope: {'yes' if comparison['strict'] else 'no'}",
     ]
-    for cls, coeff in cert.divisor:
-        lines.append(f"  {rational_str(coeff)} x {_fmt_class(cls)}")
-    return "\n".join(lines)
+    return "\n".join(lines + _certificate_lines(cert))
 
 
 def _cmd_curves(args) -> str:
@@ -327,7 +327,7 @@ def _cmd_mu(args) -> str:
 def _cmd_example_cubic(args) -> str:
     if args.x is None:
         raise DomainError("--x is required")
-    report = cubic_line_family_report(rational(args.x))
+    report = cubic_line_family_report(args.x)
     if args.json:
         return _dumps(
             {
@@ -350,7 +350,7 @@ def _cmd_example_cubic(args) -> str:
 
 
 def _cmd_verify_appendix(args) -> str:
-    report = grid_oracle(args.max_denominator, rational(args.delta_max))
+    report = grid_oracle(args.max_denominator, args.delta_max)
     payload = {
         "max_denominator": report.max_denominator,
         "delta_max": rational_str(report.delta_max),

@@ -52,6 +52,7 @@ from .lattice import (
     _row_sum,
     _scaled_square,
     canonical,
+    rational,
 )
 from .ratlp import Optimal, cone_member, lp, solve
 
@@ -187,6 +188,7 @@ def mu_bisect(
     parametric program in mu beyond the feasibility solver.
     """
     _ample_signs(l, s)
+    width = rational(width)
     if width <= 0:
         raise DomainError("bracket width must be positive")
     gens = mori_generators(s)

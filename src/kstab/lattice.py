@@ -36,6 +36,11 @@ def _too_large(value) -> DomainError:
     )
 
 
+def _is_int(value) -> bool:
+    """The one int check: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rational(value) -> Fraction:
     """Parse a rational from "p/q", "n", int or Fraction.
 
@@ -44,7 +49,7 @@ def rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(_exact(value))
     if isinstance(value, str):
         # "1e999999999" would build a billion-digit int, so the length and
@@ -68,7 +73,7 @@ def rational(value) -> Fraction:
 def _exact(value):
     """value coerced as rational() does it, except that an int stays an
     int: a class or scalar built from ints builds no Fraction."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         if -_TOO_LARGE < value < _TOO_LARGE:
             return value
         raise _too_large(value)
@@ -173,7 +178,7 @@ class SurfaceModel(_Record):
     _fields = ("degree",)
 
     def __init__(self, degree: int):
-        if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= 8:
+        if not _is_int(degree) or not 1 <= degree <= 8:
             raise DomainError(f"degree must be an integer in 1..8, got {degree!r}")
         object.__setattr__(self, "degree", degree)  # builds no instance dict, so reads stay fast
 

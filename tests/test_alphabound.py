@@ -201,11 +201,37 @@ def test_identity_check_reads_every_coordinate():
             verify_certificate(cert, l + div(step[0], step[1:]), s)
     with pytest.raises(InvariantError):
         verify_certificate(cert, F(1, 2) * l, s)
-    # a component over a denominator: 2 * (-K / 2) = -K
+    # a component over a denominator, 2 * (-K / 2) = -K, is no (-1)-curve
     half = F(1, 2) * anticanonical(s)
-    verify_certificate(Certificate(((half, F(2)),), 0, F(1, 2)), anticanonical(s), s)
-    with pytest.raises(InvariantError):
-        verify_certificate(Certificate(((half, F(3)),), 0, F(1, 3)), anticanonical(s), s)
+    with pytest.raises(DomainError, match="is not a \\(-1\\)-curve"):
+        verify_certificate(Certificate(((half, F(2)),), 0, F(1, 2)), anticanonical(s), s)
+
+
+def test_verify_certificate_refuses_a_forged_certificate():
+    # -K = 3(H - E1 - E2 - E3) + 2E1 + 2E2 + 2E3 in degree 6 passes the
+    # constructor and the class identity with bound 1/3, but H - E1 - E2 - E3
+    # is no curve (no line passes through three general points); the
+    # certificate kstab builds for -K has bound 1/2
+    s = SurfaceModel(6)
+    plane = div(1, [-1, -1, -1])
+    divisor = ((plane, F(3)),) + tuple((basis_exceptional(s, i), F(2)) for i in (1, 2, 3))
+    forged = Certificate(divisor, 0, F(1, 3))
+    with pytest.raises(DomainError, match="is not a \\(-1\\)-curve of degree 6"):
+        verify_certificate(forged, anticanonical(s), s)
+    own = certificate(s, face_decompose(anticanonical(s), s))
+    assert own.bound == F(1, 2)
+    verify_certificate(own, anticanonical(s), s)
+    # the constructor's checks run again on a record built past them
+    for witness, bound in ((1, own.bound), (own.witness_index, F(1, 3)), (len(own.divisor), own.bound)):
+        bent = object.__new__(Certificate)
+        vars(bent).update(divisor=own.divisor, witness_index=witness, bound=bound)
+        with pytest.raises(DomainError):
+            verify_certificate(bent, anticanonical(s), s)
+    bent = object.__new__(Certificate)
+    negative = ((own.divisor[0][0], -own.divisor[0][1]),) + own.divisor[1:]
+    vars(bent).update(divisor=negative, witness_index=own.witness_index, bound=own.bound)
+    with pytest.raises(DomainError, match="nonnegative"):
+        verify_certificate(bent, anticanonical(s), s)
 
 
 def test_plane_degree7():
@@ -495,6 +521,7 @@ def test_certificate_grid_digest():
                 assert coeff > 0
                 total = total + coeff * cls
             assert total == l
+            verify_certificate(cert, l, s)
             seen += 1
         index += 1
     assert (index, seen) == (53469, 7639)

@@ -344,3 +344,57 @@ def test_bilinearity_and_symmetry(xs, ys, zs):
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
     assert a - a == zero_class(s) == 0 * b and zero_class(s).den == 1
     assert intersect(a, b, s) == a.h * b.h - sum(x * y for x, y in zip(a.e, b.e))
+
+
+def _entries():
+    """Each public entry argument read by lattice's rules, as (build from
+    the argument, the value it is checked against, whether it is a count)."""
+    from kstab.alphabound import TWELVE_SUM_FAMILY, largest_admissible_sum
+    from kstab.appendix import grid_oracle
+    from kstab.cones import mu_bisect
+
+    s = SurfaceModel(8)
+    return {
+        "largest_admissible_sum": (
+            lambda x: largest_admissible_sum([x, 0, 0, 0], TWELVE_SUM_FAMILY),
+            Fraction(1, 3),
+            False,
+        ),
+        "grid_oracle max_denominator": (lambda x: grid_oracle(x).total, 2, True),
+        "grid_oracle delta_max": (lambda x: grid_oracle(2, x).total, Fraction(1, 2), False),
+        "mu_bisect width": (lambda x: mu_bisect(anticanonical(s), s, x), Fraction(1, 4), False),
+    }
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "None", "junk str", "201 digits", "str"])
+@pytest.mark.parametrize("entry", list(_entries()))
+def test_public_entries_read_rationals_and_counts_by_lattice_rules(entry, kind):
+    # a rational argument is read as lattice.rational reads it, and a count
+    # is an int that is not a bool: everything else is refused with
+    # DomainError, never with an AttributeError or TypeError or as a number
+    build, value, count = _entries()[entry]
+    if kind == "str":
+        text = str(value)
+        if count:
+            with pytest.raises(DomainError, match="must be an integer"):
+                build(text)
+        else:
+            assert build(text) == build(value)
+        return
+    given = {
+        "float": 0.5,
+        "bool": bool(value),
+        "None": None,
+        "junk str": "1/2/3",
+        "201 digits": 10**201,
+    }[kind]
+    with pytest.raises(DomainError):
+        build(given)
+
+
+def test_largest_admissible_sum_refuses_a_family_past_its_values():
+    from kstab.alphabound import TWELVE_SUM_FAMILY, largest_admissible_sum
+
+    for values in ([], [Fraction(1, 2)] * 3):
+        with pytest.raises(DomainError, match="indexes past"):
+            largest_admissible_sum(values, TWELVE_SUM_FAMILY)
