@@ -64,6 +64,7 @@ from .lattice import (
     _exact_all,
     _from_row,
     _is_int,
+    _rank,
     _Record,
     _row_combination,
     _row_dot,
@@ -159,11 +160,11 @@ def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     witness and the bound run again (DomainError); the divisor must then
     sum to l (InvariantError).
     """
-    if l.rank != s.r:
+    if _rank(l) != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {l.rank}")
     index = _tables(s.degree).index
     for cls, _ in cert.divisor:
-        if cls.rank != s.r:
+        if _rank(cls) != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
         if cls.den != 1 or cls.row not in index:
             raise DomainError(f"{cls} is not a (-1)-curve of degree {s.degree}")

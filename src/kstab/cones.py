@@ -46,6 +46,7 @@ from .lattice import (
     _anticanonical_row,
     _exact_all,
     _from_row,
+    _rank,
     _Record,
     _row_combination,
     _row_dot,
@@ -81,7 +82,7 @@ def is_nef_lp(dv: DivClass, s: SurfaceModel) -> bool:
     minimum is nonnegative.  Kept alongside is_nef so the two
     implementations can cross-check each other.
     """
-    if dv.rank != s.r:
+    if _rank(dv) != s.r:
         raise DomainError(f"class rank does not match surface: {dv.rank} vs r={s.r}")
     gens = _tables(s.degree).cone
     products = [_row_dot(dv.row, g.row) for g in gens]
@@ -317,12 +318,15 @@ def reconstruct(data: ContractionData, s: SurfaceModel) -> DivClass:
     """The class -K + delta*C + sum(a_i * E_i) a decomposition encodes: its
     integer row, combined once when the data was built, over the
     denominator of its weights."""
-    return _from_row(data._weights[0], _class_row(data, s))
+    row = _class_row(data, s)
+    return _from_row(data._weights[0], row)
 
 
 def _class_row(data: ContractionData, s: SurfaceModel) -> tuple[int, ...]:
     """q * (-K + delta*C + sum(a_i * E_i)) for q = data._weights[0], as an
     integer row of rank s.r, else DomainError."""
+    if not isinstance(data, ContractionData):
+        raise DomainError(f"not a contraction data: a {type(data).__name__}")
     row = data._row
     if row is None:  # no curves: the class is -K
         row = _row_combination([(_anticanonical_row(s), data._weights[0])])

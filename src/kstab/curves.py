@@ -34,7 +34,15 @@ from functools import cached_property, lru_cache
 from operator import mul, neg
 
 from .errors import DomainError, InvariantError
-from .lattice import DivClass, SurfaceModel, _anticanonical_row, _from_row, _row_dot, _row_sum
+from .lattice import (
+    DivClass,
+    SurfaceModel,
+    _anticanonical_row,
+    _from_row,
+    _rank,
+    _row_dot,
+    _row_sum,
+)
 
 
 def _row_sort_key(row):
@@ -189,7 +197,7 @@ def pairings(w: DivClass, rows, s: SurfaceModel) -> list[int]:
     signed 64-bit slot, read out exactly while sum(|w_k| * max_j
     |row_j[k]|) < 2^63 and through this loop past that bound.
     """
-    if w.rank != s.r:
+    if _rank(w) != s.r:
         raise DomainError(f"class rank does not match surface: {w.rank} vs r={s.r}")
     h, *e = w.row
     dual = (h, *map(neg, e))
@@ -219,10 +227,10 @@ def _packed(rows) -> tuple:
 def _table_pairings(w: DivClass, table, s: SurfaceModel):
     """pairings(w, rows, s) for the rows of a _packed table of the degree
     of s, as a sequence of ints: one packed product when every slot stays
-    within 64 bits, the row loop of pairings otherwise (which raises on a
-    class of another rank)."""
+    within 64 bits, the row loop of pairings otherwise (which refuses a
+    class of another rank, and a value that is not a class)."""
     rows, columns, reach, bias, size = table
-    row = w.row
+    row = w.row if isinstance(w, DivClass) else ()
     # |D * (w.c_j)| <= sum(|w_k| * reach[k]) < 2^63 keeps each slot exact
     if len(row) != len(columns) or sum(map(mul, map(abs, row), reach)) >> 63:
         return pairings(w, rows, s)

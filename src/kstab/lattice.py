@@ -288,8 +288,16 @@ def div(h, e) -> DivClass:
     return DivClass(coords[0], coords[1:])
 
 
+def _rank(a) -> int:
+    """The rank of the class a.  A value that is not a DivClass is refused
+    with DomainError, so an entry handed one does not fail on its fields."""
+    if isinstance(a, DivClass):
+        return len(a.row) - 1
+    raise DomainError(f"not a divisor class: a {type(a).__name__}")
+
+
 def _check_ranks(s: SurfaceModel, a: DivClass, b: DivClass) -> None:
-    if len(a.row) != s.r + 1 or len(b.row) != s.r + 1:
+    if _rank(a) != s.r or _rank(b) != s.r:
         raise DomainError(
             f"class rank does not match surface: {a.rank}, {b.rank} vs r={s.r}"
         )

@@ -5,7 +5,10 @@ anticanonical class minus two thirds of the slope-scaled polarization stays
 nef, and branch on the degree.  Low degrees get a certified lower bound for
 the alpha invariant; degree three is settled only on a specific one
 parameter family; degrees four to seven get an upper-bound certificate
-showing why the nef-residual route cannot conclude there.
+showing why the nef-residual route cannot conclude there.  verdict reads
+the slope, condition A, epsilon, gamma and the six-line parameter off the
+integer rows and the one packed product of the class with its curve table;
+nu, condition_a and gamma_lower_bound build the residual class instead.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from .lattice import (
     _Record,
     _ratio_str,
     _row_dot,
+    _row_sum,
     anticanonical,
     intersect,
     rational,
     rational_str,
     square,
-    zero_class,
 )
 
 STATUS_MAIN = "KStableByMainTheorem"
@@ -83,20 +86,13 @@ def normalize(l: DivClass, s: SurfaceModel) -> DivClass:
     return scaled
 
 
-def _epsilon(s: SurfaceModel, r: DivClass) -> Rational:
-    """The anticanonical pairing with the residual r = -K - l_normalized."""
-    eps = intersect(anticanonical(s), r, s)
-    if eps <= 0 and r != zero_class(s):
-        raise InvariantError("nonpositive epsilon for a nontrivial residual")
-    return eps
-
-
 def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
     """Certified alpha lower bound for the normalized class, degree 1 or 2.
 
     The bound is a single rational depending only on epsilon; it exceeds 1
     on the whole admissible range, which is what the stability argument
-    needs.
+    needs.  This entry builds the residual class -K - (2/3) nu(l) l and
+    pairs it, as the tests' oracle for the integer route of verdict.
     """
     if s.degree not in (1, 2):
         raise DomainError("gamma bound applies in degree 1 and 2 only")
@@ -104,37 +100,59 @@ def gamma_lower_bound(s: SurfaceModel, l: DivClass) -> Fraction:
     residual = _residual(s, l, nu(l, s))
     if not is_nef(residual, s):
         raise DomainError("gamma bound needs the nef residual condition")
-    return _gamma(s, residual)
+    eps = intersect(anticanonical(s), residual, s)
+    return Fraction(*_gamma(s.degree, eps.numerator, eps.denominator, residual.is_zero))
 
 
-def _gamma(s: SurfaceModel, residual: DivClass) -> Fraction:
-    """The gamma bound in degree 1 or 2 for an ample l satisfying
-    condition A, from its nef residual -K - (2/3) nu(l) l."""
-    eps = _epsilon(s, residual)
-    if s.degree == 1:
-        gamma = Fraction(6, 5) if eps >= Fraction(1, 2) else 3 / (3 - eps)
+def _gamma(degree: int, n: int, m: int, residual_is_zero) -> tuple[int, int]:
+    """The gamma bound as an int pair (p, q), q > 0, in degree 1 or 2, from
+    epsilon = n / m (m > 0), the anticanonical pairing of the nef residual
+    -K - (2/3) nu(l) l of an ample l satisfying condition A.
+
+    gamma is 6/5 for epsilon >= 1/2 and 3 / (3 - epsilon) below it in
+    degree 1, and 12/11 for epsilon >= 1 and 12 / (12 - epsilon) below it in
+    degree 2.  The branches agree at the edge, where the pair is the cap's.
+    residual_is_zero() is asked only when epsilon <= 0, which a nonzero
+    residual never has.
+    """
+    if not (n > 0 or residual_is_zero()):
+        raise InvariantError("nonpositive epsilon for a nontrivial residual")
+    if degree == 1:
+        p, q = (6, 5) if 2 * n >= m else (3 * m, 3 * m - n)
     else:
-        gamma = Fraction(12, 11) if eps >= 1 else 12 / (12 - eps)
-    if gamma <= 1:
+        p, q = (12, 11) if n >= m else (12 * m, 12 * m - n)
+    if p <= q:
         raise InvariantError("gamma bound failed to exceed 1")
-    return gamma
+    return p, q
 
 
 def _six_line_parameter(l: DivClass, s: SurfaceModel, signs):
     """Match l + K against x times a disjoint six-line sum, for l = row / D
-    whose packed pairings with the lines are signs.
+    whose packed pairings P_E = row.E with the lines are signs: x, 0 for
+    l = -K, or None.
 
-    By negative_curves, the only possible sextet is the curves pairing
+    With a = -K.row, -K.(l + K) = (a - 3D) / D, so x = (a - 3D) / (6D).  By
+    negative_curves, the only possible sextet is the curves pairing
     negatively with w = l + K, and matching it forces them disjoint.  A line
-    E has -K.E = 1, so w.E = (P_E - D) / D is negative when P_E < D.
+    E has -K.E = 1, so w.E = (P_E - D) / D is negative when P_E < D.  The
+    match w = x * sum(E) is 6 * (row - D * (-K)) = (a - 3D) * sum(E), on
+    integer rows.  It is tried only for x > 0: at x < 0 the six lines would
+    be those pairing positively with sum(E), so each would meet two or more
+    of the others and no line outside them, while every line of a cubic
+    surface meets ten others.
     """
-    w = l - anticanonical(s)
-    if w == zero_class(s):
-        return Fraction(0)
-    sextet = [c for c, p in zip(_tables(s.degree).lines, signs) if p < l.den]
-    x = intersect(anticanonical(s), w, s) / 6
-    if len(sextet) == 6 and x > 0 and w == x * sum(sextet[1:], sextet[0]):
-        return x
+    den, row = l.den, l.row
+    k = _anticanonical_row(s)
+    if den == 1 and row == k:
+        return 0
+    n = _row_dot(k, row) - 3 * den
+    if n <= 0:
+        return None
+    sextet = [e for e, p in zip(_tables(s.degree).rows, signs) if p < den]
+    if len(sextet) == 6 and all(
+        6 * (x - den * y) == n * t for x, y, t in zip(row, k, _row_sum(*sextet))
+    ):
+        return Fraction(n, 6 * den)
     return None
 
 
@@ -166,15 +184,18 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
     3b * (residual.G) = 3b * (-K.G) - 2a * P_G for the residual
     -K - (2/3) nu l, so condition A is 2a * P_G <= 3b * (-K.G) for every G.
     -K.G is 1 on each (-1)-curve and 2 on the ruling H - E1, the last
-    generator in degree 8.  The residual class is built only for gamma.
-    The only other pairing is the nef test of the face's dual class in
-    degrees 4-7.  The public nu and condition_a keep the residual route,
-    as the tests' oracle.
+    generator in degree 8.  Degrees 1-3 stay on these ints: epsilon is
+    d - 2a^2 / (3b) for gamma, and the six-line match reads the signs.  No
+    residual class is built, and the only other pairing is the nef test of
+    the face's dual class in degrees 4-7.  Fractions are built for output
+    fields only.  The public nu, condition_a and gamma_lower_bound keep the
+    residual route, as the tests' oracle.
     """
     signs = _ample_signs(l, s)
-    a = _row_dot(_anticanonical_row(s), l.row)
-    b = _row_dot(l.row, l.row)
-    slope = Fraction(a * l.den, b)
+    k, row, den = _anticanonical_row(s), l.row, l.den
+    a = _row_dot(k, row)
+    b = _row_dot(row, row)
+    slope = Fraction(a * den, b)
     if s.degree == 8:
         line, ruling = signs
         cond = 2 * a * line <= 3 * b and a * ruling <= 3 * b
@@ -196,13 +217,18 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
                 notes="the nef residual condition fails, so the low-degree "
                 "criterion does not apply",
             )
-        gamma = _gamma(s, _residual(s, l, slope))
-        rescaled = gamma * Fraction(2, 3) * slope
+        # epsilon = d - 2a^2 / (3b), and 3b * residual = 3b * (-K) - 2a * row
+        p, q = _gamma(
+            s.degree, 3 * b * s.degree - 2 * a * a, 3 * b,
+            lambda: all(3 * b * y == 2 * a * x for y, x in zip(k, row)),
+        )
+        # gamma times two thirds of the slope, 2aD / (3b)
+        rescaled = _ratio_str(2 * a * den * p, 3 * b * q)
         return reply(
             status=STATUS_MAIN,
-            alpha_lower=gamma,
+            alpha_lower=Fraction(p, q),
             notes="alpha lower bound for the slope-normalized class; for the "
-            f"input class it rescales to {rational_str(rescaled)}",
+            f"input class it rescales to {rescaled}",
         )
     if s.degree == 3:
         x = _six_line_parameter(l, s, signs)
@@ -212,10 +238,11 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
                 notes="the anticanonical cubic surface is settled by "
                 "classical means and is outside the scope of this tool",
             )
-        if x is not None and x <= Fraction(1, 10):
+        if x is not None and 10 * x.numerator <= x.denominator:
+            # 2 / (3 + 3x) for x = p / q
             return reply(
                 status=STATUS_SIX_LINE,
-                alpha_lower=2 / (3 + 3 * x),
+                alpha_lower=Fraction(2 * x.denominator, 3 * (x.denominator + x.numerator)),
                 notes="six-line family parameter "
                 f"{rational_str(x)} lies in the proven window",
             )

@@ -619,3 +619,47 @@ def test_a_middle_degree_check_builds_fractions_only_for_its_output():
         }
         assert {name: names.count(name) for name in set(names)} == expected, doc
     assert len(kinds) == 12
+
+
+def _low_degree_documents():
+    # -K and seeded classes in degrees 1 and 2, with condition A true and
+    # false, and -K, the six-line family and generic classes in degree 3
+    rng = random.Random(89)
+    for d in (1, 2, 3):
+        s = SurfaceModel(d)
+        yield json.dumps({"degree": d, "L": cli._class_to_json(anticanonical(s))})
+        for trial in range(8):
+            cap = F(1, 16) if trial % 2 else F(1, 2)
+            l = anticanonical(s)
+            for i in range(1, s.r + 1):
+                l = l + F(rng.randrange(0, 8), 8) * cap * basis_exceptional(s, i)
+            yield json.dumps({"degree": d, "L": cli._class_to_json(F(rng.randint(1, 7), 3) * l)})
+    for k in (1, 6, 12, 13, 40, 119):
+        yield json.dumps({"degree": 3, "family": "six-line", "x": f"{k}/120"})
+
+
+def test_a_low_degree_check_builds_fractions_only_for_its_output():
+    # a degree 1-3 check reads epsilon, gamma and the six-line parameter off
+    # the ints of its one packed product; it builds a Fraction only for an
+    # output field: nu and alpha_lower in verdict, and the six-line
+    # parameter x of the notes, which _six_line_parameter returns as its
+    # contract says.  Parsing and lattice arithmetic build none.
+    args = cli._build_parser().parse_args(["check", "--json"])
+    statuses = set()
+    for doc in _low_degree_documents():
+        args.L = doc
+        out, names = _fraction_builders(lambda: args.run(args))
+        report = json.loads(out)
+        statuses.add((json.loads(doc)["degree"], report["status"]))
+        expected = {("kstab.stability", "verdict"): 1 + (report["alpha_lower"] is not None)}
+        if "six-line family parameter" in report["notes"]:
+            expected[("kstab.stability", "_six_line_parameter")] = 1
+        assert {name: names.count(name) for name in set(names)} == expected, doc
+    assert statuses == {
+        (1, "KStableByMainTheorem"),
+        (1, "Unknown"),
+        (2, "KStableByMainTheorem"),
+        (2, "Unknown"),
+        (3, "KStableBySixLineTheorem"),
+        (3, "Unknown"),
+    }

@@ -1,5 +1,6 @@
-"""The ten records behave as the frozen dataclasses they replace, and read
-their rational arguments as lattice.rational reads them."""
+"""The ten records behave as the frozen dataclasses they replace.  How the
+public records read their rational arguments is checked with every other
+public entry, in tests/test_stability.py."""
 
 import inspect
 import pickle
@@ -12,7 +13,6 @@ import pytest
 from kstab.alphabound import Certificate
 from kstab.appendix import AppendixInput, GridReport
 from kstab.cones import KIND_TO_P2, ContractionData
-from kstab.errors import DomainError
 from kstab.lattice import DivClass, SurfaceModel, basis_exceptional
 from kstab.ratlp import Infeasible, LinearProgram, Optimal
 from kstab.stability import Verdict
@@ -162,35 +162,3 @@ def test_private_fields_stay_out_of_equality_hash_and_repr(cls, private):
     vars(y)[private] = None
     assert (x == y, hash(x) == hash(y), repr(x) == repr(y)) == (True, True, True)
     assert private not in repr(x)
-
-
-# public record argument -> (build from one rational argument, its value)
-_ENTRIES = {
-    "ContractionData delta": (
-        lambda x: ContractionData(KIND_TO_P2, x, (F(1, 2), F(1, 3), F(1, 6)), _E[:3], None),
-        F(0),
-    ),
-    "ContractionData a_2": (
-        lambda x: ContractionData(KIND_TO_P2, F(0), (F(1, 2), x, F(1, 6)), _E[:3], None),
-        F(1, 3),
-    ),
-    "AppendixInput a_1": (lambda x: AppendixInput((x, *_A[1:]), F(1, 7)), F(1, 2)),
-    "AppendixInput delta": (lambda x: AppendixInput(_A, x), F(1, 7)),
-    "Certificate coefficient": (lambda x: Certificate((_DIVISOR[0], (_E[1], x)), 0, F(2)), F(1, 4)),
-    "Certificate bound": (lambda x: Certificate(_DIVISOR, 0, x), F(2)),
-}
-
-
-@pytest.mark.parametrize("kind", ["float", "str", "bool", "None", "201 digits"])
-@pytest.mark.parametrize("entry", list(_ENTRIES))
-def test_public_records_read_rationals_as_rational_does(entry, kind):
-    # a str is parsed as the CLI parses it; a float, a bool, None and an
-    # int past the digit bound are refused with DomainError, never with an
-    # AttributeError or as a number
-    build, value = _ENTRIES[entry]
-    if kind == "str":
-        assert build(f"{value.numerator}/{value.denominator}") == build(value)
-        return
-    given = {"float": 0.5, "bool": bool(value), "None": None, "201 digits": 10**201}[kind]
-    with pytest.raises(DomainError):
-        build(given)

@@ -484,3 +484,18 @@ def test_cli_reaches_the_computations_through_their_public_entries():
     assert {"parse_input", "verdict"} <= _called(cli["_cmd_check"])
     assert {"parse_input", "mu"} <= _called(cli["_cmd_mu"])
     assert {"parse_input", "_ample_signs", "_upper_bound"} <= _called(cli["_cmd_alpha_bound"])
+
+
+def test_the_low_degree_verdicts_stay_on_the_packed_product():
+    # verdict reads epsilon, gamma and the six-line parameter of degrees 1-3
+    # off its ints and signs: no function on that path builds or pairs a
+    # class.  gamma_lower_bound keeps the residual route, as the oracle.
+    functions = _functions("stability.py")
+    path = ("verdict", "_gamma", "_six_line_parameter")
+    class_route = {"intersect", "square", "_residual", "anticanonical", "zero_class"}
+    names = {
+        fn: {n.id for n in ast.walk(functions[fn]) if isinstance(n, ast.Name)} for fn in path
+    }
+    assert {fn: found & class_route for fn, found in names.items()} == dict.fromkeys(path, set())
+    assert "_gamma" in names["verdict"] and "_six_line_parameter" in names["verdict"]
+    assert {"_residual", "_gamma", "intersect"} <= _called(functions["gamma_lower_bound"])

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kstab.alphabound import certificate, verify_certificate
+from kstab.alphabound import (
+    TWELVE_SUM_FAMILY,
+    Certificate,
+    certificate,
+    largest_admissible_sum,
+    verify_certificate,
+)
+from kstab.appendix import AppendixInput, grid_oracle
 from kstab.cones import (
     ContractionData,
     KIND_TO_P2,
@@ -26,7 +33,7 @@ from kstab.curves import (
     negative_curves,
     pairings,
 )
-from kstab.errors import DomainError
+from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
     anticanonical,
@@ -35,6 +42,7 @@ from kstab.lattice import (
     basis_line,
     div,
     intersect,
+    rational_str,
     square,
     zero_class,
 )
@@ -44,6 +52,8 @@ from kstab.stability import (
     STATUS_SIX_LINE,
     STATUS_UNKNOWN,
     STATUS_UNSUPPORTED,
+    _gamma,
+    _residual,
     _six_line_parameter,
     condition_a,
     cubic_line_family_report,
@@ -542,44 +552,223 @@ def test_six_line_parameter_matches_scan_off_the_family(cubic_sextets):
     assert misses > len(cases) // 2
 
 
+def _oracle_verdict(s, l, sextets):
+    """(status, alpha_lower, the rational the notes print) for degrees 1-3,
+    in Fraction arithmetic on the residual class and the six-line sums,
+    with the paper's thresholds: gamma is 6/5 from epsilon = 1/2 on and
+    3 / (3 - epsilon) below it in degree 1, 12/11 from epsilon = 1 on and
+    12 / (12 - epsilon) below it in degree 2, and a six-line parameter
+    x <= 1/10 gives alpha >= 2 / (3 + 3x)."""
+    mk = anticanonical(s)
+    slope = intersect(mk, l, s) / intersect(l, l, s)
+    if s.degree <= 2:
+        residual = _residual(s, l, slope)
+        if any(intersect(residual, c, s) < 0 for c in minus_one_curves(s)):
+            return STATUS_UNKNOWN, None, None
+        eps = intersect(mk, residual, s)
+        if s.degree == 1:
+            gamma = F(6, 5) if eps >= F(1, 2) else 3 / (3 - eps)
+        else:
+            gamma = F(12, 11) if eps >= 1 else 12 / (12 - eps)
+        return STATUS_MAIN, gamma, gamma * F(2, 3) * slope
+    w = l - mk
+    if w == zero_class(s):
+        return STATUS_UNKNOWN, None, None
+    x = intersect(mk, w, s) / 6
+    if x > 0 and any(w == x * sum(t[1:], t[0]) for t in sextets):
+        if x <= F(1, 10):
+            return STATUS_SIX_LINE, 2 / (3 + 3 * x), x
+        return STATUS_UNKNOWN, None, x
+    return STATUS_UNKNOWN, None, None
+
+
+def _low_degree_cases(sextets):
+    rng = random.Random(83)
+    for d in (1, 2):
+        s = SurfaceModel(d)
+        yield s, anticanonical(s)
+        yield s, F(5, 3) * anticanonical(s)
+        for trial in range(30):
+            # small weights keep condition A, larger ones break it
+            yield s, _seeded_ample(rng, s, F(1, 16) if trial % 2 else F(1, 2))
+    s = SurfaceModel(3)
+    mk = anticanonical(s)
+    e = [basis_exceptional(s, i) for i in range(1, 7)]
+    yield s, mk
+    yield s, F(7, 2) * mk
+    for k, sextet in enumerate(sextets):
+        x = (F(1, 10), F(1, 60), F(1, 3), F(9, 10))[k % 4]
+        yield s, F(k % 5 + 1, 3) * (mk + x * sum(sextet[1:], sextet[0]))
+    # six lines E1, ..., E5, H - E1 - E6: only E1 meets another of them, so
+    # they are the lines pairing to at most 0 with l + K, yet l + K is no
+    # multiple of a disjoint sextet's sum
+    for x in (F(1, 10), F(1, 4)):
+        yield s, mk + x * sum(e[:5], basis_line(s) - e[0] - e[5])
+    for _ in range(40):
+        yield s, _seeded_ample(rng, s)
+
+
+def test_integer_verdicts_match_the_fraction_oracle(cubic_sextets):
+    seen = set()
+    for s, l in _low_degree_cases(cubic_sextets):
+        assert is_ample(l, s)
+        v = verdict(s, l)
+        status, alpha, printed = _oracle_verdict(s, l, cubic_sextets)
+        assert (v.status, v.alpha_lower) == (status, alpha), (s, l)
+        assert (v.nu, v.condition_a) == (nu(l, s), condition_a(l, s))
+        if printed is None:
+            assert "parameter" not in v.notes and "rescales" not in v.notes
+        elif s.degree <= 2:
+            assert v.notes.endswith(f"rescales to {rational_str(printed)}")
+        else:
+            assert f"parameter {rational_str(printed)} " in v.notes
+        seen.add((s.degree, status, printed is not None, "classical" in v.notes))
+    assert seen == {
+        (1, STATUS_MAIN, True, False),
+        (1, STATUS_UNKNOWN, False, False),
+        (2, STATUS_MAIN, True, False),
+        (2, STATUS_UNKNOWN, False, False),
+        (3, STATUS_SIX_LINE, True, False),
+        (3, STATUS_UNKNOWN, True, False),
+        (3, STATUS_UNKNOWN, False, True),
+        (3, STATUS_UNKNOWN, False, False),
+    }
+
+
+def test_gamma_pairs_at_the_epsilon_edges():
+    # the branches agree in value at epsilon = 1/2 in degree 1 and 1 in
+    # degree 2, so the branch taken is read off the pair: the cap's from the
+    # edge on.  No class reaches the edges: by the Hodge index theorem
+    # (-K.l)^2 >= d * l^2, so epsilon = d - 2(-K.l)^2 / (3 l^2) <= d/3.
+    nonzero = lambda: False  # noqa: E731
+    for d, cap, edge in ((1, (6, 5), F(1, 2)), (2, (12, 11), F(1))):
+        top = 3 if d == 1 else 12
+        for eps in (edge, edge + F(1, 100), F(7, 2)):
+            for scale in (1, 3):
+                n, m = eps.numerator * scale, eps.denominator * scale
+                assert _gamma(d, n, m, nonzero) == cap
+        for eps in (edge - F(1, 100), F(d, 3), F(1, 1000)):
+            for scale in (1, 3):
+                n, m = eps.numerator * scale, eps.denominator * scale
+                assert _gamma(d, n, m, nonzero) == (top * m, top * m - n)
+                assert F(top * m, top * m - n) == top / (top - eps)
+    asked = []
+    _gamma(1, 1, 3, lambda: asked.append(True))
+    assert asked == []  # the residual is asked about only when epsilon <= 0
+    for d in (1, 2):
+        for n in (0, -1):
+            with pytest.raises(InvariantError, match="nonpositive epsilon"):
+                _gamma(d, n, 3, nonzero)
+        with pytest.raises(InvariantError, match="failed to exceed 1"):
+            _gamma(d, 0, 3, lambda: True)
+
+
 def _anticanonical_face(s):
     return face_decompose(anticanonical(s), s)
 
 
 # each public entry that takes a class and a surface, on a surface s of a
-# degree where it applies, given -K (or its face) from a surface t of
-# another degree
+# degree where it applies, as (that degree, whether its argument x is a
+# class or a face, the call on s and x)
 _RANK_ENTRIES = {
-    "is_nef": (5, lambda s, t: is_nef(anticanonical(t), s)),
-    "is_nef_lp": (5, lambda s, t: is_nef_lp(anticanonical(t), s)),
-    "is_ample": (5, lambda s, t: is_ample(anticanonical(t), s)),
-    "ample_violation": (5, lambda s, t: ample_violation(anticanonical(t), s)),
-    "mu": (5, lambda s, t: mu(anticanonical(t), s)),
-    "mu_bisect": (5, lambda s, t: mu_bisect(anticanonical(t), s)),
-    "face_decompose": (5, lambda s, t: face_decompose(anticanonical(t), s)),
-    "nu": (5, lambda s, t: nu(anticanonical(t), s)),
-    "condition_a": (5, lambda s, t: condition_a(anticanonical(t), s)),
-    "normalize": (5, lambda s, t: normalize(anticanonical(t), s)),
-    "verdict": (5, lambda s, t: verdict(s, anticanonical(t))),
-    "gamma_lower_bound": (2, lambda s, t: gamma_lower_bound(s, anticanonical(t))),
-    "negative_curves": (5, lambda s, t: negative_curves(anticanonical(t), s)),
-    "pairings": (5, lambda s, t: pairings(anticanonical(t), _tables(s.degree).rows, s)),
-    "intersect": (5, lambda s, t: intersect(anticanonical(s), anticanonical(t), s)),
-    "reconstruct": (5, lambda s, t: reconstruct(_anticanonical_face(t), s)),
-    "certificate": (5, lambda s, t: certificate(s, _anticanonical_face(t))),
+    "is_nef": (5, "class", lambda s, x: is_nef(x, s)),
+    "is_nef_lp": (5, "class", lambda s, x: is_nef_lp(x, s)),
+    "is_ample": (5, "class", lambda s, x: is_ample(x, s)),
+    "ample_violation": (5, "class", lambda s, x: ample_violation(x, s)),
+    "mu": (5, "class", lambda s, x: mu(x, s)),
+    "mu_bisect": (5, "class", lambda s, x: mu_bisect(x, s)),
+    "face_decompose": (5, "class", lambda s, x: face_decompose(x, s)),
+    "nu": (5, "class", lambda s, x: nu(x, s)),
+    "condition_a": (5, "class", lambda s, x: condition_a(x, s)),
+    "normalize": (5, "class", lambda s, x: normalize(x, s)),
+    "verdict": (5, "class", lambda s, x: verdict(s, x)),
+    "gamma_lower_bound": (2, "class", lambda s, x: gamma_lower_bound(s, x)),
+    "negative_curves": (5, "class", lambda s, x: negative_curves(x, s)),
+    "pairings": (5, "class", lambda s, x: pairings(x, _tables(s.degree).rows, s)),
+    "intersect": (5, "class", lambda s, x: intersect(anticanonical(s), x, s)),
+    "reconstruct": (5, "face", lambda s, x: reconstruct(x, s)),
+    "certificate": (5, "face", lambda s, x: certificate(s, x)),
     "verify_certificate": (
         5,
-        lambda s, t: verify_certificate(
-            certificate(s, _anticanonical_face(s)), anticanonical(t), s
-        ),
+        "class",
+        lambda s, x: verify_certificate(certificate(s, _anticanonical_face(s)), x, s),
     ),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_RANK_ENTRIES))
 def test_public_entries_refuse_a_class_of_another_rank(entry):
-    degree, call = _RANK_ENTRIES[entry]
+    # each is given -K, or its face, from a surface of another degree
+    degree, role, call = _RANK_ENTRIES[entry]
     s = SurfaceModel(degree)
     for other in (degree - 1, degree + 1):
+        t = SurfaceModel(other)
+        x = anticanonical(t) if role == "class" else _anticanonical_face(t)
         with pytest.raises(DomainError, match="rank (does not match|mismatch)"):
-            call(s, SurfaceModel(other))
+            call(s, x)
+
+
+def _argument_entries():
+    """The public entries that take a rational or a count, as (argument,
+    whether it is a count, a valid value, the call on that argument)."""
+    s = SurfaceModel(5)
+    e = tuple(basis_exceptional(s, i) for i in range(1, 4))
+    a = (F(1, 2), F(1, 3), F(1, 4), F(1, 5), 0)
+    divisor = ((e[0], F(1, 2)), (e[1], F(1, 4)))
+    s8 = SurfaceModel(8)
+    return {
+        "ContractionData delta": (
+            False, F(0), lambda x: ContractionData(KIND_TO_P2, x, (F(1, 2), F(1, 3), F(1, 6)), e, None)
+        ),
+        "ContractionData a_2": (
+            False, F(1, 3), lambda x: ContractionData(KIND_TO_P2, 0, (F(1, 2), x, F(1, 6)), e, None)
+        ),
+        "Certificate coefficient": (False, F(1, 4), lambda x: Certificate((divisor[0], (e[1], x)), 0, 2)),
+        "Certificate bound": (False, F(2), lambda x: Certificate(divisor, 0, x)),
+        "AppendixInput a_1": (False, F(1, 2), lambda x: AppendixInput((x, *a[1:]), F(1, 7))),
+        "AppendixInput delta": (False, F(1, 7), lambda x: AppendixInput(a, x)),
+        "grid_oracle max_denominator": (True, 2, lambda x: grid_oracle(x).total),
+        "grid_oracle delta_max": (False, F(1, 2), lambda x: grid_oracle(2, x).total),
+        "largest_admissible_sum": (
+            False, F(1, 3), lambda x: largest_admissible_sum([x, 0, 0, 0], TWELVE_SUM_FAMILY)
+        ),
+        "mu_bisect width": (False, F(1, 4), lambda x: mu_bisect(anticanonical(s8), s8, x)),
+    }
+
+
+_GIVEN = {
+    "float": (0.5,),
+    "bool": (True, False),
+    "None": (None,),
+    "junk str": ("1/2/3",),
+    "201 digits": (10**200, -(10**200)),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "str", "bool", "None", "junk str", "201 digits"])
+@pytest.mark.parametrize("entry", sorted(_RANK_ENTRIES) + list(_argument_entries()))
+def test_public_entries_read_their_arguments_by_lattice_rules(entry, kind):
+    # a rational argument is read as lattice.rational reads it, so a str is
+    # parsed as the CLI parses it; a count is an int that is not a bool; a
+    # class or a face is a DivClass or a ContractionData.  Everything else,
+    # and a number of more than lattice.MAX_DIGITS digits, is refused with
+    # DomainError, never with an AttributeError or a TypeError or taken as
+    # a number
+    if entry in _RANK_ENTRIES:
+        degree, role, call = _RANK_ENTRIES[entry]
+        refusal = "divisor class" if role == "class" else "contraction data"
+        for given in ("1/2",) if kind == "str" else _GIVEN[kind]:
+            with pytest.raises(DomainError, match=f"not a {refusal}: a {type(given).__name__}"):
+                call(SurfaceModel(degree), given)
+        return
+    count, value, build = _argument_entries()[entry]
+    if kind == "str":
+        if count:
+            with pytest.raises(DomainError, match="must be an integer"):
+                build(str(value))
+        else:
+            assert build(str(value)) == build(value)
+        return
+    for given in _GIVEN[kind]:
+        with pytest.raises(DomainError):
+            build(given)
