@@ -15,8 +15,9 @@ in the cached tables of named curves, keyed on the degree; the lookup
 hands back the curve's class for the output.  The coefficients are ints
 too: the a_i and delta go over one denominator Q, every coefficient,
 subset sum and case test is computed over ints, and the class identity is
-one cross-multiplied integer sum.  Only then are the certificate's
-rational coefficients n / Q and its bound built.
+one cross-multiplied integer sum.  The certificate keeps those ints, over
+Q divided by their common factor; its coefficients and its bound are
+built as Fractions only when they are read.
 
 The builders and the slope comparison read a face as ints, off the one
 face record ``ContractionData``: its kind, its line rows in weight order,
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import appendix
 from .cones import (
@@ -65,6 +66,7 @@ from .lattice import (
     _from_row,
     _is_int,
     _rank,
+    _ratio_str,
     _Record,
     _row_combination,
     _row_dot,
@@ -124,6 +126,13 @@ class Certificate(_Record):
     divisor lists (curve class, coefficient) pairs; witness_index points at
     a maximal-coefficient component and bound is its reciprocal.  The
     coefficients and the bound are read as lattice.rational reads them.
+
+    The record holds the coefficients as ints, (class, n) terms over one
+    positive denominator in lowest terms, and divisor and bound are read
+    off them as Fractions, as ContractionData's delta and a are read off
+    its weights.  Those ints are unique for the rationals, so equality,
+    the hash and the repr, the constructor call on the Fraction fields,
+    follow the rationals.
     """
 
     _fields = ("divisor", "witness_index", "bound")
@@ -133,47 +142,59 @@ class Certificate(_Record):
             raise DomainError("certificate needs at least one component")
         classes, coeffs = zip(*divisor)
         *coeffs, bound = _exact_all((*coeffs, bound))
-        divisor = tuple(zip(classes, coeffs))
-        vars(self).update(divisor=divisor, witness_index=witness_index, bound=bound)
-        _check_bound(coeffs, witness_index, bound)
+        den = lcm(*(c.denominator for c in coeffs))
+        ns = [c.numerator * (den // c.denominator) for c in coeffs]
+        vars(self).update(_terms=tuple(zip(classes, ns)), _den=den, witness_index=witness_index)
+        _check_bound(ns, witness_index)
+        if bound.numerator * ns[witness_index] != den * bound.denominator:
+            raise DomainError("bound must be the reciprocal of the top coefficient")
+
+    @property
+    def divisor(self) -> tuple:
+        den = self._den
+        return tuple((c, Fraction(n, den)) for c, n in self._terms)
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(*self._bound)
+
+    @property
+    def _bound(self) -> tuple[int, int]:
+        """The bound as an int pair (den, top), not reduced."""
+        return self._den, self._terms[self.witness_index][1]
 
 
-def _check_bound(coeffs, witness_index, bound) -> None:
-    """The coefficients are nonnegative, the witness carries a maximal one
-    and the bound is its reciprocal, else DomainError."""
-    if any(c < 0 for c in coeffs):
+def _check_bound(ns, witness_index) -> None:
+    """The coefficients n / den are nonnegative and the witness carries a
+    maximal one, else DomainError; the bound is den over that one."""
+    if any(n < 0 for n in ns):
         raise DomainError("certificate coefficients must be nonnegative")
-    if not (_is_int(witness_index) and 0 <= witness_index < len(coeffs)):
+    if not (_is_int(witness_index) and 0 <= witness_index < len(ns)):
         raise DomainError("witness index out of range")
-    top = max(coeffs)
-    if coeffs[witness_index] != top:
+    if ns[witness_index] != max(ns):
         raise DomainError("witness must carry a maximal coefficient")
-    if bound * top != 1:
-        raise DomainError("bound must be the reciprocal of the top coefficient")
 
 
 def verify_certificate(cert: Certificate, l: DivClass, s: SurfaceModel) -> None:
     """Exact recheck of a certificate for l; raises on failure.
 
     Each component must be a (-1)-curve of the degree of s, so the divisor
-    is effective, and the constructor's checks of the coefficients, the
-    witness and the bound run again (DomainError); the divisor must then
-    sum to l (InvariantError).
+    is effective, and the constructor's checks of the coefficients and the
+    witness run again (DomainError); the divisor must then sum to l
+    (InvariantError).  The bound is read off the witness's coefficient, so
+    it is its reciprocal.
     """
     if _rank(l) != s.r:
         raise DomainError(f"rank mismatch: {s.r} vs {l.rank}")
     index = _tables(s.degree).index
-    for cls, _ in cert.divisor:
+    for cls, _ in cert._terms:
         if _rank(cls) != s.r:
             raise DomainError(f"rank mismatch: {s.r} vs {cls.rank}")
         if cls.den != 1 or cls.row not in index:
             raise DomainError(f"{cls} is not a (-1)-curve of degree {s.degree}")
-    _check_bound([c for _, c in cert.divisor], cert.witness_index, cert.bound)
-    # each component is integral: coeff * row = n * row / D over D the lcm
-    # of the coefficients' denominators
-    den = lcm(*(c.denominator for _, c in cert.divisor))
-    terms = [(cls.row, c.numerator * (den // c.denominator)) for cls, c in cert.divisor]
-    _check_identity(terms, den, l.row, l.den)
+    _check_bound([n for _, n in cert._terms], cert.witness_index)
+    # each component is integral, so n * row is an integer row over den
+    _check_identity([(cls.row, n) for cls, n in cert._terms], cert._den, l.row, l.den)
 
 
 def _check_identity(terms, den: int, l_row, l_den: int) -> None:
@@ -192,20 +213,24 @@ def _finish(parts, one: int, l_row, l_den: int, degree: int) -> Certificate:
     for row, n in parts:
         if n < 0:
             raise InvariantError(
-                f"negative coefficient {Fraction(n, one)} generated for {lines[index[row]]}; "
-                "case selection bug"
+                f"negative coefficient {_ratio_str(n, one)} generated for "
+                f"{lines[index[row]]}; case selection bug"
             )
         if n:
             kept.append((row, n))
     if not kept:
         raise InvariantError("certificate has no nonzero component")
-    top = max(n for _, n in kept)
-    witness = next(i for i, (_, n) in enumerate(kept) if n == top)
     _check_identity(kept, one, l_row, l_den)
-    # every check of Certificate.__init__ holds here, so it is not rerun
+    # every check of Certificate.__init__ holds here, so it is not rerun;
+    # the record keeps the ints over one in lowest terms
+    ns = [n for _, n in kept]
+    g = gcd(one, *ns)
     cert = object.__new__(Certificate)
-    divisor = tuple((lines[index[row]], Fraction(n, one)) for row, n in kept)
-    vars(cert).update(divisor=divisor, witness_index=witness, bound=Fraction(one, top))
+    vars(cert).update(
+        _terms=tuple((lines[index[row]], n // g) for row, n in kept),
+        _den=one // g,
+        witness_index=ns.index(max(ns)),
+    )
     return cert
 
 
@@ -500,8 +525,9 @@ def compare_with_slope(s: SurfaceModel, cd: ContractionData, cert: Certificate) 
     """
     l_row = _class_row(cd, s)
     q, delta, a = cd._weights
-    # (2/3) * slope = 2 * q * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0
-    bound_n, bound_d = cert.bound.numerator, cert.bound.denominator
+    # (2/3) * slope = 2 * q * (-K.l_row) / (3 * l_row.l_row), l_row.l_row > 0,
+    # against the bound bound_n / bound_d, whose scale cancels on each side
+    bound_n, bound_d = cert._bound
     lhs = 3 * bound_n * _row_dot(l_row, l_row)
     rhs = 2 * bound_d * q * _row_dot(_anticanonical_row(s), l_row)
     strict = lhs < rhs

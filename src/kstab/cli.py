@@ -9,7 +9,11 @@ command hands the class to the public computation it asks for (``verdict``,
 certificate core), which tests ampleness once.
 
 All JSON output serializes rationals as "p/q" strings and is rendered with
-sorted keys, so identical inputs give byte-identical reports.  Exit codes:
+sorted keys, so identical inputs give byte-identical reports.  A check or
+alpha-bound report is written into its fixed sorted-key skeleton: each
+scalar goes through ``_dumps``, each (-1)-curve's class is a string
+encoded once per degree (``_line_json``), and the certificate's
+coefficients and bound are written from its ints.  Exit codes:
 0 a verdict or report was produced, 1 the input was rejected, 2 an internal
 invariant failed.
 """
@@ -56,6 +60,22 @@ _CRITERION_NAMES = {
     STATUS_SIX_LINE: "the cubic six-line family bound",
     STATUS_INAPPLICABLE: "the middle-degree certificate construction",
 }
+
+
+# json.dumps(payload, sort_keys=True, separators=(", ", ": ")), built once
+_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+
+
+def _dumps(value) -> str:
+    """_encode(value), with the JSON constants written directly: encode
+    builds a new C encoder for each value that is not a str."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _encode(value)
 
 
 def _class_from_json(obj, s: SurfaceModel) -> DivClass:
@@ -138,14 +158,15 @@ def _class_to_json(c: DivClass) -> dict:
 
 @lru_cache(maxsize=None)
 def _line_json(degree: int) -> dict:
-    """_class_to_json of each (-1)-curve of the degree, keyed by its row.
-    The rendered payload is only read, so one dict serves every report."""
+    """The encoded _class_to_json of each (-1)-curve of the degree, keyed
+    by its row, so each report writes the strings instead of encoding the
+    classes again."""
     tables = _tables(degree)
-    return {row: _class_to_json(c) for row, c in zip(tables.rows, tables.lines)}
+    return {row: _dumps(_class_to_json(c)) for row, c in zip(tables.rows, tables.lines)}
 
 
-def _component_json(c: DivClass) -> dict:
-    """_class_to_json(c), from _line_json when c is a (-1)-curve: a
+def _component_json(c: DivClass) -> str:
+    """_dumps(_class_to_json(c)), from _line_json when c is a (-1)-curve: a
     certificate's components are, though the public Certificate may hold
     any class."""
     degree = 10 - len(c.row)
@@ -153,7 +174,7 @@ def _component_json(c: DivClass) -> dict:
         found = _line_json(degree).get(c.row)
         if found is not None:
             return found
-    return _class_to_json(c)
+    return _dumps(_class_to_json(c))
 
 
 def _fmt_class(c: DivClass) -> str:
@@ -165,19 +186,19 @@ def _echo(s: SurfaceModel, l: DivClass) -> dict:
     return {"degree": s.degree, "L": _class_to_json(l)}
 
 
-def _certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "divisor": [
-            {"class": _component_json(cls), "coefficient": rational_str(coeff)}
-            for cls, coeff in cert.divisor
-        ],
-        "witness_index": cert.witness_index,
-        "bound": rational_str(cert.bound),
-    }
-
-
-# json.dumps(payload, sort_keys=True, separators=(", ", ": ")), built once
-_dumps = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+def _certificate_json(cert: Certificate) -> str:
+    """The certificate's JSON object as _dumps would write it, with sorted
+    keys: each component's encoded class, each coefficient n / den and the
+    bound read off the record's ints and written as "p/q" strings."""
+    den = cert._den
+    divisor = ", ".join(
+        f'{{"class": {_component_json(c)}, "coefficient": "{_ratio_str(n, den)}"}}'
+        for c, n in cert._terms
+    )
+    return (
+        f'{{"bound": "{_ratio_str(*cert._bound)}", "divisor": [{divisor}], '
+        f'"witness_index": {cert.witness_index}}}'
+    )
 
 
 def _opt(value) -> str:
@@ -185,25 +206,22 @@ def _opt(value) -> str:
 
 
 def _certificate_lines(cert: Certificate) -> list[str]:
-    return [f"  {rational_str(coeff)} x {_fmt_class(cls)}" for cls, coeff in cert.divisor]
+    den = cert._den
+    return [f"  {_ratio_str(n, den)} x {_fmt_class(c)}" for c, n in cert._terms]
 
 
 def render_report(v: Verdict, format: str, echo: dict | None = None) -> str:
     """Deterministic rendering of a verdict, as text or a JSON document."""
     if format == "json":
-        payload = {
-            "status": v.status,
-            "condition_a": v.condition_a,
-            "nu": rational_str(v.nu),
-            "alpha_lower": None if v.alpha_lower is None else rational_str(v.alpha_lower),
-            "certificate": None
-            if v.certificate is None
-            else _certificate_to_json(v.certificate),
-            "notes": v.notes,
-        }
-        if echo is not None:
-            payload["input"] = echo
-        return _dumps(payload)
+        # the keys in sorted order, as _dumps writes them
+        alpha = None if v.alpha_lower is None else rational_str(v.alpha_lower)
+        cert = "null" if v.certificate is None else _certificate_json(v.certificate)
+        echoed = "" if echo is None else f'"input": {_dumps(echo)}, '
+        return (
+            f'{{"alpha_lower": {_dumps(alpha)}, "certificate": {cert}, '
+            f'"condition_a": {_dumps(v.condition_a)}, {echoed}"notes": {_dumps(v.notes)}, '
+            f'"nu": {_dumps(rational_str(v.nu))}, "status": {_dumps(v.status)}}}'
+        )
     if format != "text":
         raise DomainError(f"unknown format {format!r}")
     lines = [f"status: {v.status}"]
@@ -213,7 +231,7 @@ def render_report(v: Verdict, format: str, echo: dict | None = None) -> str:
     lines.append(f"nef residual condition: {'yes' if v.condition_a else 'no'}")
     lines.append(f"alpha lower bound: {_opt(v.alpha_lower)}")
     if v.certificate is not None:
-        lines.append(f"alpha upper bound certificate: {rational_str(v.certificate.bound)}")
+        lines.append(f"alpha upper bound certificate: {_ratio_str(*v.certificate._bound)}")
         lines += _certificate_lines(v.certificate)
     lines.append(f"notes: {v.notes}")
     return "\n".join(lines)
@@ -271,27 +289,25 @@ def _cmd_alpha_bound(args) -> str:
     if s.degree not in (4, 5, 6, 7):
         raise DomainError("alpha-bound applies in degrees 4 to 7")
     scale, cd, cert, comparison = _upper_bound(s, l, signs)
+    bound_n, bound_d = cert._bound
+    bound_for_input = _ratio_str(scale.numerator * bound_n, scale.denominator * bound_d)
     if args.json:
-        return _dumps(
-            {
-                "input": _echo(s, l),
-                "mu": rational_str(scale),
-                "kind": cd.kind,
-                "delta": rational_str(cd.delta),
-                "a": [rational_str(x) for x in cd.a],
-                "certificate": _certificate_to_json(cert),
-                "bound_for_input": rational_str(scale * cert.bound),
-                "strict": comparison["strict"],
-                "equality": comparison["equality"],
-            }
+        # the keys in sorted order, as _dumps writes them
+        return (
+            f'{{"a": {_dumps([rational_str(x) for x in cd.a])}, '
+            f'"bound_for_input": {_dumps(bound_for_input)}, '
+            f'"certificate": {_certificate_json(cert)}, "delta": {_dumps(rational_str(cd.delta))}, '
+            f'"equality": {_dumps(comparison["equality"])}, "input": {_dumps(_echo(s, l))}, '
+            f'"kind": {_dumps(cd.kind)}, "mu": {_dumps(rational_str(scale))}, '
+            f'"strict": {_dumps(comparison["strict"])}}}'
         )
     lines = [
         f"normalization mu: {rational_str(scale)}",
         f"contraction kind: {cd.kind}",
         f"delta: {rational_str(cd.delta)}",
         f"a: ({', '.join(rational_str(x) for x in cd.a)})",
-        f"alpha upper bound (normalized class): {rational_str(cert.bound)}",
-        f"alpha upper bound (input class): {rational_str(scale * cert.bound)}",
+        f"alpha upper bound (normalized class): {_ratio_str(bound_n, bound_d)}",
+        f"alpha upper bound (input class): {bound_for_input}",
         f"strictly below two thirds of the slope: {'yes' if comparison['strict'] else 'no'}",
     ]
     return "\n".join(lines + _certificate_lines(cert))

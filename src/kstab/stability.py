@@ -109,18 +109,24 @@ def _gamma(degree: int, n: int, m: int, residual_is_zero) -> tuple[int, int]:
     epsilon = n / m (m > 0), the anticanonical pairing of the nef residual
     -K - (2/3) nu(l) l of an ample l satisfying condition A.
 
-    gamma is 6/5 for epsilon >= 1/2 and 3 / (3 - epsilon) below it in
-    degree 1, and 12/11 for epsilon >= 1 and 12 / (12 - epsilon) below it in
-    degree 2.  The branches agree at the edge, where the pair is the cap's.
+    gamma is 3 / (3 - epsilon) in degree 1 and 12 / (12 - epsilon) in
+    degree 2.  The paper caps them at 6/5 from epsilon = 1/2 and at 12/11
+    from epsilon = 1, but no class reaches those edges: by the Hodge index
+    theorem (-K.l)^2 >= d * l^2, so epsilon = d - 2(-K.l)^2 / (3 l^2) <= d/3.
+    An epsilon at or past its edge raises InvariantError.
     residual_is_zero() is asked only when epsilon <= 0, which a nonzero
     residual never has.
     """
     if not (n > 0 or residual_is_zero()):
         raise InvariantError("nonpositive epsilon for a nontrivial residual")
-    if degree == 1:
-        p, q = (6, 5) if 2 * n >= m else (3 * m, 3 * m - n)
-    else:
-        p, q = (12, 11) if n >= m else (12 * m, 12 * m - n)
+    # the form's numerator, and epsilon's edge as 1 / edge
+    top, edge = (3, 2) if degree == 1 else (12, 1)
+    if edge * n >= m:
+        raise InvariantError(
+            f"epsilon {_ratio_str(n, m)} reaches the gamma cap's edge {_ratio_str(1, edge)}, "
+            f"past the Hodge index bound epsilon <= {degree}/3"
+        )
+    p, q = top * m, top * m - n
     if p <= q:
         raise InvariantError("gamma bound failed to exceed 1")
     return p, q
@@ -260,10 +266,10 @@ def verdict(s: SurfaceModel, l: DivClass) -> Verdict:
     # degree 4 to 7: produce the upper-bound certificate on the normalized
     # class; it rules out the nef-residual route instead of applying it.
     scale, _, cert, comparison = _upper_bound(s, l, signs)
-    bound = cert.bound
-    upper = _ratio_str(scale.numerator * bound.numerator, scale.denominator * bound.denominator)
+    bound_n, bound_d = cert._bound
+    upper = _ratio_str(scale.numerator * bound_n, scale.denominator * bound_d)
     notes = (
-        f"alpha upper bound {rational_str(bound)} for the input scaled "
+        f"alpha upper bound {_ratio_str(bound_n, bound_d)} for the input scaled "
         f"by {rational_str(scale)}; for the input class it rescales to "
         f"{upper}, at most two thirds of the slope"
     )

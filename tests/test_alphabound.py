@@ -221,17 +221,23 @@ def test_verify_certificate_refuses_a_forged_certificate():
     own = certificate(s, face_decompose(anticanonical(s), s))
     assert own.bound == F(1, 2)
     verify_certificate(own, anticanonical(s), s)
-    # the constructor's checks run again on a record built past them
-    for witness, bound in ((1, own.bound), (own.witness_index, F(1, 3)), (len(own.divisor), own.bound)):
+    # the constructor's checks run again on a record built past them; the
+    # bound is read off the witness's coefficient, so a record cannot hold
+    # any other, and a witness off the top is refused instead
+    terms, den, w = own._terms, own._den, own.witness_index
+    other = (w + 1) % len(terms)
+    raised = tuple((c, 2 * terms[w][1] if i == other else n) for i, (c, n) in enumerate(terms))
+    negative = ((terms[0][0], -terms[0][1]),) + terms[1:]
+    for bent_terms, witness, message in (
+        (terms, 1, "maximal"),
+        (raised, w, "maximal"),
+        (terms, len(terms), "out of range"),
+        (negative, w, "nonnegative"),
+    ):
         bent = object.__new__(Certificate)
-        vars(bent).update(divisor=own.divisor, witness_index=witness, bound=bound)
-        with pytest.raises(DomainError):
+        vars(bent).update(_terms=bent_terms, _den=den, witness_index=witness)
+        with pytest.raises(DomainError, match=message):
             verify_certificate(bent, anticanonical(s), s)
-    bent = object.__new__(Certificate)
-    negative = ((own.divisor[0][0], -own.divisor[0][1]),) + own.divisor[1:]
-    vars(bent).update(divisor=negative, witness_index=own.witness_index, bound=own.bound)
-    with pytest.raises(DomainError, match="nonnegative"):
-        verify_certificate(bent, anticanonical(s), s)
 
 
 def test_plane_degree7():
@@ -967,8 +973,12 @@ def _path_items():
 def test_certificate_builds_fractions_only_for_its_output():
     for s, cd in _path_items():
         cert, names = _fraction_builders(lambda: certificate(s, cd))
-        # one Fraction per component and one for the bound, all in _finish
-        assert names == ["_finish"] * (len(cert.divisor) + 1)
+        # the record keeps its coefficients as ints: Fractions are built
+        # only when its fields are read, one per component and one for the
+        # bound
+        assert names == []
+        _, names = _fraction_builders(lambda: (cert.divisor, cert.bound))
+        assert names == ["divisor"] * len(cert._terms) + ["bound"]
 
 
 def test_certificates_pass_the_public_constructor():

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from kstab import appendix, cli
+from kstab.alphabound import Certificate
+from kstab.cones import _ample_signs
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
     SurfaceModel,
@@ -19,8 +21,18 @@ from kstab.lattice import (
     basis_exceptional,
     basis_line,
     div,
+    rational_str,
 )
-from kstab.stability import verdict
+from kstab.stability import (
+    STATUS_INAPPLICABLE,
+    STATUS_MAIN,
+    STATUS_SIX_LINE,
+    STATUS_UNKNOWN,
+    STATUS_UNSUPPORTED,
+    Verdict,
+    _upper_bound,
+    verdict,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_acceptance import (  # noqa: E402
@@ -596,12 +608,10 @@ def _fraction_builders(call):
 
 def test_a_middle_degree_check_builds_fractions_only_for_its_output():
     # a degree 4-7 check works on the face's integer record; it builds a
-    # Fraction only for an output field: mu (the scale in the notes), nu,
-    # and the certificate's coefficients and bound.  The degree-4 appendix
-    # cross-check takes the face's integer weights and builds none.
-    from kstab.cones import _ample_signs
-    from kstab.stability import _upper_bound
-
+    # Fraction only for mu (the scale in the notes) and nu.  The
+    # certificate keeps its coefficients as ints, and _finish, the notes
+    # and the report read them; the degree-4 appendix cross-check takes the
+    # face's integer weights.  None of them builds a Fraction.
     args = cli._build_parser().parse_args(["check", "--json"])
     docs = [doc for doc in _digest_documents() if json.loads(doc)["degree"] != 3][::2]
     kinds = set()
@@ -611,12 +621,8 @@ def test_a_middle_degree_check_builds_fractions_only_for_its_output():
         kinds.add((s.degree, face.kind))
         args.L = doc
         out, names = _fraction_builders(lambda: args.run(args))
-        components = len(json.loads(out)["certificate"]["divisor"])
-        expected = {
-            ("kstab.cones", "_chamber_mu"): 1,
-            ("kstab.stability", "verdict"): 1,
-            ("kstab.alphabound", "_finish"): components + 1,
-        }
+        assert json.loads(out)["certificate"]["divisor"]
+        expected = {("kstab.cones", "_chamber_mu"): 1, ("kstab.stability", "verdict"): 1}
         assert {name: names.count(name) for name in set(names)} == expected, doc
     assert len(kinds) == 12
 
@@ -663,3 +669,181 @@ def test_a_low_degree_check_builds_fractions_only_for_its_output():
         (3, "KStableBySixLineTheorem"),
         (3, "Unknown"),
     }
+
+
+# The report builders as kstab.cli had them before it wrote the JSON reports
+# into a fixed skeleton from encoded fragments: nested dicts over the
+# certificate's Fraction fields, encoded by one json.dumps call, and the
+# text lines.  Kept as the oracle of the assembled reports.
+
+
+def _old_dumps(payload):
+    return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+
+
+def _old_certificate(cert):
+    return {
+        "divisor": [
+            {"class": cli._class_to_json(cls), "coefficient": rational_str(coeff)}
+            for cls, coeff in cert.divisor
+        ],
+        "witness_index": cert.witness_index,
+        "bound": rational_str(cert.bound),
+    }
+
+
+def _old_certificate_lines(cert):
+    return [f"  {rational_str(coeff)} x {cli._fmt_class(cls)}" for cls, coeff in cert.divisor]
+
+
+def _old_report(v, echo=None):
+    payload = {
+        "status": v.status,
+        "condition_a": v.condition_a,
+        "nu": rational_str(v.nu),
+        "alpha_lower": None if v.alpha_lower is None else rational_str(v.alpha_lower),
+        "certificate": None if v.certificate is None else _old_certificate(v.certificate),
+        "notes": v.notes,
+    }
+    if echo is not None:
+        payload["input"] = echo
+    return _old_dumps(payload)
+
+
+def _old_text_certificate(v):
+    if v.certificate is None:
+        return []
+    bound = f"alpha upper bound certificate: {rational_str(v.certificate.bound)}"
+    return [bound] + _old_certificate_lines(v.certificate)
+
+
+def _old_alpha_bound(doc, as_json):
+    s, l = cli.parse_input(doc)
+    scale, cd, cert, comparison = _upper_bound(s, l, _ample_signs(l, s))
+    if as_json:
+        return _old_dumps(
+            {
+                "input": cli._echo(s, l),
+                "mu": rational_str(scale),
+                "kind": cd.kind,
+                "delta": rational_str(cd.delta),
+                "a": [rational_str(x) for x in cd.a],
+                "certificate": _old_certificate(cert),
+                "bound_for_input": rational_str(scale * cert.bound),
+                "strict": comparison["strict"],
+                "equality": comparison["equality"],
+            }
+        )
+    lines = [
+        f"normalization mu: {rational_str(scale)}",
+        f"contraction kind: {cd.kind}",
+        f"delta: {rational_str(cd.delta)}",
+        f"a: ({', '.join(rational_str(x) for x in cd.a)})",
+        f"alpha upper bound (normalized class): {rational_str(cert.bound)}",
+        f"alpha upper bound (input class): {rational_str(scale * cert.bound)}",
+        f"strictly below two thirds of the slope: {'yes' if comparison['strict'] else 'no'}",
+    ]
+    return "\n".join(lines + _old_certificate_lines(cert))
+
+
+def _assert_renders_as_before(v, echo=None):
+    assert cli.render_report(v, "json") == _old_report(v)
+    assert cli.render_report(v, "json", echo=echo) == _old_report(v, echo)
+    text = cli.render_report(v, "text").split("\n")
+    certificate_at = 5 if v.status in cli._CRITERION_NAMES else 4
+    assert text[certificate_at:-1] == _old_text_certificate(v)
+
+
+def _public_certificates():
+    # public certificates over classes outside the line table: a degree-6
+    # class that is no curve, -K / 2 with den 2, a class of rank 9 (no
+    # degree), then curves whose coefficients reduce one by one (den 6
+    # holds 1/2, 1/3 and 1) and a bound whose ratio reduces
+    s6 = SurfaceModel(6)
+    e = [basis_exceptional(s6, i) for i in (1, 2, 3)]
+    no_curve = div(1, [-1, -1, -1])
+    half = F(1, 2) * anticanonical(s6)
+    rank9 = div(3, [-1] * 9)
+    return [
+        Certificate(((no_curve, F(3)), (e[0], F(2)), (e[1], F(2))), 0, F(1, 3)),
+        Certificate(((half, F(2)),), 0, F(1, 2)),
+        Certificate(((rank9, 1), (e[0], F(1, 2))), 0, 1),
+        Certificate(((e[0], F(1, 2)), (e[1], F(1, 3)), (e[2], 1)), 2, 1),
+        Certificate(((e[0], F(4, 6)), (e[1], F(2, 6))), 0, F(3, 2)),
+    ]
+
+
+def _verdict_cases():
+    # every status with alpha_lower null and set, condition_a true and
+    # false, with and without a certificate, and notes that need escaping
+    certs = [None, *_public_certificates()]
+    for i, status in enumerate(
+        [STATUS_MAIN, STATUS_SIX_LINE, STATUS_INAPPLICABLE, STATUS_UNSUPPORTED, STATUS_UNKNOWN]
+    ):
+        for alpha in (None, F(18, 17), F(2)):
+            for cond in (True, False):
+                for j, cert in enumerate(certs):
+                    notes = ["plain", 'a "quoted" note\\', "tab\tand é"][(i + j) % 3]
+                    yield Verdict(status, cond, F(3, 2) + i, alpha, cert, notes)
+
+
+def test_assembled_reports_match_the_nested_dict_oracle():
+    seen = set()
+    for v in _verdict_cases():
+        _assert_renders_as_before(v, echo={"degree": 6, "L": {"h": "3", "e": ["1"] * 3}})
+        seen.add((v.status, v.alpha_lower is None, v.condition_a, v.certificate is None))
+    assert len(seen) == 5 * 2 * 2 * 2
+    for cert in _public_certificates():
+        assert cli._certificate_json(cert) == _old_dumps(_old_certificate(cert))
+    statuses = set()
+    for doc in _digest_documents():
+        s, l = cli.parse_input(doc)
+        try:
+            v = verdict(s, l)
+        except DomainError:
+            continue
+        statuses.add((v.status, v.alpha_lower is None, v.condition_a))
+        _assert_renders_as_before(v, echo=cli._echo(s, l))
+    assert statuses >= {
+        (STATUS_INAPPLICABLE, True, False),
+        (STATUS_SIX_LINE, False, True),
+        (STATUS_UNKNOWN, True, False),
+    }
+
+
+def _alpha_bound_documents():
+    # seeded classes of degrees 4-7: scaled moves of -K along the E_i or
+    # along the curves of a P1 x P1 face, and the anticanonical-plus family
+    # with a fiber part
+    rng = random.Random(71)
+    for trial in range(120):
+        d = 4 + trial % 4
+        s = SurfaceModel(d)
+        if trial % 3:
+            es, fiber = _P1P1_CURVES[d]
+            if trial % 3 == 1:
+                es, fiber = [basis_exceptional(s, i) for i in range(1, s.r + 1)], None
+            l = anticanonical(s)
+            if fiber is not None:
+                l = l + F(rng.randrange(0, 6), 5) * fiber
+            for e in es:
+                l = l + F(rng.randrange(0, 10), 12) * e
+            l = F(rng.randint(1, 9), rng.randint(1, 4)) * l
+            yield json.dumps({"degree": d, "L": cli._class_to_json(l)})
+        else:
+            a = [f"{rng.randrange(0, 6)}/{rng.randint(6, 9)}" for _ in range(s.r - 1)]
+            a.sort(key=F, reverse=True)
+            delta = f"{rng.randrange(0, 4)}/{rng.randint(1, 5)}"
+            yield json.dumps({"degree": d, "family": "anticanonical-plus", "delta": delta, "a": a})
+
+
+def test_alpha_bound_reports_match_the_nested_dict_oracle():
+    kinds = set()
+    for doc in _alpha_bound_documents():
+        for as_json in (False, True):
+            args = cli._build_parser().parse_args(["alpha-bound"] + ["--json"] * as_json)
+            args.L = doc
+            out = args.run(args)
+            assert out == _old_alpha_bound(doc, as_json), doc
+        kinds.add((json.loads(doc)["degree"], json.loads(out)["kind"]))
+    assert len(kinds) == 12  # every face kind in every degree

@@ -10,10 +10,10 @@ from unittest.mock import ANY
 
 import pytest
 
-from kstab.alphabound import Certificate
+from kstab.alphabound import Certificate, _finish
 from kstab.appendix import AppendixInput, GridReport
 from kstab.cones import KIND_TO_P2, ContractionData
-from kstab.lattice import DivClass, SurfaceModel, basis_exceptional
+from kstab.lattice import DivClass, SurfaceModel, basis_exceptional, div
 from kstab.ratlp import Infeasible, LinearProgram, Optimal
 from kstab.stability import Verdict
 
@@ -162,3 +162,35 @@ def test_private_fields_stay_out_of_equality_hash_and_repr(cls, private):
     vars(y)[private] = None
     assert (x == y, hash(x) == hash(y), repr(x) == repr(y)) == (True, True, True)
     assert private not in repr(x)
+
+
+_S7 = SurfaceModel(7)
+_LINE7, _E71, _E72 = div(1, [-1, -1]), basis_exceptional(_S7, 1), basis_exceptional(_S7, 2)
+
+
+@pytest.mark.parametrize(
+    "parts, one, l_den, divisor, bound",
+    [
+        # -K = 3(H - E1 - E2) + 2E1 + 2E2, each n over one = 2
+        (
+            [(_LINE7, 6), (_E71, 4), (_E72, 4)], 2, 1,
+            ((_LINE7, F(3)), (_E71, F(2)), (_E72, F(2))), F(1, 3),
+        ),
+        # (3/2)(H - E1 - E2) + E1 + E2/2, each n over one = 4
+        (
+            [(_LINE7, 6), (_E71, 4), (_E72, 2)], 4, 2,
+            ((_LINE7, F(3, 2)), (_E71, 1), (_E72, F(1, 2))), F(2, 3),
+        ),
+    ],
+)
+def test_an_integer_certificate_equals_the_public_one(parts, one, l_den, divisor, bound):
+    # _finish keeps (class, n) terms over one denominator in lowest terms:
+    # every n here is even, so it divides them and one by 2, and the record
+    # holds the ints the public constructor reads off the same rationals
+    l_row = tuple(sum(n * c.row[i] for c, n in parts) * l_den // one for i in range(3))
+    built = _finish([(c.row, n) for c, n in parts], one, l_row, l_den, 7)
+    public = Certificate(divisor, 0, bound)
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert vars(built) == vars(public)
+    assert built._den == one // 2
+    assert (built.divisor, built.bound) == (divisor, bound)

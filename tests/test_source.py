@@ -499,3 +499,34 @@ def test_the_low_degree_verdicts_stay_on_the_packed_product():
     assert {fn: found & class_route for fn, found in names.items()} == dict.fromkeys(path, set())
     assert "_gamma" in names["verdict"] and "_six_line_parameter" in names["verdict"]
     assert {"_residual", "_gamma", "intersect"} <= _called(functions["gamma_lower_bound"])
+
+
+def test_certificates_stay_on_ints_until_output():
+    # _finish keeps a certificate's coefficients as ints and builds no
+    # Fraction; the checks, the slope comparison, the verdict's notes and
+    # the CLI read those ints, not the Fraction fields divisor and bound
+    alphabound, stability, cli = (_functions(f"{m}.py") for m in ("alphabound", "stability", "cli"))
+    names = {n.id for n in ast.walk(alphabound["_finish"]) if isinstance(n, ast.Name)}
+    assert "Fraction" not in names
+    checks = ("_finish", "_check_bound", "verify_certificate", "compare_with_slope")
+    readers = [alphabound[n] for n in checks] + [stability["verdict"], *cli.values()]
+    assert [fn.name for fn in readers if _attributes(fn) & {"divisor", "bound"}] == []
+    assert "_terms" in _attributes(alphabound["verify_certificate"])
+
+
+def test_cli_encodes_certificate_components_through_the_line_table():
+    # a certificate's classes are written from _line_json's encoded strings,
+    # with _dumps(_class_to_json(c)) as the one fallback for a class outside
+    # the table; no second dict path builds a certificate's JSON
+    cli = _functions("cli.py")
+    callers = lambda name: {fn for fn, node in cli.items() if name in _called(node)}  # noqa: E731
+    assert "_certificate_to_json" not in cli
+    assert callers("_line_json") == {"_component_json"}
+    assert callers("_component_json") == {"_certificate_json"}
+    assert _called(cli["_component_json"]) - {"len"} == {"_line_json", "_dumps", "_class_to_json"}
+    assert callers("_certificate_json") == {"render_report", "_cmd_alpha_bound"}
+    assert "_class_to_json" not in _called(cli["_certificate_json"])
+    assert {fn for fn, node in cli.items() if "_terms" in _attributes(node)} == {
+        "_certificate_json",
+        "_certificate_lines",
+    }

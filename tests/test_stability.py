@@ -636,17 +636,20 @@ def test_integer_verdicts_match_the_fraction_oracle(cubic_sextets):
 
 
 def test_gamma_pairs_at_the_epsilon_edges():
-    # the branches agree in value at epsilon = 1/2 in degree 1 and 1 in
-    # degree 2, so the branch taken is read off the pair: the cap's from the
-    # edge on.  No class reaches the edges: by the Hodge index theorem
-    # (-K.l)^2 >= d * l^2, so epsilon = d - 2(-K.l)^2 / (3 l^2) <= d/3.
+    # gamma is 3 / (3 - eps) in degree 1 and 12 / (12 - eps) in degree 2
+    # below the edges eps = 1/2 and eps = 1, where the paper's caps 6/5 and
+    # 12/11 would start.  No class reaches them: by the Hodge index theorem
+    # (-K.l)^2 >= d * l^2, so epsilon = d - 2(-K.l)^2 / (3 l^2) <= d/3, and
+    # an epsilon at or past its edge is an invariant failure naming it.
     nonzero = lambda: False  # noqa: E731
-    for d, cap, edge in ((1, (6, 5), F(1, 2)), (2, (12, 11), F(1))):
+    for d, edge in ((1, F(1, 2)), (2, F(1))):
         top = 3 if d == 1 else 12
         for eps in (edge, edge + F(1, 100), F(7, 2)):
             for scale in (1, 3):
                 n, m = eps.numerator * scale, eps.denominator * scale
-                assert _gamma(d, n, m, nonzero) == cap
+                message = f"reaches the gamma cap's edge {rational_str(edge)}, .* <= {d}/3"
+                with pytest.raises(InvariantError, match=message):
+                    _gamma(d, n, m, nonzero)
         for eps in (edge - F(1, 100), F(d, 3), F(1, 1000)):
             for scale in (1, 3):
                 n, m = eps.numerator * scale, eps.denominator * scale
@@ -661,6 +664,39 @@ def test_gamma_pairs_at_the_epsilon_edges():
                 _gamma(d, n, 3, nonzero)
         with pytest.raises(InvariantError, match="failed to exceed 1"):
             _gamma(d, 0, 3, lambda: True)
+
+
+def test_ample_classes_keep_epsilon_below_the_gamma_edges():
+    # the Hodge index theorem on seeded ample classes of degrees 1 and 2,
+    # with a = -K.l and b = l^2: 3a^2 >= 3db, that is epsilon = d - 2a^2/(3b)
+    # <= d/3, below the edges 1/2 and 1 where _gamma raises.  Half the
+    # classes are scaled small moves off -K, which mostly keep condition A;
+    # the rest are spread widely and mostly fail it.  -K is the equality case.
+    rng = random.Random(29)
+    for d in (1, 2):
+        s = SurfaceModel(d)
+        k = anticanonical(s)
+        found, kept = [k], 0
+        while len(found) < 80:
+            if len(found) % 2:
+                l = k
+                for i in range(1, s.r + 1):
+                    l = l + F(rng.randrange(0, 8), 64) * basis_exceptional(s, i)
+                l = F(rng.randint(1, 7), 3) * l
+            else:
+                h = rng.randint(1, 40)
+                l = div(h, [-rng.randint(0, h // 2) for _ in range(s.r)])
+            if is_ample(l, s):
+                found.append(l)
+        for l in found:
+            a, b = intersect(k, l, s), square(l, s)
+            assert 3 * a * a >= 3 * d * b, l
+            if condition_a(l, s):
+                eps = intersect(k, _residual(s, l, nu(l, s)), s)
+                assert eps <= F(d, 3) < (F(1, 2) if d == 1 else 1)
+                kept += 1
+        assert intersect(k, k, s) ** 2 == d * square(k, s)
+        assert 10 <= kept < len(found)  # both sides of condition A
 
 
 def _anticanonical_face(s):
