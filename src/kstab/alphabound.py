@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import appendix
 from .cones import (
@@ -62,16 +62,18 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
-    _exact_all,
     _from_row,
     _is_int,
     _rank,
     _ratio_str,
+    _rational_row,
     _Record,
     _row_combination,
     _row_dot,
     _row_less,
     _row_sum,
+    _shared_rank,
+    rational,
 )
 
 # subset families for the improvement step, as index tuples into
@@ -96,11 +98,9 @@ def largest_admissible_sum(values, family) -> Fraction:
     """Largest family subset-sum of values not exceeding 1 (0 if none).
     The values are read as lattice.rational reads them, and every index of
     the family must name one."""
-    values = _exact_all((*values,))
-    if any(not 0 <= i < len(values) for subset in family for i in subset):
-        raise DomainError(f"a family subset indexes past the {len(values)} values")
-    q = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (q // v.denominator) for v in values]
+    q, scaled = _rational_row(values)
+    if any(not 0 <= i < len(scaled) for subset in family for i in subset):
+        raise DomainError(f"a family subset indexes past the {len(scaled)} values")
     return Fraction(_largest_subset_sum(scaled, family, q)[0], q)
 
 
@@ -125,7 +125,8 @@ class Certificate(_Record):
 
     divisor lists (curve class, coefficient) pairs; witness_index points at
     a maximal-coefficient component and bound is its reciprocal.  The
-    coefficients and the bound are read as lattice.rational reads them.
+    components are DivClasses of one rank, and the coefficients and the
+    bound are read as lattice.rational reads them.
 
     The record holds the coefficients as ints, (class, n) terms over one
     positive denominator in lowest terms, and divisor and bound are read
@@ -141,9 +142,9 @@ class Certificate(_Record):
         if not divisor:
             raise DomainError("certificate needs at least one component")
         classes, coeffs = zip(*divisor)
-        *coeffs, bound = _exact_all((*coeffs, bound))
-        den = lcm(*(c.denominator for c in coeffs))
-        ns = [c.numerator * (den // c.denominator) for c in coeffs]
+        _shared_rank(classes)
+        den, ns = _rational_row(coeffs)
+        bound = rational(bound)
         vars(self).update(_terms=tuple(zip(classes, ns)), _den=den, witness_index=witness_index)
         _check_bound(ns, witness_index)
         if bound.numerator * ns[witness_index] != den * bound.denominator:
@@ -170,7 +171,7 @@ def _check_bound(ns, witness_index) -> None:
     if any(n < 0 for n in ns):
         raise DomainError("certificate coefficients must be nonnegative")
     if not (_is_int(witness_index) and 0 <= witness_index < len(ns)):
-        raise DomainError("witness index out of range")
+        raise DomainError(f"witness index out of range: must be an integer in 0..{len(ns) - 1}")
     if ns[witness_index] != max(ns):
         raise DomainError("witness must carry a maximal coefficient")
 

@@ -10,19 +10,19 @@ piecewise value as an int numerator and denominator; the degree-4 slope
 comparison in alphabound calls it with a face's own integer weights, so
 the cross-check builds no Fraction, yet every margin is still derived
 here.  An AppendixInput puts its coefficients and delta over one common
-denominator once, when it is built, keeps those ints in a private field
-outside its equality, hash and repr, and prop_a1 and alpha_piecewise read
-them through _decide.
+denominator once, when it is built, keeps only those ints and reads a and
+delta off them as Fractions, and prop_a1 and alpha_piecewise read the ints
+through _decide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb
 
 from .errors import DomainError
-from .lattice import Rational, _exact_all, _is_int, _Record, rational
+from .lattice import Rational, _is_int, _rational_row, _Record, rational
 
 
 class AppendixInput(_Record):
@@ -33,17 +33,26 @@ class AppendixInput(_Record):
     read as lattice.rational reads it.
     """
 
-    # _weights, (q, q*a, q*delta) from _scaled with q the lcm of the
-    # denominators, stays out of ==, the hash and the repr
+    # the record holds only _weights, (q, q*a, q*delta) with q the lcm of
+    # the denominators; a and delta are read off it as Fractions
     _fields = ("a", "delta")
 
     def __init__(self, a: tuple[Rational, ...], delta: Rational):
         if len(a) != 5:
             raise DomainError(_FIVE)
-        *a, delta = _exact_all((*a, delta))
-        vars(self).update(a=tuple(a), delta=delta)
-        vars(self)["_weights"] = _scaled(self)
+        q, (*a, d) = _rational_row((*a, delta))
+        vars(self)["_weights"] = (q, tuple(a), d)
         _check(*self._weights)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        q, a, _ = self._weights
+        return tuple(Fraction(x, q) for x in a)
+
+    @property
+    def delta(self) -> Fraction:
+        q, _, d = self._weights
+        return Fraction(d, q)
 
 
 _FIVE = "exactly five coefficients required"
@@ -61,16 +70,6 @@ def _check(q: int, a: tuple[int, ...], d: int) -> None:
         raise DomainError("coefficients must be sorted nonincreasing")
     if d < 0:
         raise DomainError("delta must be nonnegative")
-
-
-def _scaled(inp: AppendixInput) -> tuple[int, tuple[int, ...], int]:
-    """(q, q*a, q*delta) for q the least common denominator of the input."""
-    q = lcm(*(x.denominator for x in (*inp.a, inp.delta)))
-    return (
-        q,
-        tuple(x.numerator * (q // x.denominator) for x in inp.a),
-        inp.delta.numerator * (q // inp.delta.denominator),
-    )
 
 
 def _largest_sum(q: int, a2: int, a3: int, a4: int, a5: int) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .curves import _disjoint_index_sets, _table_pairings, _tables, _zeros
 from .errors import DomainError, InvariantError
@@ -44,14 +44,15 @@ from .lattice import (
     Rational,
     SurfaceModel,
     _anticanonical_row,
-    _exact_all,
     _from_row,
     _rank,
+    _rational_row,
     _Record,
     _row_combination,
     _row_dot,
     _row_sum,
     _scaled_square,
+    _shared_rank,
     canonical,
     rational,
 )
@@ -229,7 +230,8 @@ class ContractionData(_Record):
     weights over their least common denominator are unique, so equality
     and the hash follow the rationals, and the repr is the constructor
     call on the Fraction fields.  delta and the a_i are read as
-    lattice.rational reads them.
+    lattice.rational reads them, and the curves and the fiber must be
+    DivClasses of one rank.
     """
 
     # _weights is (q, q * delta, (q * a_i, ...)), q the lcm of the weights'
@@ -241,9 +243,7 @@ class ContractionData(_Record):
     def __init__(self, kind: str, delta: Rational, a, curveE, curveC: DivClass | None):
         if kind not in _KINDS:
             raise DomainError(f"unknown contraction kind {kind!r}")
-        weights = _exact_all((delta, *a))
-        q = lcm(*(x.denominator for x in weights))
-        delta, *a = (x.numerator * (q // x.denominator) for x in weights)
+        q, (delta, *a) = _rational_row((delta, *a))
         vars(self).update(
             kind=kind, curveE=curveE, curveC=curveC, _weights=(q, delta, tuple(a)), _row=None
         )
@@ -267,7 +267,7 @@ class ContractionData(_Record):
             classes.append(self.curveC)
         if not classes:
             return
-        degree = 9 - classes[0].rank
+        degree = 9 - _shared_rank(classes)
         if not 1 <= degree <= 8:
             raise DomainError("contraction data has an invalid rank")
         # membership is a lookup of an integral class's row: a class row / D

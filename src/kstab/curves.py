@@ -39,6 +39,7 @@ from .lattice import (
     SurfaceModel,
     _anticanonical_row,
     _from_row,
+    _is_int,
     _rank,
     _row_dot,
     _row_sum,
@@ -284,8 +285,8 @@ def disjoint_sets(curves, k: int, s: SurfaceModel) -> list[tuple[DivClass, ...]]
     curves = list(curves)
     if len(set(curves)) != len(curves):
         raise DomainError("curves must be pairwise distinct")
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    if not (_is_int(k) and k >= 0):
+        raise DomainError(f"k must be an integer >= 0, got {k!r}")
     rows = [c.row for c in curves]
     masks = [_zeros(pairings(c, rows, s)) for c in curves]
     return [

@@ -50,7 +50,9 @@ def rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if _is_int(value):
-        return Fraction(_exact(value))
+        if -_TOO_LARGE < value < _TOO_LARGE:
+            return Fraction(value)
+        raise _too_large(value)
     if isinstance(value, str):
         # "1e999999999" would build a billion-digit int, so the length and
         # the exponent are bounded before Fraction builds the number
@@ -70,40 +72,23 @@ def rational(value) -> Fraction:
     raise DomainError(f"not a rational: {value!r}")
 
 
-def _exact(value):
-    """value coerced as rational() does it, except that an int stays an
-    int: a class or scalar built from ints builds no Fraction."""
-    if _is_int(value):
-        if -_TOO_LARGE < value < _TOO_LARGE:
-            return value
-        raise _too_large(value)
-    return rational(value)
-
-
-def _exact_all(values) -> tuple:
-    """tuple(map(_exact, values)), for the rational arguments of a public
-    record; Fractions and ints within the digit bound, as every caller in
-    the library passes them, are taken with one type test each."""
-    for x in values:
-        if type(x) is not Fraction and not (type(x) is int and -_TOO_LARGE < x < _TOO_LARGE):
-            return tuple(map(_exact, values))
-    return tuple(values)
-
-
 def _rational_row(values) -> tuple[int, tuple[int, ...]]:
     """(D, row) with row[i] / D the rational rational(values[i]), in order,
-    and D the lcm of their denominators.
+    and D the lcm of their denominators: the one reader of the rational
+    arguments of a public entry.
 
     A str that is an optional sign and ASCII digits, with an optional "/"
     and ASCII digits after it, is read as two ints, reduced and bounded as
-    rational() bounds it.  Every other value (decimals, exponents, "_",
-    other digits, a zero denominator, a value past the bound, a non-str)
-    goes through rational(), so the values accepted, the messages and the
-    order of the checks are rational()'s.
+    rational() bounds it; a Fraction, and an int within the digit bound,
+    are taken with one type test each.  Every other value (decimals,
+    exponents, "_", other digits, a zero denominator, a value past the
+    bound, a bool, any other type) goes through rational(), so the values
+    accepted, the messages and the order of the checks are rational()'s.
     """
     nums, dens = [], []
     for value in values:
-        if type(value) is str and len(value) <= 3 * MAX_DIGITS and value.isascii():
+        kind = type(value)
+        if kind is str and len(value) <= 3 * MAX_DIGITS and value.isascii():
             p, slash, q = value.strip().partition("/")
             digits = p[1:] if p[:1] in ("+", "-") else p
             if digits.isdigit() and (q.isdigit() if slash else True):
@@ -115,9 +100,10 @@ def _rational_row(values) -> tuple[int, tuple[int, ...]]:
                         nums.append(n)
                         dens.append(d)
                         continue
-        x = rational(value)
-        nums.append(x.numerator)
-        dens.append(x.denominator)
+        if not (kind is Fraction or kind is int and -_TOO_LARGE < value < _TOO_LARGE):
+            value = rational(value)
+        nums.append(value.numerator)
+        dens.append(value.denominator)
     den = lcm(*dens)
     return den, tuple(n * (den // d) for n, d in zip(nums, dens))
 
@@ -190,14 +176,13 @@ class SurfaceModel(_Record):
 class DivClass(_Record):
     """The class row / den, row = (h, e_1, ..., e_r) of ints, den > 0 and
     gcd(den, *row) == 1: equal classes have equal fields.  DivClass(h, e)
-    takes int or Fraction coordinates, and h and e build Fractions."""
+    reads its coordinates through _rational_row, as lattice.rational reads
+    them, and h and e build Fractions."""
 
     __slots__ = _fields = ("den", "row")
 
     def __init__(self, h, e):
-        coords = (h, *e)
-        den = lcm(*(x.denominator for x in coords))
-        row = tuple(x.numerator * (den // x.denominator) for x in coords)
+        den, row = _rational_row((h, *e))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "row", row)
 
@@ -237,9 +222,8 @@ class DivClass(_Record):
         return _from_row(self.den, tuple(map(neg, self.row)))
 
     def __mul__(self, scalar) -> "DivClass":
-        c = _exact(scalar)
-        n = c.numerator
-        return _from_row(self.den * c.denominator, tuple(n * x for x in self.row))
+        den, (n,) = _rational_row((scalar,))
+        return _from_row(self.den * den, tuple(n * x for x in self.row))
 
     __rmul__ = __mul__
 
@@ -279,13 +263,12 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def div(h, e) -> DivClass:
-    """Build a DivClass, coercing every coordinate; a row of ints within
-    the digit bound is taken as it is."""
+    """Build a DivClass as DivClass(h, e) does; a row of ints within the
+    digit bound is taken as it is, with no common denominator to find."""
     coords = (h, *e)
     if all(type(x) is int and -_TOO_LARGE < x < _TOO_LARGE for x in coords):
         return _from_row(1, coords)
-    coords = tuple(map(_exact, coords))
-    return DivClass(coords[0], coords[1:])
+    return _from_row(*_rational_row(coords))
 
 
 def _rank(a) -> int:
@@ -294,6 +277,16 @@ def _rank(a) -> int:
     if isinstance(a, DivClass):
         return len(a.row) - 1
     raise DomainError(f"not a divisor class: a {type(a).__name__}")
+
+
+def _shared_rank(classes) -> int:
+    """The rank of each of the classes, each read through _rank; classes
+    of two ranks are refused with DomainError."""
+    first, *rest = map(_rank, classes)
+    for rank in rest:
+        if rank != first:
+            raise DomainError(f"rank mismatch: {first} vs {rank}")
+    return first
 
 
 def _check_ranks(s: SurfaceModel, a: DivClass, b: DivClass) -> None:
@@ -338,8 +331,8 @@ def basis_line(s: SurfaceModel) -> DivClass:
 
 def basis_exceptional(s: SurfaceModel, i: int) -> DivClass:
     """E_i for i in 1..r."""
-    if not 1 <= i <= s.r:
-        raise DomainError(f"exceptional index {i} out of 1..{s.r}")
+    if not (_is_int(i) and 1 <= i <= s.r):
+        raise DomainError(f"exceptional index must be an integer in 1..{s.r}, got {i!r}")
     return _from_row(1, tuple(int(j == i) for j in range(s.r + 1)))
 
 

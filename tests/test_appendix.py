@@ -65,13 +65,13 @@ def test_input_weights_are_scaled_once(monkeypatch):
     same = _inp(Fraction(2, 4), Fraction(2, 6), 0, 0, 0, delta=Fraction(3, 4))
     assert inp == same and hash(inp) == hash(same)
     assert "_weights" not in repr(inp)
-    assert inp._weights == appendix._scaled(inp) == (12, (6, 4, 0, 0, 0), 9)
+    assert inp._weights == (12, (6, 4, 0, 0, 0), 9)
     expected = prop_a1(inp)
 
     def scaled_again(_):
         raise AssertionError("the weights were scaled again")
 
-    monkeypatch.setattr(appendix, "_scaled", scaled_again)
+    monkeypatch.setattr(appendix, "_rational_row", scaled_again)
     assert prop_a1(inp) == expected
     assert alpha_piecewise(inp) == expected["piecewise"]
 
@@ -272,7 +272,7 @@ def _oracle_margins(inp: AppendixInput, q: int) -> list:
 def _check_against_oracle(inp: AppendixInput):
     assert prop_a1(inp) == _oracle_prop_a1(inp)
     q = lcm(*(x.denominator for x in (*inp.a, inp.delta)))
-    q_seen, a, d = appendix._scaled(inp)
+    q_seen, a, d = inp._weights
     assert q_seen == q
     margins = [appendix._margin(q, d, *side) for side in appendix._sides(q, a)]
     assert margins == _oracle_margins(inp, q)

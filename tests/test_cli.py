@@ -756,9 +756,10 @@ def _assert_renders_as_before(v, echo=None):
 
 def _public_certificates():
     # public certificates over classes outside the line table: a degree-6
-    # class that is no curve, -K / 2 with den 2, a class of rank 9 (no
-    # degree), then curves whose coefficients reduce one by one (den 6
-    # holds 1/2, 1/3 and 1) and a bound whose ratio reduces
+    # class that is no curve, -K / 2 with den 2, two classes of rank 9 (no
+    # degree; a certificate's components share one rank), then curves
+    # whose coefficients reduce one by one (den 6 holds 1/2, 1/3 and 1)
+    # and a bound whose ratio reduces
     s6 = SurfaceModel(6)
     e = [basis_exceptional(s6, i) for i in (1, 2, 3)]
     no_curve = div(1, [-1, -1, -1])
@@ -767,7 +768,7 @@ def _public_certificates():
     return [
         Certificate(((no_curve, F(3)), (e[0], F(2)), (e[1], F(2))), 0, F(1, 3)),
         Certificate(((half, F(2)),), 0, F(1, 2)),
-        Certificate(((rank9, 1), (e[0], F(1, 2))), 0, 1),
+        Certificate(((rank9, 1), (div(0, [1] + [0] * 8), F(1, 2))), 0, 1),
         Certificate(((e[0], F(1, 2)), (e[1], F(1, 3)), (e[2], 1)), 2, 1),
         Certificate(((e[0], F(4, 6)), (e[1], F(2, 6))), 0, F(3, 2)),
     ]

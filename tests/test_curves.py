@@ -132,6 +132,14 @@ def test_disjoint_sets_k_zero():
     assert disjoint_sets(minus_one_curves(s), 0, s) == [()]
 
 
+def test_disjoint_sets_k_is_a_count():
+    # k is an int that is not a bool; a float used to recurse without end
+    s = SurfaceModel(5)
+    for k in (0.5, 2.0, True, "2", None, -1):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            disjoint_sets(minus_one_curves(s), k, s)
+
+
 def test_disjoint_sets_rejects_duplicates():
     s = SurfaceModel(7)
     e1 = basis_exceptional(s, 1)

@@ -175,6 +175,25 @@ def test_row_helpers_live_only_in_lattice():
     assert homes == {("lattice.py", name) for name in _ROW_HELPERS}
 
 
+def test_rationals_meet_their_common_denominator_only_in_lattice():
+    # lattice._rational_row is the one reader that puts rational arguments
+    # over one denominator: no other module takes an lcm of .denominator
+    # reads
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _library_nodes()
+        if path.name != "lattice.py"
+        and isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm"
+        and any(
+            isinstance(part, ast.Attribute) and part.attr == "denominator"
+            for arg in node.args
+            for part in ast.walk(arg)
+        )
+    ]
+    assert found == []
+
+
 def test_is_nef_lp_stays_independent_of_is_nef():
     # is_nef_lp cross-checks is_nef, so it shares none of is_nef's sign
     # test: its objective pairs the rows of the record's generator classes

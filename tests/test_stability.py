@@ -15,6 +15,7 @@ from kstab.alphabound import (
 from kstab.appendix import AppendixInput, grid_oracle
 from kstab.cones import (
     ContractionData,
+    KIND_CONIC_F1,
     KIND_TO_P2,
     ample_violation,
     face_decompose,
@@ -35,6 +36,7 @@ from kstab.curves import (
 )
 from kstab.errors import DomainError, InvariantError
 from kstab.lattice import (
+    DivClass,
     SurfaceModel,
     anticanonical,
     canonical,
@@ -729,6 +731,21 @@ _RANK_ENTRIES = {
         "class",
         lambda s, x: verify_certificate(certificate(s, _anticanonical_face(s)), x, s),
     ),
+    # the records take their classes with no surface, so x sits beside a
+    # class of s: a class of another rank is a mixed-rank record
+    "Certificate component": (
+        5, "class", lambda s, x: Certificate(((basis_exceptional(s, 1), 1), (x, 1)), 0, 1)
+    ),
+    "ContractionData curve": (
+        5,
+        "class",
+        lambda s, x: ContractionData(KIND_TO_P2, 0, (F(1, 2), F(1, 3)), (basis_exceptional(s, 1), x), None),
+    ),
+    "ContractionData fiber": (
+        5,
+        "class",
+        lambda s, x: ContractionData(KIND_CONIC_F1, 0, (F(1, 2),), (basis_exceptional(s, 1),), x),
+    ),
 }
 
 
@@ -769,11 +786,19 @@ def _argument_entries():
             False, F(1, 3), lambda x: largest_admissible_sum([x, 0, 0, 0], TWELVE_SUM_FAMILY)
         ),
         "mu_bisect width": (False, F(1, 4), lambda x: mu_bisect(anticanonical(s8), s8, x)),
+        "DivClass h": (False, F(1, 2), lambda x: DivClass(x, (F(1, 3), 0))),
+        "DivClass e_1": (False, F(1, 3), lambda x: DivClass(F(1, 2), (x, 0))),
+        "DivClass scalar": (False, F(1, 3), lambda x: anticanonical(s) * x),
+        "div h": (False, F(1, 2), lambda x: div(x, (F(1, 3), 0))),
+        "basis_exceptional index": (True, 2, lambda x: basis_exceptional(s, x)),
+        "SurfaceModel degree": (True, 5, lambda x: SurfaceModel(x)),
+        "Certificate witness_index": (True, 0, lambda x: Certificate(divisor, x, 2)),
+        "cubic_line_family_report": (False, F(1, 20), lambda x: cubic_line_family_report(x)),
     }
 
 
 _GIVEN = {
-    "float": (0.5,),
+    "float": (0.5, 1.0),
     "bool": (True, False),
     "None": (None,),
     "junk str": ("1/2/3",),
@@ -794,7 +819,10 @@ def test_public_entries_read_their_arguments_by_lattice_rules(entry, kind):
         degree, role, call = _RANK_ENTRIES[entry]
         refusal = "divisor class" if role == "class" else "contraction data"
         for given in ("1/2",) if kind == "str" else _GIVEN[kind]:
-            with pytest.raises(DomainError, match=f"not a {refusal}: a {type(given).__name__}"):
+            message = f"not a {refusal}: a {type(given).__name__}"
+            if entry == "ContractionData fiber" and given is None:
+                message = "needs a fiber class"  # None is the absent fiber
+            with pytest.raises(DomainError, match=message):
                 call(SurfaceModel(degree), given)
         return
     count, value, build = _argument_entries()[entry]
